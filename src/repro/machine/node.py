@@ -19,25 +19,46 @@ class Node:
     """A single node of the simulated machine.
 
     A node owns a CPU (modeled as a multi-slot resource charged for
-    protocol processing), a NIC (attached by the fabric), and optionally a
-    storage device (I/O nodes).  Nodes can be *killed* for failure-injection
-    experiments; a dead node's NIC drops traffic and its servers stop.
+    protocol processing), a NIC, and optionally a storage device (I/O
+    nodes).  Nodes can be *killed* for failure-injection experiments; a
+    dead node's NIC drops traffic and its servers stop.
+
+    The CPU and the NIC are built on first touch (:meth:`__getattr__`), so
+    a machine of 10^4 nodes of which a few hundred carry traffic holds
+    simulator state for those few hundred only.
     """
+
+    #: Multi-slot resource charged for protocol processing.
+    cpu: Resource
+    #: The network interface (:class:`~repro.network.nic.NIC`).
+    nic: "NIC"
 
     def __init__(self, env: Environment, node_id: int, spec: NodeSpec, name: str = "") -> None:
         self.env = env
         self.node_id = node_id
         self.spec = spec
         self.name = name or f"{spec.kind.value}{node_id}"
-        self.cpu = Resource(env, capacity=spec.cpu.cores)
         #: Relative CPU speed.  Sharded runs give each worker a local
         #: replica of the shared service nodes at a fraction of their
         #: capacity (``SimConfig.service_scale``); every protocol cost
         #: charged through :meth:`compute` stretches by ``1 / speed``.
         self.speed = 1.0
         self.alive = True
-        self.nic: Optional["NIC"] = None  # attached by the Fabric
         self.storage: Optional["RaidDevice"] = None  # attached by deployment
+
+    def __getattr__(self, name: str):
+        # Reached only while ``cpu`` or ``nic`` is not yet an instance
+        # attribute: build it once and store it, so every later read is a
+        # plain attribute lookup.
+        if name == "cpu":
+            cpu = self.cpu = Resource(self.env, capacity=self.spec.cpu.cores)
+            return cpu
+        if name == "nic":
+            from ..network.nic import NIC  # import cycle: network imports machine
+
+            nic = self.nic = NIC(self.env, self)
+            return nic
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- convenience -------------------------------------------------------
     @property

@@ -53,7 +53,7 @@ def install_standard_instruments(registry: MetricsRegistry, cluster, deployment)
     )
     registry.gauge(
         "kernel.queue_depth",
-        lambda: float(env._qlen() - env._cancelled_pending),
+        lambda: float(env._live),
         unit="events", scope="kernel",
     )
 

@@ -158,7 +158,7 @@ class Sampler:
 
         # Nothing else pending: the workload is over (no event can ever
         # be scheduled again), so stop rather than keep the clock alive.
-        if env._qlen() - env._cancelled_pending == 0:
+        if env._live == 0:
             self.t_end = now
             return
 

@@ -22,7 +22,6 @@ from ..errors import LinkDown, NetworkError, NodeFailure
 from ..machine.node import Node
 from ..machine.topology import Topology, make_topology
 from ..simkernel import Counter, Environment, Event
-from .nic import NIC
 
 __all__ = ["Message", "Fabric", "FASTPATH"]
 
@@ -89,15 +88,12 @@ class Fabric:
         return self._flow_network
 
     # -- membership ---------------------------------------------------------
-    def attach(self, node: Node) -> NIC:
-        """Attach *node* to the fabric, creating and installing its NIC."""
+    def attach(self, node: Node) -> None:
+        """Attach *node* to the fabric.  Its NIC is built on first use."""
         if node.node_id in self._nodes:
             raise ValueError(f"node id {node.node_id} already attached")
-        nic = NIC(self.env, node)
-        node.nic = nic
         self._nodes[node.node_id] = node
         self._topology = None  # re-derive lazily for the new size
-        return nic
 
     def node(self, node_id: int) -> Node:
         try:

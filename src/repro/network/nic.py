@@ -22,6 +22,9 @@ class NIC:
     server fed by dozens of clients) queues senders, which is precisely the
     congestion the server-directed transfer discipline (Fig. 6) avoids
     creating in the first place.
+
+    Built on the node's first read of ``nic``, so nodes that never carry
+    traffic hold no pipes.
     """
 
     def __init__(self, env: Environment, node: "Node") -> None:

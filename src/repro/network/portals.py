@@ -122,6 +122,24 @@ class PortalTable:
         return None
 
 
+class _PortalTables(dict):
+    """Portal index -> :class:`PortalTable`, built on first use of an index.
+
+    An index outside ``range(n_portals)`` raises :class:`KeyError`, as a
+    fully populated table would.
+    """
+
+    def __init__(self, n_portals: int) -> None:
+        super().__init__()
+        self._indices = range(n_portals)
+
+    def __missing__(self, pt_index: int) -> PortalTable:
+        if pt_index not in self._indices:
+            raise KeyError(pt_index)
+        table = self[pt_index] = PortalTable()
+        return table
+
+
 class PortalsEndpoint:
     """Per-node portals state plus the one-sided operations."""
 
@@ -132,7 +150,7 @@ class PortalsEndpoint:
         self.env = env
         self.fabric = fabric
         self.node = node
-        self.tables: Dict[int, PortalTable] = {i: PortalTable() for i in range(n_portals)}
+        self.tables: Dict[int, PortalTable] = _PortalTables(n_portals)
 
     # -- registration --------------------------------------------------------
     def attach(

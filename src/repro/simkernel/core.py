@@ -67,8 +67,10 @@ class Environment:
         self._imm_normal: deque = deque()
         #: Free list of retired Timeout objects (lazy mode only).
         self._timeout_pool: list = []
-        #: Tombstoned entries still sitting in the schedule.
-        self._cancelled_pending: int = 0
+        #: Live (scheduled, not cancelled) entries in the schedule: +1 on
+        #: schedule, -1 on cancel and on popping a live entry.  Tombstoned
+        #: entries still queued are ``_qlen() - _live``.
+        self._live: int = 0
         #: Total events popped off the queue (perf / determinism probe).
         self.events_processed: int = 0
         #: Cancelled events discarded without running callbacks.
@@ -117,12 +119,12 @@ class Environment:
     def peak_queue_len(self) -> int:
         """Largest *live* event-queue depth seen so far.
 
-        Counts heap plus immediate FIFOs minus tombstoned (cancelled but
-        not yet popped/compacted) entries, so lazy cancellation reports
-        the same semantic depth as the eager reference path instead of
-        inflating the peak with dead weight.
+        Counts live entries only (``_live``), not tombstoned ones
+        (cancelled but not yet popped/compacted), so lazy cancellation
+        reports the same semantic depth as the eager reference path
+        instead of inflating the peak with dead weight.
         """
-        return max(self._peak_queue, self._qlen() - self._cancelled_pending)
+        return max(self._peak_queue, self._live)
 
     def _qlen(self) -> int:
         return len(self._queue) + len(self._imm_urgent) + len(self._imm_normal)
@@ -186,9 +188,9 @@ class Environment:
             self._imm_normal.append((at, NORMAL, seq, event))
         else:
             heapq.heappush(self._queue, (at, NORMAL, seq, event))
-        qlen = self._qlen() - self._cancelled_pending
-        if qlen > self._peak_queue:
-            self._peak_queue = qlen
+        self._live = live = self._live + 1
+        if live > self._peak_queue:
+            self._peak_queue = live
         return event
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -215,20 +217,18 @@ class Environment:
                 self._imm_normal.append(entry)
         else:
             heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
-        qlen = self._qlen() - self._cancelled_pending
-        if qlen > self._peak_queue:
-            self._peak_queue = qlen
+        self._live = live = self._live + 1
+        if live > self._peak_queue:
+            self._peak_queue = live
 
     def _on_cancel(self) -> None:
         """Bookkeeping for :meth:`Event.cancel` (tombstone accounting)."""
         self.events_cancelled += 1
-        self._cancelled_pending += 1
-        if (
-            self._lazy
-            and self._cancelled_pending >= _COMPACT_MIN
-            and self._cancelled_pending * 2 > len(self._queue)
-        ):
-            self._compact()
+        self._live -= 1
+        if self._lazy:
+            tombstones = self._qlen() - self._live
+            if tombstones >= _COMPACT_MIN and tombstones * 2 > len(self._queue):
+                self._compact()
 
     def _compact(self) -> None:
         """Drop tombstoned entries and re-heapify (in place: the run loop
@@ -257,7 +257,6 @@ class Environment:
                 dq.clear()
                 dq.extend(live)
         self.events_skipped_cancelled += skipped
-        self._cancelled_pending = 0
 
     def _retire(self, event: Event, pool: list) -> None:
         """Mark a cancelled event dead; recycle Timeouts via the free list."""
@@ -300,8 +299,8 @@ class Environment:
             if not event._cancelled:
                 break
             self.events_skipped_cancelled += 1
-            self._cancelled_pending -= 1
             self._retire(event, self._timeout_pool)
+        self._live -= 1
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -331,6 +330,7 @@ class Environment:
             # Priority URGENT ensures the stop fires before same-time events.
             self._seq += 1
             heapq.heappush(self._queue, (at, 0, self._seq, until))
+            self._live += 1
 
         if until is not None:
             if until.callbacks is None:
@@ -371,13 +371,13 @@ class Environment:
                     self._now, _prio, _seq, event = heappop(queue)
                 if event._cancelled:
                     self.events_skipped_cancelled += 1
-                    self._cancelled_pending -= 1
                     event.callbacks = None
                     if recycle and type(event) is Timeout and len(pool) < _POOL_MAX:
                         event._value = None
                         pool.append(event)
                     continue
                 processed += 1
+                self._live -= 1
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)

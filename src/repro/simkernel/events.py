@@ -122,6 +122,9 @@ class Event:
         was already processed (cancelling is then a no-op).  Contract:
         after a successful cancel the caller must drop its references —
         cancelled :class:`Timeout` objects may be recycled by the kernel.
+        The callbacks are dropped at once, so whatever waited on the event
+        (a condition, its value, a suspended process) is not kept alive by
+        the tombstone until it reaches the front of the queue.
         """
         if self.callbacks is None:
             return False
@@ -130,6 +133,7 @@ class Event:
         if self._value is PENDING:
             raise RuntimeError(f"cannot cancel {self!r}: not scheduled yet")
         self._cancelled = True
+        self.callbacks.clear()
         self.env._on_cancel()
         return True
 

@@ -27,6 +27,10 @@ __all__ = [
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
+    A granted request succeeds with ``None`` (as in SimPy): a request
+    holding itself as its value would be a reference cycle that only the
+    cyclic garbage collector could free, one per grant.
+
     Usable as a context manager so the slot is always released::
 
         with resource.request() as req:
@@ -97,7 +101,7 @@ class Resource:
         request = Request.__new__(Request)
         request.env = self.env
         request.callbacks = None  # already processed: nothing waits on it
-        request._value = request
+        request._value = None
         request._ok = True
         request._defused = False
         request._cancelled = False
@@ -116,7 +120,7 @@ class Resource:
     def _do_request(self, request: Request) -> None:
         if len(self._users) < self.capacity:
             self._users.add(request)
-            request.succeed(request)
+            request.succeed()
         else:
             self._waiting.append(request)
 
@@ -134,7 +138,7 @@ class Resource:
             if nxt.triggered:  # cancelled/failed while queued
                 continue
             self._users.add(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -175,7 +179,7 @@ class PriorityResource(Resource):
     def _do_request(self, request: Request) -> None:
         if len(self._users) < self.capacity and not self._waiting:
             self._users.add(request)
-            request.succeed(request)
+            request.succeed()
         else:
             heapq.heappush(self._waiting, request)
 
@@ -194,7 +198,7 @@ class PriorityResource(Resource):
             if nxt.triggered:
                 continue
             self._users.add(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 
 
 class Store:

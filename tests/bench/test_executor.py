@@ -135,6 +135,21 @@ class TestRecording:
         assert trial["peak_event_queue"] > 0
         assert trial["wall_clock_s"] > 0
 
+    def test_suite_leaves_committed_sweep_file_alone(self, monkeypatch, sweep_json_outside_repo):
+        with monkeypatch.context() as m:
+            m.delenv("REPRO_BENCH_SWEEP_JSON")
+            committed = sweep_json_path()
+        assert committed != str(sweep_json_outside_repo)
+        before = open(committed, "rb").read() if os.path.exists(committed) else None
+
+        specs = [create_spec("lwfs", 2, 2, seed=201, creates_per_client=4)]
+        run_sweep(specs, jobs=1, label="redirected", cache=False)
+
+        after = open(committed, "rb").read() if os.path.exists(committed) else None
+        assert after == before
+        doc = json.loads(sweep_json_outside_repo.read_text())
+        assert "redirected" in [s["label"] for s in doc["sweeps"]]
+
     def test_record_survives_corrupt_file(self, tmp_path, monkeypatch):
         path = tmp_path / "BENCH_sweep.json"
         path.write_text("{not json")

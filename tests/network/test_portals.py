@@ -99,6 +99,23 @@ class TestGet:
             env.run(server.get(MemoryDescriptor(length=8), 2, 3, 0xBEEF))
 
 
+class TestPortalTables:
+    def test_tables_built_only_for_used_indices(self, env, endpoints):
+        server, client = endpoints[0], endpoints[2]
+        assert len(server.tables) == 0
+        server.attach(5, 0xAB, MemoryDescriptor(length=64))
+        env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 0xAB))
+        assert sorted(server.tables) == [5]
+
+    def test_out_of_range_index_raises_key_error(self, endpoints):
+        ep = endpoints[0]
+        for index in (-1, 64, "5"):
+            with pytest.raises(KeyError):
+                ep.attach(index, 1, MemoryDescriptor(length=8))
+        ep.attach(63, 1, MemoryDescriptor(length=8))
+        assert sorted(ep.tables) == [63]
+
+
 class TestValidation:
     def test_negative_md_length_rejected(self):
         with pytest.raises(ValueError):

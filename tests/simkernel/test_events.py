@@ -1,5 +1,7 @@
 """Event and condition semantics of the simulation kernel."""
 
+import weakref
+
 import pytest
 
 from repro.simkernel import AllOf, AnyOf, Environment, Event, Timeout
@@ -63,6 +65,22 @@ class TestEvent:
         env.run()
         assert seen == ["hello"]
         assert ev.processed
+
+    def test_cancel_releases_what_waited_on_the_event(self, env):
+        # The losing timer of an RPC race sits in the queue for its whole
+        # delay; once cancelled it must not keep the race condition (and
+        # the reply in its value) alive until then.
+        reply = env.event()
+        timer = env.timeout(30.0)
+        race = AnyOf(env, [reply, timer])
+        reply.succeed("reply")
+        env.run(race)
+        watch = weakref.ref(race)
+        del race, reply
+        assert watch() is not None  # still held by the timer's callbacks
+        assert timer.cancel()
+        assert watch() is None
+        assert timer.cancelled and not timer.processed
 
 
 class TestTimeout:

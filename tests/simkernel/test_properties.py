@@ -1,9 +1,12 @@
 """Property-based tests of kernel invariants (hypothesis)."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import Environment, RandomStreams, Resource, Store
+from repro.simkernel import NORMAL, Environment, RandomStreams, Resource, Store
+from repro.simkernel.core import EmptySchedule
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
@@ -97,3 +100,85 @@ def test_jitter_always_positive(mean, sigma):
     rng = RandomStreams(7)
     for _ in range(20):
         assert rng.jitter("s", mean, sigma) > 0
+
+
+def _recount_live(env):
+    """Live entries by inspection: every queued entry not tombstoned."""
+    queued = itertools.chain(env._queue, env._imm_urgent, env._imm_normal)
+    return sum(1 for entry in queued if not entry[3]._cancelled)
+
+
+class _RecountingEnvironment(Environment):
+    """Tracks the peak of the recount at every schedule, as the kernel's
+    ``peak_queue_len`` contract defines it."""
+
+    def __init__(self, lazy):
+        super().__init__(lazy=lazy)
+        self.recount_peak = 0
+
+    def _note(self):
+        self.recount_peak = max(self.recount_peak, _recount_live(self))
+
+    def _schedule(self, event, priority=NORMAL, delay=0.0):
+        super()._schedule(event, priority, delay)
+        self._note()
+
+    def timeout(self, delay, value=None):
+        event = super().timeout(delay, value)
+        self._note()
+        return event
+
+
+_kernel_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("timeout"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 40.0])),
+        st.tuples(st.just("succeed"), st.just(0)),
+        st.tuples(st.just("process"), st.sampled_from([0.0, 1.0, 3.0])),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
+        st.tuples(st.just("cancel_burst"), st.integers(min_value=1, max_value=90)),
+        st.tuples(st.just("step"), st.integers(min_value=1, max_value=5)),
+        st.tuples(st.just("run"), st.sampled_from([0.0, 0.7, 2.0, 50.0])),
+    ),
+    max_size=40,
+)
+
+
+@given(lazy=st.booleans(), ops=_kernel_ops)
+@settings(max_examples=80, deadline=None)
+def test_live_counter_matches_recount(lazy, ops):
+    """The O(1) live-entry counter equals a full recount of the schedule
+    after any mix of schedules, cancels and runs, and the queue peak is
+    the recount's peak over every schedule."""
+    env = _RecountingEnvironment(lazy)
+    pending = []  # events we scheduled and have not cancelled
+
+    def sleeper(env, delay):
+        yield env.timeout(delay)
+
+    for op, arg in ops:
+        if op == "timeout":
+            pending.append(env.timeout(arg))
+        elif op == "succeed":
+            pending.append(env.event().succeed())
+        elif op == "process":
+            env.process(sleeper(env, arg))
+        elif op == "cancel":
+            live = [ev for ev in pending if ev.callbacks is not None]
+            if live:
+                victim = live[arg % len(live)]
+                pending.remove(victim)
+                assert victim.cancel()
+        elif op == "cancel_burst":
+            for timer in [env.timeout(100.0 + i) for i in range(arg)]:
+                timer.cancel()
+        elif op == "step":
+            try:
+                for _ in range(arg):
+                    env.step()
+            except EmptySchedule:
+                pass
+        else:
+            env.run(until=env.now + arg)
+        pending = [ev for ev in pending if ev.callbacks is not None]
+        assert env._live == _recount_live(env)
+        assert env.peak_queue_len == max(env.recount_peak, _recount_live(env))

@@ -21,6 +21,19 @@ class TestResource:
         assert r1.triggered and r2.triggered
         assert res.count == 2
 
+    def test_grants_succeed_with_none(self, env):
+        # A request holding itself as its value would be a reference
+        # cycle per grant; like SimPy, a grant carries no value.
+        res = Resource(env, capacity=1)
+        first, queued = res.request(), res.request()
+        taken = res.try_acquire()
+        res.release(first)
+        env.run()
+        assert first.value is None and queued.value is None
+        assert taken is None
+        res.release(queued)
+        assert res.try_acquire().value is None
+
     def test_excess_requests_queue_fifo(self, env):
         res = Resource(env, capacity=1)
         order = []
