@@ -34,7 +34,7 @@ __all__ = ["Message", "Fabric", "FASTPATH"]
 FASTPATH = os.environ.get("REPRO_FABRIC_FASTPATH", "1") != "0"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """An in-flight message.  ``payload`` rides by reference (simulation)."""
 
@@ -115,9 +115,9 @@ class Fabric:
         Both endpoints resolve through :meth:`node`, so an unattached id
         raises :class:`~repro.errors.NetworkError` (not a bare KeyError).
         """
+        base = self.node(src).spec.nic.latency
         if src == dst:
             return 0.0
-        base = self.node(src).spec.nic.latency
         self.node(dst)  # validate the destination is attached too
         hops = self.topology.hops(src, dst)
         return base + self.hop_latency * max(0, hops - 1)

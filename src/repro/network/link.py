@@ -9,7 +9,7 @@ the same endpoint — the exact phenomenon §3.2 of the paper is about
 
 from __future__ import annotations
 
-from ..simkernel import Environment, Resource, Tally
+from ..simkernel import Environment, Resource
 
 __all__ = ["Pipe"]
 
@@ -26,7 +26,6 @@ class Pipe:
         self._slot = Resource(env, capacity=1)
         self.bytes_moved = 0
         self.busy_time = 0.0
-        self.stats = Tally(name or "pipe")
 
     def occupancy(self, nbytes: int) -> float:
         """Seconds the pipe is busy moving *nbytes*."""
@@ -51,7 +50,6 @@ class Pipe:
             yield self.env.timeout(duration)
             self.bytes_moved += nbytes
             self.busy_time += self.env.now - start
-            self.stats.observe(duration)
 
     @property
     def queue_len(self) -> int:

@@ -20,8 +20,7 @@ Implemented subset:
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..errors import NetworkError, NodeFailure
@@ -47,7 +46,7 @@ class PtlEventKind(enum.Enum):
     REPLY_END = "reply_end"  # data for a local get arrived (initiator side)
 
 
-@dataclass
+@dataclass(slots=True)
 class PtlEvent:
     """An entry on a portals event queue."""
 
@@ -60,7 +59,7 @@ class PtlEvent:
     offset: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryDescriptor:
     """A registered memory region.
 
@@ -78,16 +77,19 @@ class MemoryDescriptor:
             raise ValueError("length cannot be negative")
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class MatchEntry:
-    """A match-list entry hanging off a portal."""
+    """A match-list entry hanging off a portal.
+
+    Compared by identity: two entries with equal fields are still two
+    entries, and detaching one leaves the other in place.
+    """
 
     match_bits: int
     md: MemoryDescriptor
     ignore_bits: int = 0
     use_once: bool = False
     unlinked: bool = False
-    _id: int = field(default_factory=itertools.count().__next__)
 
     def matches(self, bits: int) -> bool:
         if self.unlinked:

@@ -3,7 +3,7 @@
 LWFS clients talk to the authentication, authorization, storage, naming,
 lock, and journal services through small RPC requests; bulk data *never*
 rides in an RPC — it moves through separate server-directed portals
-transfers (see :mod:`repro.sim.datamove`).  This mirrors the split in the
+transfers (see :mod:`repro.sim.servers`).  This mirrors the split in the
 paper's Figure 6: "the server receives a small request that identifies the
 operation to perform and where to put or get data".
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional
 
 from ..errors import (
@@ -50,7 +50,7 @@ def service_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-@dataclass
+@dataclass(slots=True)
 class RpcRequest:
     op: str
     args: Dict[str, Any]
@@ -62,7 +62,7 @@ class RpcRequest:
     trace_parent: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RpcReply:
     ok: bool
     value: Any = None
@@ -70,7 +70,7 @@ class RpcReply:
     size: int = REPLY_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class RpcContext:
     """Execution context handed to every RPC handler."""
 

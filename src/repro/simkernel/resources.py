@@ -23,6 +23,11 @@ __all__ = [
     "Container",
 ]
 
+#: Stands in for a queue that has never held anything.  Like an empty
+#: list or deque it is falsy and has length 0, but it is shared, so an
+#: idle primitive allocates no container; the first append replaces it.
+_UNUSED = ()
+
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
@@ -63,7 +68,10 @@ class Request(Event):
 
 
 class Resource:
-    """A resource with *capacity* slots granted FIFO."""
+    """A resource with *capacity* slots granted FIFO.
+
+    The wait queue is a deque built when the first request has to wait.
+    """
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity <= 0:
@@ -71,7 +79,7 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self._users: set = set()
-        self._waiting: deque = deque()
+        self._waiting = _UNUSED
 
     @property
     def count(self) -> int:
@@ -122,10 +130,12 @@ class Resource:
             self._users.add(request)
             request.succeed()
         else:
+            if self._waiting is _UNUSED:
+                self._waiting = deque()
             self._waiting.append(request)
 
     def _cancel(self, request: Request) -> None:
-        if request in self._users:
+        if request in self._users or not self._waiting:
             return
         try:
             self._waiting.remove(request)
@@ -207,16 +217,23 @@ class Store:
     With the default infinite capacity this is a mailbox; with a finite
     capacity it models bounded queues (e.g. an I/O node's request buffer
     that *rejects or delays* bursts, paper §3.2).
+
+    Most stores are event queues that never hold more than one item or
+    one getter (an RPC reply queue, a Portals EQ), and thousands are
+    alive at once.  So the items, getters and putters each get a plain
+    list only when the first one arrives: at depth one a list costs a
+    tenth of a deque, and popping the front of a short list is cheap.
+    ``items`` is an empty tuple until the first item is stored.
     """
+
+    __slots__ = ("env", "capacity", "items", "_getters", "_putters")
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self.items: deque = deque()
-        self._getters: deque = deque()
-        self._putters: deque = deque()  # (event, item)
+        self.items = self._getters = self._putters = _UNUSED  # putters: (event, item)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -225,17 +242,19 @@ class Store:
         """Insert *item*; the event fires once there is room."""
         event = Event(self.env)
         if len(self.items) < self.capacity:
-            self.items.append(item)
+            self._store(item)
             event.succeed()
             self._wake_getters()
         else:
+            if self._putters is _UNUSED:
+                self._putters = []
             self._putters.append((event, item))
         return event
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put: ``False`` if the store is full (reject)."""
         if len(self.items) < self.capacity:
-            self.items.append(item)
+            self._store(item)
             self._wake_getters()
             return True
         return False
@@ -244,41 +263,54 @@ class Store:
         """Remove and return the oldest item; event value is the item."""
         event = Event(self.env)
         if self.items:
-            event.succeed(self.items.popleft())
+            event.succeed(self.items.pop(0))
             self._admit_putters()
         else:
+            if self._getters is _UNUSED:
+                self._getters = []
             self._getters.append(event)
         return event
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
         if self.items:
-            item = self.items.popleft()
+            item = self.items.pop(0)
             self._admit_putters()
             return True, item
         return False, None
 
     # -- internals ----------------------------------------------------------
+    def _store(self, item: Any) -> None:
+        if self.items is _UNUSED:
+            self.items = [item]
+        else:
+            self.items.append(item)
+
     def _wake_getters(self) -> None:
         while self._getters and self.items:
-            getter = self._getters.popleft()
+            getter = self._getters.pop(0)
             if getter.triggered:
                 continue
-            getter.succeed(self.items.popleft())
+            getter.succeed(self.items.pop(0))
             self._admit_putters()
 
     def _admit_putters(self) -> None:
         while self._putters and len(self.items) < self.capacity:
-            putter, item = self._putters.popleft()
+            putter, item = self._putters.pop(0)
             if putter.triggered:
                 continue
-            self.items.append(item)
+            self._store(item)
             putter.succeed()
             self._wake_getters()
 
 
 class Container:
-    """A continuous quantity (e.g. buffer bytes) with blocking put/get."""
+    """A continuous quantity (e.g. buffer bytes) with blocking put/get.
+
+    A put or get that can be served at once, with nobody queued ahead of
+    it, never touches the wait queues; each is a deque built when the
+    first request has to wait.
+    """
 
     def __init__(
         self,
@@ -293,30 +325,45 @@ class Container:
         self.env = env
         self.capacity = capacity
         self._level = init
-        self._getters: deque = deque()  # (event, amount)
-        self._putters: deque = deque()  # (event, amount)
+        self._getters = self._putters = _UNUSED  # (event, amount) each
 
     @property
     def level(self) -> float:
         return self._level
 
     def put(self, amount: float) -> Event:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        if amount > self.capacity:
-            raise ValueError(f"amount {amount} exceeds capacity {self.capacity}")
+        self._check(amount)
         event = Event(self.env)
-        self._putters.append((event, amount))
+        if not self._putters and self._level + amount <= self.capacity:
+            self._level += amount
+            event.succeed()
+        else:
+            if self._putters is _UNUSED:
+                self._putters = deque()
+            self._putters.append((event, amount))
         self._settle()
         return event
 
     def get(self, amount: float) -> Event:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
+        self._check(amount)
         event = Event(self.env)
-        self._getters.append((event, amount))
+        if not self._getters and self._level >= amount:
+            self._level -= amount
+            event.succeed()
+        else:
+            if self._getters is _UNUSED:
+                self._getters = deque()
+            self._getters.append((event, amount))
         self._settle()
         return event
+
+    def _check(self, amount: float) -> None:
+        # Over capacity, a put or get could never be served, and at the
+        # head of its queue it would starve every request behind it.
+        if amount <= 0:
+            raise ValueError(f"amount must be positive, got {amount}")
+        if amount > self.capacity:
+            raise ValueError(f"amount {amount} exceeds capacity {self.capacity}")
 
     def _settle(self) -> None:
         progressed = True

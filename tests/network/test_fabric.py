@@ -163,15 +163,18 @@ class TestLatencyModel:
 
     def test_wire_latency_unattached_ids_raise_network_error(self, env, fabric, nodes):
         """Both endpoint lookups route through node(): an unattached id on
-        either side is a NetworkError, never a bare KeyError."""
+        either side, or on both, is a NetworkError, never a bare KeyError
+        or a zero latency."""
         from repro.errors import NetworkError
 
         with pytest.raises(NetworkError):
             fabric.wire_latency(99, 0)
         with pytest.raises(NetworkError):
             fabric.wire_latency(0, 99)
-        # Same-id short-circuit stays: no lookup needed for a local hop.
-        assert fabric.wire_latency(99, 99) == 0.0
+        with pytest.raises(NetworkError):
+            fabric.wire_latency(99, 99)
+        # An attached node's local hop is still free.
+        assert fabric.wire_latency(0, 0) == 0.0
 
     def test_duplicate_attach_rejected(self, env, fabric, nodes, spec):
         from repro.machine import Node

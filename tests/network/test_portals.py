@@ -62,6 +62,21 @@ class TestMatching:
         with pytest.raises(NetworkError):
             env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 9))
 
+    def test_detach_leaves_an_equal_twin_attached(self, env, endpoints):
+        """Entries are compared by identity: detaching one of two entries
+        with identical fields leaves the other one matching."""
+        server, client = endpoints[0], endpoints[2]
+        eq = server.new_eq()
+        md = MemoryDescriptor(length=8, eq=eq)
+        first = server.attach(5, 9, md)
+        second = server.attach(5, 9, md)
+        assert first != second
+        server.detach(5, second)
+        assert len(server.tables[5].entries) == 1
+        assert server.tables[5].entries[0] is first
+        env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 9))
+        assert len(eq) == 1
+
 
 class TestGet:
     def test_get_pulls_payload(self, env, endpoints):

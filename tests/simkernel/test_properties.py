@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import NORMAL, Environment, RandomStreams, Resource, Store
+from repro.simkernel import NORMAL, Container, Environment, RandomStreams, Resource, Store
 from repro.simkernel.core import EmptySchedule
 
 
@@ -76,6 +76,191 @@ def test_store_preserves_order_and_content(items):
     proc = env.process(consumer(env))
     result = env.run(proc) if items else env.run(proc)
     assert result == items
+
+
+#: Value of a waiter that something else triggered while it was queued:
+#: the primitive must skip it, as if it had withdrawn.
+_WITHDRAWN = object()
+
+
+def _withdraw(waiting, k):
+    """Trigger the *k*-th (mod size) queued waiter from outside."""
+    if waiting:
+        entry = waiting.pop(k % len(waiting))
+        (entry[0] if isinstance(entry, tuple) else entry).succeed(_WITHDRAWN)
+
+
+_store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers()),
+        st.tuples(st.just("try_put"), st.integers()),
+        st.tuples(st.just("get"), st.just(0)),
+        st.tuples(st.just("try_get"), st.just(0)),
+        st.tuples(st.just("withdraw_getter"), st.integers(min_value=0, max_value=20)),
+        st.tuples(st.just("withdraw_putter"), st.integers(min_value=0, max_value=20)),
+    ),
+    max_size=60,
+)
+
+
+@given(capacity=st.sampled_from([1, 2, 3, float("inf")]), ops=_store_ops)
+@settings(max_examples=150, deadline=None)
+def test_store_matches_fifo_model(capacity, ops):
+    """A Store against a plain FIFO model, with getters blocked on an empty
+    store, putters blocked on a full one, and waiters withdrawn while
+    queued: items leave in the order they were accepted, each to the
+    oldest live getter, blocked putters are admitted in order, and the
+    store never holds more than its capacity."""
+    env = Environment()
+    store = Store(env, capacity=capacity)
+    items, getters, putters = [], [], []  # the model's queues
+    expected = {}  # served waiter -> the value it must have received
+
+    def settle():
+        while True:
+            if getters and items:
+                expected[getters.pop(0)] = items.pop(0)
+            elif putters and len(items) < capacity:
+                putter, item = putters.pop(0)
+                items.append(item)
+                expected[putter] = None
+            else:
+                return
+
+    for op, arg in ops:
+        if op == "put":
+            event = store.put(arg)
+            if len(items) < capacity:
+                items.append(arg)
+                expected[event] = None
+            else:
+                putters.append((event, arg))
+        elif op == "try_put":
+            assert store.try_put(arg) == (len(items) < capacity)
+            if len(items) < capacity:
+                items.append(arg)
+        elif op == "get":
+            event = store.get()
+            if items:
+                expected[event] = items.pop(0)
+            else:
+                getters.append(event)
+        elif op == "try_get":
+            assert store.try_get() == ((True, items.pop(0)) if items else (False, None))
+        elif op == "withdraw_getter":
+            _withdraw(getters, arg)
+        else:
+            _withdraw(putters, arg)
+        settle()
+        assert list(store.items) == items and len(store) == len(items) <= capacity
+        assert all(ev.triggered and ev.value == v for ev, v in expected.items())
+        assert not any(ev.triggered for ev in getters)
+        assert not any(ev.triggered for ev, _ in putters)
+    env.run()
+
+
+_container_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["put", "get"]), st.integers(min_value=1, max_value=10)),
+        st.tuples(
+            st.sampled_from(["withdraw_getter", "withdraw_putter"]),
+            st.integers(min_value=0, max_value=20),
+        ),
+    ),
+    max_size=60,
+)
+
+
+@given(init=st.integers(min_value=0, max_value=10), ops=_container_ops)
+@settings(max_examples=150, deadline=None)
+def test_container_matches_head_of_line_model(init, ops):
+    """A Container against a model of two FIFO queues served head of line,
+    with requests withdrawn while queued: the level is conserved and stays
+    within [0, capacity], and exactly the model's requests are served."""
+    capacity = 10
+    env = Environment()
+    pool = Container(env, capacity=capacity, init=init)
+    level = [init]
+    getters, putters = [], []  # the model's queues of (event, amount)
+    served = set()
+
+    def settle():
+        progressed = True
+        while progressed:
+            progressed = False
+            if putters and level[0] + putters[0][1] <= capacity:
+                event, amount = putters.pop(0)
+                level[0] += amount
+                served.add(event)
+                progressed = True
+            if getters and level[0] >= getters[0][1]:
+                event, amount = getters.pop(0)
+                level[0] -= amount
+                served.add(event)
+                progressed = True
+
+    events = []
+    for op, arg in ops:
+        if op == "put":
+            events.append(pool.put(arg))
+            putters.append((events[-1], arg))
+            settle()
+        elif op == "get":
+            events.append(pool.get(arg))
+            getters.append((events[-1], arg))
+            settle()
+        elif op == "withdraw_getter":
+            _withdraw(getters, arg)
+        else:
+            _withdraw(putters, arg)
+        assert pool.level == level[0] and 0 <= pool.level <= capacity
+        assert {ev for ev in events if ev.triggered and ev.value is not _WITHDRAWN} == served
+    env.run()
+
+
+@given(
+    capacity=st.integers(min_value=1, max_value=4),
+    workers=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # arrival
+            st.sampled_from([0.5, 1.0, 3.0]),  # hold
+            st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 4.0])),  # patience
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_resource_conserves_slots_when_waiters_cancel(capacity, workers):
+    """Workers queue for a Resource and some cancel after a patience
+    timeout: slots are never over-granted or left idle while someone
+    waits, grants follow request order, and every slot comes back."""
+    env = Environment()
+    res = Resource(env, capacity=capacity)
+    requested, granted, gave_up = [], [], []
+
+    def worker(env, i, arrival, hold, patience):
+        yield env.timeout(arrival)
+        with res.request() as req:
+            requested.append(i)
+            req.callbacks.append(lambda _ev: granted.append(i))
+            assert req.triggered or res.count == capacity
+            if patience is None:
+                yield req
+            else:
+                yield req | env.timeout(patience)
+                if not req.triggered:
+                    gave_up.append(i)
+                    return
+            assert res.count <= capacity
+            yield env.timeout(hold)
+
+    for i, (arrival, hold, patience) in enumerate(workers):
+        env.process(worker(env, i, arrival, hold, patience))
+    env.run()
+    assert sorted(granted + gave_up) == list(range(len(workers)))
+    assert granted == [i for i in requested if i in set(granted)]
+    assert res.count == 0 and res.queue_len == 0
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), name=st.text(min_size=1, max_size=20))

@@ -233,6 +233,30 @@ class TestContainer:
             c.get(-1)
         with pytest.raises(ValueError):
             c.put(11)
+        with pytest.raises(ValueError):
+            c.get(11)
+
+    def test_oversized_get_does_not_starve_later_getters(self, env):
+        """A get over capacity could never be served; it is rejected, so a
+        getter behind it is served from the full pool at once."""
+        pool = Container(env, capacity=10, init=10)
+        served = []
+
+        def greedy(env):
+            try:
+                yield pool.get(11)
+            except ValueError:
+                pass
+
+        def modest(env):
+            yield pool.get(1)
+            served.append(env.now)
+
+        env.process(greedy(env))
+        env.process(modest(env))
+        env.run(until=5)
+        assert served == [0.0]
+        assert pool.level == 9
 
     def test_buffer_pool_conservation(self, env):
         """Model of the pinned-buffer pool: total never exceeds capacity."""
