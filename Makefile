@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick trace-quick scale-quick flow-quick chaos-quick shard-quick metrics-quick traffic-quick buffer-quick
+.PHONY: test bench bench-quick trace-quick scale-quick flow-quick chaos-quick metrics-quick traffic-quick buffer-quick
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,21 +27,15 @@ scale-quick:
 		--state-mb 16 --collapse
 
 # Flow-level smoke: the flow accuracy grid run exact and fluid, failing
-# if any point's figure of merit drifts more than 1%; then the kernel
-# events/s guard in the same job so a flow-engine slowdown on the exact
-# path cannot hide behind the fluid one.
+# if any point's figure of merit drifts more than 1%, and the fast-forward
+# equivalence gate (a small flow grid run with the analytic epoch-skip
+# engine ON and OFF must agree to 1e-9); then the kernel guard in the
+# same job so a flow-engine slowdown on the exact path cannot hide
+# behind the fluid one, nor the fast-forward path regress its
+# ranks-per-second rate.
 flow-quick:
-	REPRO_BENCH_QUICK=1 $(PYTHON) -m repro.bench.executor --jobs 2 --check-flow
-	$(PYTHON) benchmarks/check_kernel_perf.py
-
-# Fast-forward / sharding smoke: the fast-forward equivalence gate (a
-# small grid run with the analytic epoch-skip engine ON and OFF must be
-# bit-identical) and the shard tolerance gate (a 128-client Red Storm
-# slice run single-process vs 2 shards must agree within 1%, and a
-# sharded re-run must be bit-identical); then the kernel events/s guard
-# so the fast-forward path cannot regress raw event throughput either.
-shard-quick:
-	$(PYTHON) -m repro.bench.executor --check-fastforward --check-shard
+	REPRO_BENCH_QUICK=1 $(PYTHON) -m repro.bench.executor --jobs 2 --check-flow \
+		--check-fastforward
 	$(PYTHON) benchmarks/check_kernel_perf.py
 
 # Chaos smoke: a seeded fault plan exercising every injector kind runs

@@ -21,6 +21,7 @@ from repro.bench import format_rows, run_checkpoint_trial, run_create_trial, sav
 from repro.bench.executor import checkpoint_spec, run_sweep
 from repro.machine import dev_cluster, red_storm
 from repro.sim import SimConfig
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 from conftest import run_once
@@ -56,8 +57,7 @@ def _row(impl, fn=run_checkpoint_trial, collapse=False, flow=False, **kw):
         spec=spec,
         config=SimConfig(seed=91),
         seed=91,
-        collapse=collapse,
-        flow=flow,
+        options=RunOptions(collapse=collapse, flow=flow),
         **kw,
     )
     wall = time.perf_counter() - start
@@ -152,7 +152,8 @@ def _flow_specs(flow, collapse=False):
         checkpoint_spec(
             impl, N_CLIENTS, N_SERVERS, seed=91,
             spec=spec, config=SimConfig(seed=91),
-            state_bytes=FLOW_STATE, flow=flow, collapse=collapse,
+            state_bytes=FLOW_STATE,
+            options=RunOptions(flow=flow, collapse=collapse),
         )
         for impl in ("lwfs", "lustre-fpp")
     ]
@@ -186,7 +187,7 @@ def test_flow_level_accuracy_and_speedup(benchmark):
         for flow in (False, True):
             result = run_checkpoint_trial(
                 "lwfs", 16, 8, spec=dev_cluster(), config=SimConfig(seed=91),
-                seed=91, state_bytes=FLOW_STATE, flow=flow,
+                seed=91, state_bytes=FLOW_STATE, options=RunOptions(flow=flow),
             )
             dev[flow] = result.throughput_mb_s
         return exact, flowed, both, dev

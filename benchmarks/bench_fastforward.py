@@ -1,27 +1,20 @@
-"""Headline speedup benchmark: one big run, fast-forwarded and sharded.
+"""Headline speedup benchmark: one big run, fast-forwarded.
 
 The acceptance workload for the scale-out path: a 10,368-rank Red Storm
 checkpoint (64 MiB per rank over 320 storage servers, collapse + flow)
-run three ways in one process:
+run two ways in one process:
 
 * **baseline** — ``fastforward=False``: every flow epoch simulated with
   per-chunk discrete events (the pre-optimization reference).
 * **fast-forward** — the analytic epoch-skip engine retires steady flow
   epochs as closed-form completions.  Must be **bit-identical** to the
   baseline and at least **3×** faster.
-* **fast-forward + 4 shards** — the run additionally partitioned into 4
-  server-group shards under conservative window sync.  Must agree with
-  the baseline within **1%** and beat it by at least **10×**.
 
-The three trials run through :func:`repro.bench.run_sweep` (serially,
-cache off) so per-trial wall-clock and kernel stats land in
+Both trials run through :func:`repro.bench.run_sweep` (serially, cache
+off) so per-trial wall-clock and kernel stats land in
 ``BENCH_sweep.json``; the speedup summary is recorded under the
 ``headline`` key of ``BENCH_kernel.json`` (preserved across baseline
-reseeds) and in ``results/fastforward_shard.json``.
-
-Sharded trials run in-process (sequentially) on single-core hosts and
-fork workers elsewhere; either way the figure of merit is end-to-end
-wall-clock for the whole run.
+reseeds) and in ``results/fastforward.json``.
 """
 
 import json
@@ -46,23 +39,20 @@ HL_SERVERS = 320
 HL_STATE = 64 * MiB
 HL_SEED = 11
 
-#: Gate floors from the scale-out acceptance criteria.
+#: Gate floor from the scale-out acceptance criteria.
 MIN_FF_SPEEDUP = 3.0
-MIN_SHARD_SPEEDUP = 10.0
-SHARD_REL_TOL = 0.01
 
-#: Execution order matters: the optimized paths run first so their
+#: Execution order matters: the optimized path runs first so its
 #: wall-clock is measured on a clean heap — the event-heavy baseline
 #: fragments the allocator enough to slow everything that follows.
 CONFIGS = (
     ("fast-forward", RunOptions(collapse=True, flow=True, fastforward=True)),
-    ("ff+4shards", RunOptions(collapse=True, flow=True, fastforward=True, shards=4)),
     ("baseline", RunOptions(collapse=True, flow=True, fastforward=False)),
 )
 
 
 def run_headline(record=True):
-    """Run the three configurations serially; return per-config rows."""
+    """Run both configurations serially; return per-config rows."""
     specs = [
         checkpoint_spec(
             "lwfs", HL_CLIENTS, HL_SERVERS, seed=HL_SEED,
@@ -86,7 +76,6 @@ def run_headline(record=True):
             "rel_err": abs(o.value - base.value) / base.value,
             "events_processed": o.events_processed,
             "events_fast_forwarded": o.events_fast_forwarded,
-            "window_barriers": o.window_barriers,
         })
     return rows
 
@@ -112,17 +101,14 @@ def record_headline(rows, path=KERNEL_JSON):
 
 
 def _check(rows):
-    by = {r["config"]: r for r in rows}
-    ff, shard = by["fast-forward"], by["ff+4shards"]
+    ff = {r["config"]: r for r in rows}["fast-forward"]
     # Fast-forward is an exact transformation: same figure of merit to
     # the last bit, or the engine mis-simulated an epoch.
     assert ff["rel_err"] == 0.0, f"fast-forward not bit-identical: {ff}"
-    assert shard["rel_err"] <= SHARD_REL_TOL, f"sharded drifted >1%: {shard}"
     assert ff["speedup"] >= MIN_FF_SPEEDUP, f"fast-forward below 3x: {ff}"
-    assert shard["speedup"] >= MIN_SHARD_SPEEDUP, f"ff+4shards below 10x: {shard}"
 
 
-def test_fastforward_shard_headline(benchmark):
+def test_fastforward_headline(benchmark):
     rows = run_once(benchmark, run_headline)
     print()
     for r in rows:
@@ -130,7 +116,7 @@ def test_fastforward_shard_headline(benchmark):
             f"{r['config']:12s} {r['wall_s']:8.2f}s  {r['speedup']:6.2f}x  "
             f"{r['throughput_mb_s']:11,.1f} MB/s  rel_err {r['rel_err']:.2e}"
         )
-    save_json("fastforward_shard", {"rows": rows})
+    save_json("fastforward", {"rows": rows})
     record_headline(rows)
     _check(rows)
 
@@ -141,11 +127,10 @@ if __name__ == "__main__":  # pragma: no cover - CLI for the perf record
         print(
             f"{r['config']:12s} {r['wall_s']:8.2f}s  {r['speedup']:6.2f}x  "
             f"{r['throughput_mb_s']:11,.1f} MB/s  rel_err {r['rel_err']:.2e}  "
-            f"(ffwd {r['events_fast_forwarded']}, barriers {r['window_barriers']})"
+            f"(ffwd {r['events_fast_forwarded']})"
         )
-    save_json("fastforward_shard", {"rows": rows})
+    save_json("fastforward", {"rows": rows})
     record_headline(rows)
     _check(rows)
     print("headline gates ok: fast-forward bit-identical and >= "
-          f"{MIN_FF_SPEEDUP:.0f}x, ff+4shards within 1% and >= "
-          f"{MIN_SHARD_SPEEDUP:.0f}x")
+          f"{MIN_FF_SPEEDUP:.0f}x")

@@ -1,6 +1,6 @@
 """Simkernel micro-benchmark: event-loop throughput (events/second).
 
-Four workloads:
+Three workloads:
 
 * **uncontended** — 64 clients paired into 32 disjoint (sender, receiver)
   lanes, each lane moving 200 × 1 MiB messages over the fabric with no
@@ -15,8 +15,6 @@ Four workloads:
   ranks simulated per wall-second (fixed work / wall), because a broken
   fast-forward path processes *more* events per second while taking far
   longer — events/s cannot see that regression.
-* **sharded** — the same slice partitioned into 2 server-group shards
-  under conservative window sync, also guarded by ranks per wall-second.
 
 Figures land in ``results/simkernel_events.json`` /
 ``results/simkernel_timer_race.json``, and every workload is measured
@@ -107,18 +105,18 @@ def _run_timer_race():
     }
 
 
-#: Fast-forward / sharded workload size: a CI-scaled Red Storm slice.
+#: Fast-forward workload size: a CI-scaled Red Storm slice.
 FF_CLIENTS = 256
 FF_SERVERS = 32
 FF_STATE = 16 * MiB
 
 
-def _run_checkpoint_slice(shards):
+def _run_fast_forward():
     start = time.perf_counter()
     result = run_checkpoint_trial(
         "lwfs", FF_CLIENTS, FF_SERVERS, state_bytes=FF_STATE, seed=7,
         spec=red_storm(),
-        options=RunOptions(collapse=True, flow=True, shards=shards),
+        options=RunOptions(collapse=True, flow=True),
     )
     wall = time.perf_counter() - start
     extra = result.extra
@@ -128,7 +126,6 @@ def _run_checkpoint_slice(shards):
         "events_per_s": extra["events_processed"] / wall,
         "events_skipped_cancelled": int(extra.get("events_skipped_cancelled", 0)),
         "events_fast_forwarded": int(extra.get("events_fast_forwarded", 0)),
-        "window_barriers": int(extra.get("window_barriers", 0)),
         "peak_event_queue": int(extra["peak_event_queue"]),
         "sim_seconds": extra["sim_seconds"],
         # Fixed work per wall-second: the regression signal for paths
@@ -138,26 +135,17 @@ def _run_checkpoint_slice(shards):
     }
 
 
-def _run_fast_forward():
-    return _run_checkpoint_slice(shards=1)
-
-
-def _run_sharded():
-    return _run_checkpoint_slice(shards=2)
-
-
 WORKLOADS = {
     "uncontended": _run_uncontended,
     "timer_race": _run_timer_race,
     "fast_forward": _run_fast_forward,
-    "sharded": _run_sharded,
 }
 
 #: Per-workload regression metric for BENCH_kernel.json baselines.  The
-#: event-loop micro-benchmarks guard raw events/s; the fast-forward and
-#: sharded paths guard fixed-work rate (a broken epoch-skip engine
-#: *raises* events/s while multiplying wall-clock).
-FIGURE_OF_MERIT = {"fast_forward": "ranks_per_s", "sharded": "ranks_per_s"}
+#: event-loop micro-benchmarks guard raw events/s; the fast-forward path
+#: guards fixed-work rate (a broken epoch-skip engine *raises* events/s
+#: while multiplying wall-clock).
+FIGURE_OF_MERIT = {"fast_forward": "ranks_per_s"}
 
 
 def fom_key(workload):
@@ -188,8 +176,8 @@ def record_kernel_baseline(path=KERNEL_JSON, best_of=1):
     O(n) cancellation path); lazy=True is the shipping configuration and
     the baseline the perf smoke guard compares against.
 
-    A ``headline`` section written by :mod:`bench_fastforward_shard`
-    (the 10k-rank speedup record) is preserved across reseeds.
+    A ``headline`` section written by :mod:`bench_fastforward` (the
+    10k-rank speedup record) is preserved across reseeds.
     """
     headline = None
     try:

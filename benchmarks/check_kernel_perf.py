@@ -4,8 +4,8 @@ Re-measures the :mod:`bench_simkernel_events` workloads (best-of-N to
 shave scheduler noise) and compares the shipping configuration
 (``lazy=True``) against the committed baselines in ``BENCH_kernel.json``.
 A run below ``--threshold`` (default 0.7×) of its baseline fails.  The
-event-loop workloads guard events/s; the fast-forward and sharded
-workloads guard ranks per wall-second (fixed work per second — see
+event-loop workloads guard events/s; the fast-forward workload guards
+ranks per wall-second (fixed work per second — see
 ``bench_simkernel_events.FIGURE_OF_MERIT``).
 
 Usage::

@@ -77,7 +77,6 @@ def analytic_horizon(
     Purely analytic — a function of the spec/config inputs, never of a
     measured run — so every consumer that needs a deterministic schedule
     derives it from here and lands on identical values across processes:
-    the sharded driver's window length (divide by its window target) and
     the metrics sampler's default period (divide by its sample target).
 
     *spec* is a :class:`~repro.machine.spec.MachineSpec`, *config* a

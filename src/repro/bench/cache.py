@@ -53,7 +53,11 @@ __all__ = ["CACHE_SCHEMA", "TrialCache", "cache_enabled", "default_cache_dir", "
 #: resolved content signature rides ``RunOptions.describe()`` — and
 #: buffered trials grew the buffer_* drain stats in ``extra``, so v5
 #: entries are stale by construction.
-CACHE_SCHEMA = "repro-trial-cache/v6"
+#: v7: server-group sharding and three RunOptions fields (fastpath,
+#: lazy_kernel, cache) were removed, so the resolved-options document and
+#: the raw kill-switch block both lost keys, and outcome payloads lost
+#: ``window_barriers``; v6 entries are stale by construction.
+CACHE_SCHEMA = "repro-trial-cache/v7"
 
 
 def cache_enabled() -> bool:
@@ -87,30 +91,12 @@ def _canonical(value: Any) -> Any:
 
 
 def _resolved_options(spec) -> RunOptions:
-    """The trial's effective :class:`RunOptions`, legacy kwargs folded in.
+    """The trial's effective :class:`RunOptions`, environment included.
 
-    Mirrors ``repro.bench.harness._merge_options`` (minus the deprecation
-    warnings — the harness owns those) so the cache key sees exactly the
-    configuration the trial will run under, environment resolution
-    included.
+    Resolved the same way the harness resolves it, so the cache key sees
+    exactly the configuration the trial will run under.
     """
-    from dataclasses import replace
-
-    opts = spec.params.get("options")
-    if not isinstance(opts, RunOptions):
-        opts = RunOptions()
-    legacy = {
-        name: bool(spec.params[name])
-        for name in ("trace", "collapse", "flow")
-        if spec.params.get(name) is not None
-    }
-    if spec.params.get("faults") is not None:
-        legacy["faults"] = spec.params["faults"]
-    if spec.params.get("tiers") is not None:
-        legacy["tiers"] = spec.params["tiers"]
-    if legacy:
-        opts = replace(opts, **legacy)
-    return opts.resolved()
+    return (spec.params.get("options") or RunOptions()).resolved()
 
 
 def trial_key(spec) -> str:
@@ -135,7 +121,6 @@ def trial_key(spec) -> str:
         "lazy": env_str("REPRO_KERNEL_LAZY", "1"),
         "flow": env_str("REPRO_FLOW", ""),
         "fastforward": env_str("REPRO_FASTFORWARD", ""),
-        "shard": env_str("REPRO_SHARD", ""),
         "tenant_collapse": env_str("REPRO_TENANT_COLLAPSE", ""),
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -158,16 +143,13 @@ class TrialCache:
         Traced trials carry their span list as the product: never cache.
         Fault-injected trials carry their fault log the same way (and the
         caller is usually studying recovery dynamics, not the scalar), so
-        they always simulate.  ``RunOptions(cache=False)`` opts a single
-        spec out explicitly.  Metered trials (``metrics=True``) DO cache:
+        they always simulate.  Metered trials (``metrics=True``) DO cache:
         the exported document is a few KiB of series on a deterministic
         grid, and the metrics knobs are part of the key, so a metered and
         an unmetered run of one spec live on different cache lines.
         """
         opts = _resolved_options(spec)
-        if opts.trace or opts.faults is not None:
-            return False
-        return bool(opts.cache)
+        return not opts.trace and opts.faults is None
 
     def get(self, spec) -> Optional[Dict[str, Any]]:
         """The stored outcome payload for *spec*, or ``None`` on a miss."""

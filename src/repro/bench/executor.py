@@ -105,9 +105,6 @@ class TrialOutcome:
     #: Flow completions the analytic fast-forward engine retired without
     #: per-chunk event scheduling (0 when the engine is off or unused).
     events_fast_forwarded: int = 0
-    #: Conservative-sync barrier crossings summed over the run's shards
-    #: (0 for single-process runs).
-    window_barriers: int = 0
     #: Completed span list when the spec carried ``trace=True`` (spans
     #: pickle cleanly, so traced trials survive the process pool).
     trace: Optional[list] = None
@@ -246,7 +243,6 @@ def _run_trial(spec: TrialSpec) -> TrialOutcome:
         peak_event_queue=int(result.extra.get("peak_event_queue", 0)),
         sim_seconds=float(result.extra.get("sim_seconds", 0.0)),
         events_fast_forwarded=int(result.extra.get("events_fast_forwarded", 0)),
-        window_barriers=int(result.extra.get("window_barriers", 0)),
         trace=result.trace,
         trace_summary=trace_summary,
         fault_summary=fault_summary,
@@ -296,7 +292,6 @@ def _outcome_payload(o: TrialOutcome) -> Dict[str, Any]:
         "peak_event_queue": o.peak_event_queue,
         "sim_seconds": o.sim_seconds,
         "events_fast_forwarded": o.events_fast_forwarded,
-        "window_barriers": o.window_barriers,
     }
     if o.tenants_simulated:
         payload["tenants_simulated"] = o.tenants_simulated
@@ -320,7 +315,6 @@ def _cached_outcome(spec: TrialSpec, payload: Dict[str, Any], wall: float) -> Tr
         peak_event_queue=int(payload.get("peak_event_queue", 0)),
         sim_seconds=float(payload.get("sim_seconds", 0.0)),
         events_fast_forwarded=int(payload.get("events_fast_forwarded", 0)),
-        window_barriers=int(payload.get("window_barriers", 0)),
         metrics=metrics if isinstance(metrics, dict) else None,
         metrics_summary=payload.get("metrics_summary"),
         buffer_summary=payload.get("buffer_summary"),
@@ -351,39 +345,6 @@ def _warn_once(key: str, message: str, stacklevel: int = 3) -> bool:
     return True
 
 
-def _clamp_jobs_for_shards(jobs: int, specs: Sequence[TrialSpec]) -> int:
-    """Cap ``jobs`` so trial workers x shard workers fit the machine.
-
-    A sharded trial forks its own worker per shard, so a pool of J
-    sharded trials runs J x S simulation processes.  Oversubscribing
-    cores that way is strictly slower than a narrower pool (the shards
-    within one trial must advance in lockstep, so preempting them
-    stretches every window).  Warns once per process when it clamps.
-    """
-    from .cache import _resolved_options
-
-    max_shards = 1
-    for spec in specs:
-        try:
-            max_shards = max(max_shards, _resolved_options(spec).shards)
-        except (TypeError, ValueError):  # pragma: no cover - exotic params
-            continue
-    if max_shards <= 1:
-        return jobs
-    cores = os.cpu_count() or 1
-    if jobs * max_shards <= cores:
-        return jobs
-    capped = max(1, cores // max_shards)
-    if capped < jobs:
-        _warn_once(
-            "shard-clamp",
-            f"jobs={jobs} x shards={max_shards} oversubscribes "
-            f"{cores} cores; capping jobs at {capped}",
-            stacklevel=4,
-        )
-    return min(jobs, capped)
-
-
 def run_trials(
     specs: Sequence[TrialSpec], jobs: Optional[int] = None, cache=None
 ) -> List[TrialOutcome]:
@@ -401,7 +362,6 @@ def run_trials(
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
-    jobs = _clamp_jobs_for_shards(jobs, specs)
     store = _resolve_cache(cache)
 
     merged: Dict[int, TrialOutcome] = {}
@@ -490,7 +450,6 @@ def _trial_record(o: TrialOutcome) -> Dict[str, Any]:
         "peak_event_queue": o.peak_event_queue,
         "sim_seconds": round(o.sim_seconds, 9),
         "events_fast_forwarded": o.events_fast_forwarded,
-        "window_barriers": o.window_barriers,
         "cached": o.cached,
     }
     if o.tenants_simulated:
@@ -575,6 +534,7 @@ def _flow_grid(flow: bool) -> List[TrialSpec]:
     """The flow accuracy gate: bulky dumps (> 2 chunks per rank), so the
     steady-state middle actually rides the flow engine, run with the flag
     both ways at otherwise identical points."""
+    from ..sim.config import RunOptions
     from ..units import MiB
 
     specs: List[TrialSpec] = []
@@ -582,7 +542,8 @@ def _flow_grid(flow: bool) -> List[TrialSpec]:
         for n, m in ((4, 2), (8, 4)):
             specs.append(
                 checkpoint_spec(
-                    impl, n, m, seed=300, state_bytes=32 * MiB, flow=flow
+                    impl, n, m, seed=300, state_bytes=32 * MiB,
+                    options=RunOptions(flow=flow),
                 )
             )
     return specs
@@ -594,10 +555,6 @@ FLOW_REL_TOL = 0.01
 #: Fast-forward gate: the analytic engine must match the reference flow
 #: arithmetic to floating-point noise, not merely to model tolerance.
 FF_REL_TOL = 1e-9
-
-#: Sharded-vs-single gate: maximum relative error on the figure of merit
-#: (the mean-field service split and per-shard jitter draws bound this).
-SHARD_REL_TOL = 0.01
 
 
 def _ff_grid(fastforward: bool) -> List[TrialSpec]:
@@ -616,22 +573,6 @@ def _ff_grid(fastforward: bool) -> List[TrialSpec]:
                 )
             )
     return specs
-
-
-def _shard_grid(shards: int) -> List[TrialSpec]:
-    """The shard accuracy gate: the 128-client Red Storm slice, sharded
-    versus single-process at otherwise identical points."""
-    from ..machine.presets import red_storm
-    from ..sim.config import RunOptions
-    from ..units import MiB
-
-    return [
-        checkpoint_spec(
-            "lwfs", 128, 32, seed=500, state_bytes=8 * MiB,
-            spec=red_storm(),
-            options=RunOptions(collapse=True, flow=True, shards=shards),
-        )
-    ]
 
 
 #: Buffer crossover gate: with the burst fitting the buffer, the dump
@@ -712,12 +653,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run the burst-buffer crossover points (direct vs buffer-fits "
              f"vs drain-limited) and require a >= {BUFFER_MIN_SPEEDUP:g}x "
              "absorb speedup plus visible drain-limited backpressure",
-    )
-    parser.add_argument(
-        "--check-shard", action="store_true",
-        help="run the 128-client Red Storm slice sharded and single-process "
-             f"and require relative error <= {SHARD_REL_TOL:.0%}, plus "
-             "bit-identical repeat of the sharded run",
     )
     args = parser.parse_args(argv)
 
@@ -836,40 +771,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   "drain-limited backpressure)")
             return 1
         print(f"buffer gate ok: {speedup:.1f}x >= {BUFFER_MIN_SPEEDUP:g}x")
-
-    if args.check_shard:
-        single = run_sweep(
-            _shard_grid(1), jobs=jobs, label="shard-gate-single", cache=cache
-        )
-        sharded = run_sweep(
-            _shard_grid(2), jobs=jobs, label="shard-gate-sharded", cache=cache
-        )
-        # Sharded runs must also be reproducible run-over-run: the window
-        # schedule is deterministic and the barrier carries no state.
-        repeat = run_sweep(
-            _shard_grid(2), jobs=jobs, label="shard-gate-repeat", cache=False
-        )
-        rel = (
-            abs(sharded[0].value - single[0].value) / single[0].value
-            if single[0].value else 0.0
-        )
-        if rel > SHARD_REL_TOL:
-            print(
-                f"SHARD DRIFT: single={single[0].value:.3f} "
-                f"sharded={sharded[0].value:.3f} rel={rel:.4f}"
-            )
-            print(f"shard gate FAILED: over {SHARD_REL_TOL:.0%}")
-            return 1
-        if repeat[0].value != sharded[0].value:
-            print(
-                f"SHARD NONDETERMINISM: {sharded[0].value!r} vs "
-                f"{repeat[0].value!r} across repeated runs"
-            )
-            return 1
-        print(
-            f"shard gate ok: rel {rel:.4%} <= {SHARD_REL_TOL:.0%}, repeat "
-            f"bit-identical, {sharded[0].window_barriers} window barriers"
-        )
 
     if args.check_determinism:
         serial = run_sweep(specs, jobs=1, label="quick(jobs=1)", cache=False)

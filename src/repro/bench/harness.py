@@ -12,7 +12,6 @@ the figure-of-merit the paper uses:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
@@ -78,50 +77,6 @@ class TrialResult:
     #: Plain JSON-ready dict, so it crosses the sweep executor's
     #: process-pool boundary and lands in the trial cache.
     metrics: Optional[dict] = None
-
-
-#: Legacy boolean kwargs already warned about (each warns exactly once).
-_LEGACY_WARNED: set = set()
-
-
-def _warn_legacy(name: str) -> None:
-    if name in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(name)
-    warnings.warn(
-        f"the `{name}` kwarg is deprecated; pass options=RunOptions({name}=...) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def _merge_options(
-    options: Optional[RunOptions],
-    trace=None,
-    collapse=None,
-    flow=None,
-    faults=None,
-    tiers=None,
-) -> RunOptions:
-    """Fold legacy kwargs into a resolved :class:`RunOptions`.
-
-    Legacy booleans still work (warning once per kwarg name) and take
-    explicit-kwarg precedence, matching the documented resolution order.
-    """
-    legacy = {}
-    for name, value in (("trace", trace), ("collapse", collapse), ("flow", flow)):
-        if value is not None:
-            _warn_legacy(name)
-            legacy[name] = bool(value)
-    if faults is not None:
-        legacy["faults"] = faults
-    if tiers is not None:
-        _warn_legacy("tiers")
-        legacy["tiers"] = tiers
-    opts = options if options is not None else RunOptions()
-    if legacy:
-        opts = replace(opts, **legacy)
-    return opts.resolved()
 
 
 @dataclass
@@ -253,20 +208,14 @@ def run_checkpoint_trial(
     seed: int = 0,
     spec: Optional[MachineSpec] = None,
     config: Optional[SimConfig] = None,
-    trace: Optional[bool] = None,
-    collapse: Optional[bool] = None,
-    flow: Optional[bool] = None,
-    tiers=None,
     options: Optional[RunOptions] = None,
     **deploy_kwargs,
 ) -> TrialResult:
     """One full checkpoint (setup once + one dump), Figure 9 workload.
 
-    Run configuration comes in through ``options=RunOptions(...)``; see
-    :class:`~repro.sim.config.RunOptions` for the knobs and the
-    kwarg > ``REPRO_*`` env > default resolution order.  The legacy
-    ``trace``/``collapse``/``flow`` booleans still work (deprecated,
-    warning once per kwarg).
+    Run configuration comes in only through ``options=RunOptions(...)``;
+    see :class:`~repro.sim.config.RunOptions` for the knobs and the
+    explicit value > ``REPRO_*`` env > default resolution order.
 
     With ``RunOptions(trace=True)`` a :class:`~repro.trace.Tracer` is
     installed before the run and the completed spans land on
@@ -283,14 +232,7 @@ def run_checkpoint_trial(
     dump lands at absorb speed and drains asynchronously; the drain
     tail, goodput, and backpressure land in ``TrialResult.extra``.
     """
-    opts = _merge_options(options, trace=trace, collapse=collapse, flow=flow, tiers=tiers)
-    if opts.shards > 1:
-        from .shard import run_sharded_checkpoint_trial
-
-        return run_sharded_checkpoint_trial(
-            impl, n_clients, n_servers, state_bytes=state_bytes, seed=seed,
-            spec=spec, config=config, opts=opts, **deploy_kwargs
-        )
+    opts = (options or RunOptions()).resolved()
     cluster, deployment, checkpointer, app, injector = _build(
         impl, n_clients, n_servers, seed, spec, config,
         opts=opts, collapse_state_bytes=state_bytes, **deploy_kwargs
@@ -346,26 +288,15 @@ def run_create_trial(
     seed: int = 0,
     spec: Optional[MachineSpec] = None,
     config: Optional[SimConfig] = None,
-    trace: Optional[bool] = None,
-    collapse: Optional[bool] = None,
-    flow: Optional[bool] = None,
-    tiers=None,
     options: Optional[RunOptions] = None,
     **deploy_kwargs,
 ) -> TrialResult:
     """Create-only phase (Figure 10 workload): empty objects/files.
 
-    Accepts the same ``options=RunOptions(...)`` configuration (and the
-    same deprecated legacy booleans) as :func:`run_checkpoint_trial`.
+    Accepts the same ``options=RunOptions(...)`` configuration as
+    :func:`run_checkpoint_trial`.
     """
-    opts = _merge_options(options, trace=trace, collapse=collapse, flow=flow, tiers=tiers)
-    if opts.shards > 1:
-        from .shard import run_sharded_create_trial
-
-        return run_sharded_create_trial(
-            impl, n_clients, n_servers, creates_per_client=creates_per_client,
-            seed=seed, spec=spec, config=config, opts=opts, **deploy_kwargs
-        )
+    opts = (options or RunOptions()).resolved()
     cluster, deployment, checkpointer, app, injector = _build(
         impl, n_clients, n_servers, seed, spec, config, opts=opts, **deploy_kwargs
     )
@@ -406,10 +337,6 @@ def run_create_trial(
 
 def checkpoint_main(checkpointer, state_bytes: int, attempts: int = 1, injector=None):
     """The per-rank checkpoint program (Figure 9 workload).
-
-    Module-level (rather than a closure inside the trial function) so
-    the sharded driver (:mod:`repro.bench.shard`) runs the identical
-    program inside each worker process.
 
     Under fault injection a checkpoint can abort wholesale (2PC presumed
     abort wipes the uncommitted creates at a rebooted server); real
@@ -475,9 +402,8 @@ def _maybe_metrics(
     """Install the metrics registry + sampler when the trial opts in.
 
     The sampling period is ``opts.metrics_period`` when explicit, else
-    derived from the analytic horizon — a model quantity, so serial,
-    process-pool, and sharded executions of one spec land on the same
-    grid.  Must run after :func:`_build` (the injector is already on
+    derived from the analytic horizon — a model quantity, so serial and
+    process-pool executions of one spec land on the same grid.  Must run after :func:`_build` (the injector is already on
     ``env.faults``, so the fault-pressure gauges see it) and before the
     workload launches (``t0`` anchors the grid at setup time).
     """

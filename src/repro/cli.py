@@ -39,6 +39,7 @@ from .bench import (
     run_create_trial,
 )
 from .bench.plot import chart_sweep
+from .sim.config import RunOptions
 from .units import MiB
 
 __all__ = ["main", "build_parser"]
@@ -87,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--no-fast-forward", dest="fastforward",
                        action="store_false",
                        help="force the reference per-event flow arithmetic")
-    point.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="split this one run into N server-group shards "
-                            "simulated by parallel worker processes "
-                            "(also REPRO_SHARD=N; REPRO_SHARD=0 kills)")
     point.add_argument("--metrics", nargs="?", const="-", default=None,
                        metavar="EXPORT.json",
                        help="sample time-series metrics during the run and "
@@ -272,8 +269,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_rows("Table 2 — Red Storm performance (paper vs measured)", rows))
 
     elif args.command == "checkpoint":
-        from .sim.config import RunOptions
-
         options = RunOptions(
             trace=True if args.trace is not None else None,
             collapse=True if args.collapse else None,
@@ -281,7 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             faults=args.faults,
             tiers=args.tiers,
             fastforward=args.fastforward,
-            shards=args.shards,
             metrics=True if args.metrics is not None else None,
             metrics_period=args.metrics_period,
         )
@@ -295,18 +289,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f" [{result.extra['ranks_simulated']:.0f} representatives, "
                 f"max class {result.extra['max_multiplicity']:.0f}]"
             )
-        sharded = ""
-        if result.extra.get("shards", 0) > 1:
-            sharded = (
-                f" [{result.extra['shards']:.0f} shards, "
-                f"{result.extra['window_barriers']:.0f} window barriers]"
-            )
         print(
             f"{args.impl}: {args.clients} clients x {args.state_mb} MB over "
             f"{args.servers} servers -> {result.throughput_mb_s:.1f} MB/s "
             f"(max rank time {result.max_elapsed:.3f} s, "
             f"create phase {result.create_max_elapsed * 1e3:.2f} ms)"
-            + collapsed + sharded
+            + collapsed
         )
         if "buffer_nodes" in result.extra:
             e = result.extra
@@ -334,8 +322,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             _export_trace(result, args.trace)
 
     elif args.command == "create":
-        from .sim.config import RunOptions
-
         result = run_create_trial(
             args.impl, args.clients, args.servers,
             creates_per_client=args.per_client, seed=args.seed,
@@ -366,7 +352,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.trace is not None:
             result = run_checkpoint_trial(
                 args.impl, max(args.clients), max(args.servers),
-                state_bytes=args.state_mb * MiB, seed=1, trace=True,
+                state_bytes=args.state_mb * MiB, seed=1,
+                options=RunOptions(trace=True),
             )
             _export_trace(result, args.trace)
 
@@ -388,7 +375,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         result = run_checkpoint_trial(
             args.impl, args.clients, args.servers,
-            state_bytes=args.state_mb * MiB, seed=args.seed, trace=True,
+            state_bytes=args.state_mb * MiB, seed=args.seed,
+            options=RunOptions(trace=True),
         )
         print(
             f"{args.impl}: {args.clients} clients x {args.state_mb} MB over "
@@ -407,7 +395,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(format_timeline(result.trace, max_lines=args.timeline_lines))
 
     elif args.command == "traffic":
-        from .sim.config import RunOptions
         from .workload import diurnal_mixed, run_workload_trial
 
         if args.workload is not None:

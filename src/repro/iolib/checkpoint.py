@@ -270,18 +270,8 @@ class LWFSCheckpointer(Checkpointer):
                     yield from client._abort(txnid, participants)
                 else:
                     # Enroll every server any rank touched (idempotent).
-                    # Like end_txn's prepare/commit, this chain serializes
-                    # over the GLOBAL server set; a sharded run re-stretches
-                    # its local chain to full length (txn_fanout_scale is
-                    # 1.0 — no-op — everywhere else).
-                    join_start = ctx.env.now
                     for entry in gathered:
                         yield from client.txn_join_storage(txnid, entry["server"])
-                    join_stretch = client.config.txn_fanout_scale - 1.0
-                    if join_stretch > 0.0 and ctx.env.now > join_start:
-                        yield ctx.env.timeout(
-                            (ctx.env.now - join_start) * join_stretch
-                        )
                     try:
                         yield from client.end_txn(txnid)
                     except Exception as exc:  # noqa: BLE001

@@ -38,11 +38,6 @@ class Node:
         self.node_id = node_id
         self.spec = spec
         self.name = name or f"{spec.kind.value}{node_id}"
-        #: Relative CPU speed.  Sharded runs give each worker a local
-        #: replica of the shared service nodes at a fraction of their
-        #: capacity (``SimConfig.service_scale``); every protocol cost
-        #: charged through :meth:`compute` stretches by ``1 / speed``.
-        self.speed = 1.0
         self.alive = True
         self.storage: Optional["RaidDevice"] = None  # attached by deployment
 
@@ -91,8 +86,6 @@ class Node:
         """
         if duration <= 0:
             return
-        if self.speed != 1.0:
-            duration /= self.speed
         with self.cpu.request() as req:
             yield req
             yield self.env.timeout(duration)

@@ -27,7 +27,7 @@ Every instrument carries a ``scope``:
 
 * ``"model"`` — a physical quantity (bytes, requests, cache hits) that
   must agree across interchangeable engines (fast-forward on/off within
-  1e-9, shards merged within the documented tolerance);
+  1e-9, collapse exact at multiplicity 1);
 * ``"kernel"`` — simulator machinery (event counts, live queue depth)
   that legitimately differs between engines and is reported but never
   compared across them.

@@ -62,10 +62,8 @@ MAX_STRIDE = 512
 def default_period(horizon: float) -> float:
     """The deterministic sampling period for an analytic *horizon* estimate.
 
-    Mirrors the sharded driver's window derivation
-    (:func:`repro.bench.shard._window_length`): a model-derived quantity,
-    never a measured one, so the cadence is identical across processes,
-    shards, and repeated runs of the same spec.
+    A model-derived quantity, never a measured one, so the cadence is
+    identical across processes and repeated runs of the same spec.
     """
     return max(float(horizon) / TARGET_SAMPLES, MIN_PERIOD)
 

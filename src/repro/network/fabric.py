@@ -71,9 +71,9 @@ class Fabric:
         self._n_nodes_hint = n_nodes_hint
         self.counters = Counter()
         self._flow_network = None
-        #: Per-fabric override of the module-level FASTPATH switch, so a
-        #: :class:`~repro.sim.config.RunOptions` can pick the reference
-        #: queued path for one run.  The env kill switch still wins.
+        #: The module-level FASTPATH switch as it stood when this fabric
+        #: was built (equivalence tests patch the global to pin the
+        #: reference queued path for one run).
         self.fastpath = FASTPATH
 
     @property

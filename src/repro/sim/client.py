@@ -395,42 +395,24 @@ class SimLWFSClient:
 
         The coordinator drives prepare and commit *serially* over the
         participants, so the chain length scales with the number of
-        storage servers in the transaction.  A sharded run's local chain
-        covers only the shard's own servers; ``config.txn_fanout_scale``
-        (= global servers / shard servers, 1.0 outside sharded runs)
-        stretches the storage portion of each phase to reproduce the
-        global critical path.  The naming service joins exactly once
-        regardless of sharding, so its leg is never stretched.
+        storage servers in the transaction.
         """
         participants = self._txn_participants.pop(txnid, [])
-        stretch = self.config.txn_fanout_scale - 1.0
         votes = []
         veto_reasons = []
-        t_storage = 0.0
         for node_id, service in participants:
-            t0 = self.env.now
             try:
                 vote = yield from self._call(node_id, service, "txn_prepare", txnid=txnid)
             except Exception as exc:  # noqa: BLE001 - a dead/broken vote
                 vote = False
                 veto_reasons.append(f"{service}@{node_id}: {type(exc).__name__}: {exc}")
             votes.append(vote)
-            if service != "naming":
-                t_storage += self.env.now - t0
-        if stretch > 0.0 and t_storage > 0.0:
-            yield self.env.timeout(t_storage * stretch)
         if not all(votes):
             yield from self._abort(txnid, participants)
             detail = "; ".join(veto_reasons) or "participant voted no"
             raise TransactionAborted(f"{txnid}: prepare failed ({detail})")
-        t_storage = 0.0
         for node_id, service in participants:
-            t0 = self.env.now
             yield from self._call(node_id, service, "txn_commit", txnid=txnid)
-            if service != "naming":
-                t_storage += self.env.now - t0
-        if stretch > 0.0 and t_storage > 0.0:
-            yield self.env.timeout(t_storage * stretch)
         return True
 
     def abort_txn(self, txnid: TxnID):

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 from ..machine.node import Node
 from ..machine.spec import MachineSpec, NodeKind
 from ..simkernel import Environment, RandomStreams
-from ..network.fabric import FASTPATH, Fabric
+from ..network.fabric import Fabric
 from ..storage.device import RaidDevice
 from .config import RunOptions, SimConfig
 
@@ -40,18 +40,9 @@ class SimCluster:
     ) -> None:
         self.spec = spec
         self.config = config or SimConfig()
-        self.options = options
-        if options is None:
-            self.env = Environment()
-        else:
-            # Kill switches still win: lazy_kernel=False forces the
-            # reference path, while lazy_kernel=True defers to the
-            # kernel's *live* LAZY global (REPRO_KERNEL_LAZY kill
-            # switch; also patched by the kernel perf benchmarks) —
-            # importing LAZY here would freeze a stale snapshot.
-            self.env = Environment(lazy=None if options.lazy_kernel else False)
-            if options.fastforward is not None:
-                self.env.fastforward = bool(options.fastforward)
+        self.env = Environment()
+        if options is not None and options.fastforward is not None:
+            self.env.fastforward = bool(options.fastforward)
         self.rng = RandomStreams(self.config.seed)
 
         n_service = service_nodes if service_nodes is not None else spec.service_nodes
@@ -65,8 +56,6 @@ class SimCluster:
             hop_latency=spec.hop_latency,
             n_nodes_hint=total,
         )
-        if options is not None:
-            self.fabric.fastpath = bool(options.fastpath) and FASTPATH
 
         self.service_nodes: List[Node] = []
         self.io_nodes: List[Node] = []
@@ -80,13 +69,6 @@ class SimCluster:
             nid = self._add(nid, NodeKind.IO)
         for _ in range(n_compute):
             nid = self._add(nid, NodeKind.COMPUTE)
-
-        if self.config.service_scale != 1.0:
-            # Sharded runs: this worker owns its storage servers outright
-            # but only a proportional slice of the shared MDS/authz
-            # capacity (mean-field split; see repro.bench.shard).
-            for node in self.service_nodes:
-                node.speed = self.config.service_scale
 
     def _add(self, nid: int, kind: NodeKind) -> int:
         node_spec = self.spec.spec_for(kind)
@@ -122,18 +104,6 @@ class SimCluster:
             from dataclasses import replace
 
             storage_spec = replace(storage_spec, bandwidth=bandwidth)
-        if node.speed != 1.0:
-            # A scaled (shared-service replica) node's volume serves at
-            # the same fraction: streaming slows down, fixed ops stretch.
-            from dataclasses import replace
-
-            storage_spec = replace(
-                storage_spec,
-                bandwidth=storage_spec.bandwidth * node.speed,
-                seek_time=storage_spec.seek_time / node.speed,
-                sync_time=storage_spec.sync_time / node.speed,
-                meta_op_time=storage_spec.meta_op_time / node.speed,
-            )
         return RaidDevice(
             self.env,
             storage_spec,

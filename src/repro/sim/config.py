@@ -6,17 +6,17 @@ creates around 0.2 ms at the owning server, Lustre-like MDS creates around
 1.3 ms serialized at one node, and 4 MiB bulk chunks.
 
 This module is also the single source of truth for *run configuration*:
-:class:`RunOptions` unifies the knobs that used to be scattered across
-harness kwargs, CLI flags, and ``REPRO_*`` environment variables, with
-one documented resolution order per knob:
+:class:`RunOptions` is the one way to configure a trial — harness,
+executor, trial cache and CLI all take it — with one documented
+resolution order per knob:
 
-1. an explicit value (``RunOptions(flow=True)`` or a legacy kwarg),
+1. an explicit value (``RunOptions(flow=True)``),
 2. the corresponding ``REPRO_*`` environment variable,
 3. the built-in default.
 
 Exception — kill switches: ``REPRO_FABRIC_FASTPATH=0``,
-``REPRO_KERNEL_LAZY=0`` and ``REPRO_FLOW=0`` remain absolute overrides
-(they force the bit-identical reference paths for equivalence tests) and
+``REPRO_KERNEL_LAZY=0`` and ``REPRO_FLOW=0`` are not RunOptions fields;
+they force the bit-identical reference paths for equivalence tests and
 are read at their point of use, because :mod:`repro.simkernel` and
 :mod:`repro.network` cannot import this module without a cycle.  Every
 other ``REPRO_*`` read routes through :func:`env_str` here.
@@ -49,17 +49,6 @@ def _env_flag(name: str) -> Optional[bool]:
     if not raw:
         return None
     return raw not in ("0", "false", "no")
-
-
-def _env_int(name: str) -> Optional[int]:
-    """``REPRO_*`` integer knob; unset or unparsable -> ``None``."""
-    raw = env_str(name).strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -132,21 +121,6 @@ class SimConfig:
     #: per-chunk RPCs.  ``REPRO_FLOW=0`` force-disables (reference path),
     #: ``REPRO_FLOW=1`` force-enables.
     flow: bool = False
-    #: Fraction of each *service* node's capacity (CPU and journal
-    #: device) available to this simulation.  Sharded runs
-    #: (:mod:`repro.bench.shard`) give every shard a local replica of the
-    #: shared MDS/authz nodes scaled by the shard's client share — the
-    #: mean-field split keeps n clients at full rate equivalent to n/S
-    #: clients at rate/S.  Storage and compute nodes are never scaled:
-    #: server-group sharding gives each shard exclusive ownership of its
-    #: storage servers.
-    service_scale: float = 1.0
-    #: Sharded runs only: the global-to-local server ratio (m / m_k).
-    #: Client-driven 2PC serializes prepare/commit over *every* storage
-    #: server in the transaction; a shard's local chain covers only its
-    #: own servers, so the coordinator stretches the chain by this factor
-    #: to reproduce the global critical path (see SimLWFSClient.end_txn).
-    txn_fanout_scale: float = 1.0
     lwfs: LWFSCosts = field(default_factory=LWFSCosts)
     pfs: PFSCosts = field(default_factory=PFSCosts)
 
@@ -155,10 +129,6 @@ class SimConfig:
             raise ValueError("chunk_bytes unrealistically small")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
-        if not 0.0 < self.service_scale <= 1.0:
-            raise ValueError("service_scale must be in (0, 1]")
-        if self.txn_fanout_scale < 1.0:
-            raise ValueError("txn_fanout_scale must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -170,37 +140,25 @@ class RunOptions:
     always win (except the documented kill switches, which force the
     reference paths regardless).
 
-    ============== ======================== =======
-    field          environment variable     default
-    ============== ======================== =======
-    collapse       ``REPRO_COLLAPSE``       False
-    flow           ``REPRO_FLOW``           False
-    trace          ``REPRO_TRACE``          False
-    fastpath       ``REPRO_FABRIC_FASTPATH`` True
-    lazy_kernel    ``REPRO_KERNEL_LAZY``    True
-    cache          ``REPRO_BENCH_CACHE``    True
-    fastforward    ``REPRO_FASTFORWARD``    True
-    metrics        ``REPRO_METRICS``        False
-    tenant_collapse ``REPRO_TENANT_COLLAPSE`` True
-    metrics_period ``REPRO_METRICS_PERIOD`` None (auto)
-    shards         ``REPRO_SHARD`` (int)    1
-    faults         ``REPRO_FAULTS`` (path)  None
-    workload       ``REPRO_WORKLOAD`` (path) None
-    tiers          ``REPRO_TIERS`` (path)   None
-    ============== ======================== =======
-
-    ``shards`` follows the kill-switch convention of the boolean
-    accelerators: ``REPRO_SHARD=0`` forces single-process execution even
-    over an explicit ``shards=N``, so equivalence tests can pin the
-    reference path from the outside.
+    =============== ========================== ===========
+    field           environment variable       default
+    =============== ========================== ===========
+    collapse        ``REPRO_COLLAPSE``         False
+    flow            ``REPRO_FLOW``             False
+    trace           ``REPRO_TRACE``            False
+    fastforward     ``REPRO_FASTFORWARD``      True
+    metrics         ``REPRO_METRICS``          False
+    tenant_collapse ``REPRO_TENANT_COLLAPSE``  True
+    metrics_period  ``REPRO_METRICS_PERIOD``   None (auto)
+    faults          ``REPRO_FAULTS`` (path)    None
+    workload        ``REPRO_WORKLOAD`` (path)  None
+    tiers           ``REPRO_TIERS`` (path)     None
+    =============== ========================== ===========
     """
 
     collapse: Optional[bool] = None
     flow: Optional[bool] = None
     trace: Optional[bool] = None
-    fastpath: Optional[bool] = None
-    lazy_kernel: Optional[bool] = None
-    cache: Optional[bool] = None
     #: Analytic steady-state fast-forward in the flow engine
     #: (:mod:`repro.network.flow`); only observable on flow-mode runs.
     fastforward: Optional[bool] = None
@@ -219,9 +177,6 @@ class RunOptions:
     #: (:func:`repro.metrics.sampler.default_period`).  Stays ``None``
     #: after :meth:`resolved` when unset — "auto" is a real state.
     metrics_period: Optional[float] = None
-    #: Worker-process count for sharded simulation of one big run
-    #: (:mod:`repro.bench.shard`); ``1`` (or ``0``) means single-process.
-    shards: Optional[int] = None
     #: A :class:`repro.faults.FaultPlan` (or ``None`` for a clean run).
     faults: Optional[object] = None
     #: A :class:`repro.workload.WorkloadSpec` (or a JSON path, or ``None``
@@ -243,9 +198,6 @@ class RunOptions:
         "collapse": "REPRO_COLLAPSE",
         "flow": "REPRO_FLOW",
         "trace": "REPRO_TRACE",
-        "fastpath": "REPRO_FABRIC_FASTPATH",
-        "lazy_kernel": "REPRO_KERNEL_LAZY",
-        "cache": "REPRO_BENCH_CACHE",
         "fastforward": "REPRO_FASTFORWARD",
         "metrics": "REPRO_METRICS",
         "tenant_collapse": "REPRO_TENANT_COLLAPSE",
@@ -254,9 +206,6 @@ class RunOptions:
         "collapse": False,
         "flow": False,
         "trace": False,
-        "fastpath": True,
-        "lazy_kernel": True,
-        "cache": True,
         "fastforward": True,
         "metrics": False,
         "tenant_collapse": True,
@@ -282,14 +231,6 @@ class RunOptions:
                     period = None
         if period is not None and period <= 0:
             period = None  # nonsense cadence -> auto
-        raw_shard = env_str("REPRO_SHARD").strip()
-        if raw_shard == "0":
-            shards = 1  # kill switch: beats even an explicit shards=N
-        elif self.shards is not None:
-            shards = max(1, int(self.shards))
-        else:
-            from_env = _env_int("REPRO_SHARD")
-            shards = 1 if from_env is None else max(1, from_env)
         faults = self.faults
         if faults is None:
             path = env_str("REPRO_FAULTS").strip()
@@ -327,7 +268,6 @@ class RunOptions:
             faults=faults,
             workload=workload,
             tiers=tiers,
-            shards=shards,
             metrics_period=period,
             **values,
         )
@@ -337,12 +277,11 @@ class RunOptions:
 
         Part of the bench trial-cache key: includes the fault plan's
         content hash, so a cached fault-free outcome can never answer for
-        a fault-injected spec, and the accelerator knobs
-        (``fastforward``/``shards``), so cached results never mix modes.
+        a fault-injected spec, and the accelerator knob
+        (``fastforward``), so cached results never mix modes.
         """
         opts = self.resolved()
         doc = {name: getattr(opts, name) for name in self._ENV}
-        doc["shards"] = opts.shards
         doc["metrics_period"] = opts.metrics_period
         doc["faults"] = opts.faults.signature() if opts.faults is not None else ""
         doc["workload"] = (

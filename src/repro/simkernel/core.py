@@ -83,10 +83,6 @@ class Environment:
         #: fast-forward engine (see :mod:`repro.network.flow`) instead of
         #: a full rate recompute over every active flow.
         self.events_fast_forwarded: int = 0
-        #: Conservative time-window barriers this environment crossed
-        #: when driven as one shard of a multiprocess run
-        #: (:mod:`repro.bench.shard`); 0 in single-process runs.
-        self.window_barriers: int = 0
         #: Analytic steady-state fast-forward opt-in (the
         #: ``REPRO_FASTFORWARD`` kill switch still wins at point of use).
         self.fastforward: bool = True

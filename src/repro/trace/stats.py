@@ -22,9 +22,6 @@ def kernel_stats(env) -> Dict[str, float]:
         # Flow completions retired by the analytic fast-forward engine
         # instead of per-chunk discrete events (repro.network.flow).
         "events_fast_forwarded": getattr(env, "events_fast_forwarded", 0),
-        # Conservative-sync barrier crossings in sharded runs
-        # (repro.bench.shard); 0 in single-process runs.
-        "window_barriers": getattr(env, "window_barriers", 0),
         "peak_event_queue": env.peak_queue_len,
         "sim_seconds": env.now,
     }

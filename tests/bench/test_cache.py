@@ -11,6 +11,7 @@ from repro.bench.cache import (
     trial_key,
 )
 from repro.bench.executor import checkpoint_spec, create_spec, run_trials
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 
@@ -62,6 +63,12 @@ class TestEnvKnobs:
         monkeypatch.delenv("REPRO_BENCH_CACHE_DIR")
         assert default_cache_dir().endswith(os.path.join("results", ".trial-cache"))
 
+    def test_suite_caches_outside_the_repo(self):
+        # tests/conftest.py redirects the store for the whole session, so
+        # the suite's trials never land in the repo's results/ directory.
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        assert not os.path.abspath(default_cache_dir()).startswith(repo + os.sep)
+
 
 class TestRunTrialsCaching:
     def test_cold_then_warm_identical(self, tmp_path):
@@ -101,7 +108,10 @@ class TestRunTrialsCaching:
 
     def test_traced_trials_never_cached(self, tmp_path):
         store = TrialCache(root=str(tmp_path))
-        spec = checkpoint_spec("lwfs", 2, 2, seed=100, state_bytes=2 * MiB, trace=True)
+        spec = checkpoint_spec(
+            "lwfs", 2, 2, seed=100, state_bytes=2 * MiB,
+            options=RunOptions(trace=True),
+        )
         first = run_trials([spec], jobs=1, cache=store)
         second = run_trials([spec], jobs=1, cache=store)
         assert not first[0].cached and not second[0].cached

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -111,6 +112,20 @@ class TestValidation:
         specs = [checkpoint_spec("gpfs", 2, 2, seed=1, state_bytes=SIZE)] * 2
         with pytest.raises(ValueError, match="unknown implementation"):
             run_trials(specs, jobs=2)
+
+
+class TestWarnOnce:
+    def test_deduplicates_per_key(self, monkeypatch):
+        import repro.bench.executor as executor
+
+        monkeypatch.setattr(executor, "_WARNED_KEYS", set())
+        with pytest.warns(RuntimeWarning):
+            assert executor._warn_once("k1", "first") is True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert executor._warn_once("k1", "repeat") is False
+        with pytest.warns(RuntimeWarning):
+            assert executor._warn_once("k2", "other key") is True
 
 
 class TestRecording:

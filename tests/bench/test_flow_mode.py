@@ -18,6 +18,7 @@ import pytest
 
 from repro.bench import run_checkpoint_trial
 from repro.machine import red_storm
+from repro.sim.config import RunOptions
 from repro.units import MiB
 
 #: Bulky enough that every rank's dump rides the stream path (> 2 chunks).
@@ -29,7 +30,8 @@ FLOW_IMPLS = ("lwfs", "lustre-fpp")
 def _pair(impl, n, m, **kw):
     exact = run_checkpoint_trial(impl, n, m, seed=3, state_bytes=STATE, **kw)
     flow = run_checkpoint_trial(
-        impl, n, m, seed=3, state_bytes=STATE, flow=True, **kw
+        impl, n, m, seed=3, state_bytes=STATE,
+        options=RunOptions(flow=True), **kw
     )
     return exact, flow
 
@@ -44,7 +46,8 @@ class TestOffPathUntouched:
         monkeypatch.setenv("REPRO_FLOW", "0")
         off = run_checkpoint_trial("lwfs", 4, 2, seed=3, state_bytes=STATE)
         killed = run_checkpoint_trial(
-            "lwfs", 4, 2, seed=3, state_bytes=STATE, flow=True
+            "lwfs", 4, 2, seed=3, state_bytes=STATE,
+            options=RunOptions(flow=True),
         )
         assert killed.max_elapsed == off.max_elapsed
         assert killed.mean_elapsed == off.mean_elapsed
@@ -83,10 +86,12 @@ class TestFlowApproximation:
     def test_composes_with_collapsing(self):
         kw = dict(spec=red_storm())
         coll = run_checkpoint_trial(
-            "lwfs", 64, 16, seed=3, state_bytes=STATE, collapse=True, **kw
+            "lwfs", 64, 16, seed=3, state_bytes=STATE,
+            options=RunOptions(collapse=True), **kw
         )
         both = run_checkpoint_trial(
-            "lwfs", 64, 16, seed=3, state_bytes=STATE, collapse=True, flow=True, **kw
+            "lwfs", 64, 16, seed=3, state_bytes=STATE,
+            options=RunOptions(collapse=True, flow=True), **kw
         )
         assert both.extra["max_multiplicity"] > 1
         assert both.extra["flows_active"] >= 1
@@ -99,7 +104,8 @@ class TestFlowApproximation:
         leave the run bit-identical to the exact path."""
         exact = run_checkpoint_trial("lwfs", 4, 2, seed=3, state_bytes=8 * MiB)
         flow = run_checkpoint_trial(
-            "lwfs", 4, 2, seed=3, state_bytes=8 * MiB, flow=True
+            "lwfs", 4, 2, seed=3, state_bytes=8 * MiB,
+            options=RunOptions(flow=True),
         )
         assert flow.max_elapsed == exact.max_elapsed
         assert flow.extra["events_processed"] == exact.extra["events_processed"]

@@ -3,8 +3,9 @@
 Contract under test:
 
 * resolution order per knob is explicit value > ``REPRO_*`` env > default;
-* the legacy ``trace``/``collapse``/``flow`` harness booleans still work,
-  warning exactly once per kwarg name;
+* ``RunOptions`` is the only way to configure a trial: it has exactly
+  ten fields, and the old ``trace``/``collapse``/``flow``/``tiers``
+  harness kwargs are rejected;
 * the bench trial-cache key folds the resolved options in (a fault plan
   changes the key; fault-injected trials are never cached at all);
 * ``REPRO_*`` environment reads stay behind the single
@@ -12,13 +13,12 @@ Contract under test:
   switches.
 """
 
+import dataclasses
 import os
-import warnings
 
 import pytest
 
-from repro.bench import run_checkpoint_trial
-from repro.bench import harness
+from repro.bench import run_checkpoint_trial, run_create_trial
 from repro.bench.cache import TrialCache, trial_key
 from repro.bench.executor import checkpoint_spec
 from repro.faults import FaultEvent, FaultPlan
@@ -27,34 +27,30 @@ from repro.units import MiB
 
 STATE = 8 * MiB
 
+#: Every field of RunOptions, in declaration order.
+FIELDS = [
+    "collapse", "flow", "trace", "fastforward", "metrics",
+    "tenant_collapse", "metrics_period", "faults", "workload", "tiers",
+]
+
 
 class TestResolutionOrder:
     def test_defaults(self, monkeypatch):
         for env in RunOptions._ENV.values():
             monkeypatch.delenv(env, raising=False)
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        monkeypatch.delenv("REPRO_SHARD", raising=False)
         opts = RunOptions().resolved()
         assert (opts.collapse, opts.flow, opts.trace) == (False, False, False)
-        assert (opts.fastpath, opts.lazy_kernel, opts.cache) == (True, True, True)
-        assert opts.fastforward is True
-        assert opts.shards == 1
+        assert (opts.fastforward, opts.tenant_collapse) == (True, True)
+        assert opts.metrics is False
         assert opts.faults is None
-
-    def test_shard_env_and_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD", "4")
-        assert RunOptions().resolved().shards == 4
-        assert RunOptions(shards=2).resolved().shards == 2
-        # REPRO_SHARD=0 is a kill switch: it beats even an explicit count.
-        monkeypatch.setenv("REPRO_SHARD", "0")
-        assert RunOptions(shards=4).resolved().shards == 1
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_COLLAPSE", "1")
-        monkeypatch.setenv("REPRO_BENCH_CACHE", "0")
+        monkeypatch.setenv("REPRO_FASTFORWARD", "0")
         opts = RunOptions().resolved()
         assert opts.collapse is True
-        assert opts.cache is False
+        assert opts.fastforward is False
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_COLLAPSE", "0")
@@ -86,9 +82,7 @@ class TestResolutionOrder:
 
     def test_describe_is_json_stable(self):
         doc = RunOptions().describe()
-        assert set(doc) == set(RunOptions._ENV) | {
-            "faults", "shards", "metrics_period", "workload", "tiers",
-        }
+        assert set(doc) == set(FIELDS)
         assert doc["metrics_period"] is None  # "auto" is a real state
         assert doc["faults"] == ""
         assert doc["workload"] == ""
@@ -109,40 +103,15 @@ class TestResolutionOrder:
         assert RunOptions(tiers=tier).describe()["tiers"] == tier.signature()
 
 
-class TestLegacyKwargs:
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_slate(self, monkeypatch):
-        monkeypatch.setattr(harness, "_LEGACY_WARNED", set())
+class TestOneConfigurationSurface:
+    def test_run_options_has_exactly_ten_fields(self):
+        assert [f.name for f in dataclasses.fields(RunOptions)] == FIELDS
 
-    def test_legacy_kwarg_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning, match="`collapse` kwarg is deprecated"):
-            first = run_checkpoint_trial(
-                "lwfs", 4, 2, state_bytes=STATE, seed=5, collapse=True
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            second = run_checkpoint_trial(
-                "lwfs", 4, 2, state_bytes=STATE, seed=5, collapse=True
-            )
-        assert first.max_elapsed == second.max_elapsed
-
-    def test_each_kwarg_warns_separately(self):
-        with pytest.warns(DeprecationWarning, match="`flow`"):
-            run_checkpoint_trial("lwfs", 4, 2, state_bytes=STATE, seed=5, flow=True)
-        with pytest.warns(DeprecationWarning, match="`trace`"):
-            run_checkpoint_trial("lwfs", 4, 2, state_bytes=STATE, seed=5, trace=True)
-
-    def test_legacy_kwarg_matches_options_path(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_checkpoint_trial(
-                "lwfs", 4, 2, state_bytes=STATE, seed=5, collapse=True
-            )
-        typed = run_checkpoint_trial(
-            "lwfs", 4, 2, state_bytes=STATE, seed=5,
-            options=RunOptions(collapse=True),
-        )
-        assert legacy.max_elapsed == typed.max_elapsed
-        assert legacy.extra["events_processed"] == typed.extra["events_processed"]
+    @pytest.mark.parametrize("trial", [run_checkpoint_trial, run_create_trial])
+    @pytest.mark.parametrize("name", ["trace", "collapse", "flow", "tiers"])
+    def test_legacy_kwarg_raises_type_error(self, trial, name):
+        with pytest.raises(TypeError, match=name):
+            trial("lwfs", 4, 2, seed=5, **{name: True})
 
 
 class TestCacheKeySeparation:
@@ -172,7 +141,6 @@ class TestCacheKeySeparation:
         assert TrialCache.cacheable(
             self._spec(options=RunOptions(faults=plan))) is False
         assert TrialCache.cacheable(self._spec(options=RunOptions(trace=True))) is False
-        assert TrialCache.cacheable(self._spec(options=RunOptions(cache=False))) is False
 
 
 class TestEnvReadWhitelist:

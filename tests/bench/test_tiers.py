@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import run_checkpoint_trial
-from repro.bench import harness
 from repro.bench.cache import TrialCache, trial_key
 from repro.bench.executor import checkpoint_spec
 from repro.sim.config import RunOptions
@@ -64,14 +63,6 @@ class TestDispatch:
     def test_tier_requires_the_lwfs_stack(self):
         with pytest.raises(ValueError, match="lwfs"):
             _run(TierSpec(mode="buffer"), impl="lustre-fpp")
-
-    def test_legacy_tiers_kwarg_warns(self, monkeypatch):
-        monkeypatch.setattr(harness, "_LEGACY_WARNED", set())
-        with pytest.warns(DeprecationWarning, match="`tiers` kwarg is deprecated"):
-            run_checkpoint_trial(
-                "lwfs", 4, 2, state_bytes=STATE, seed=13,
-                tiers=TierSpec(mode="passthrough"),
-            )
 
 
 class TestCacheKey:

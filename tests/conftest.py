@@ -5,14 +5,17 @@ import pytest
 
 @pytest.fixture(scope="session", autouse=True)
 def sweep_json_outside_repo(tmp_path_factory):
-    """Send every recorded sweep to a scratch file for the whole session.
+    """Send recorded sweeps and cached trials to a temporary directory.
 
     ``run_sweep`` records to the committed ``BENCH_sweep.json`` unless
-    ``REPRO_BENCH_SWEEP_JSON`` says otherwise; tests must leave the
-    working tree clean, so the variable points at a temporary file.
-    Forked sweep workers inherit it.
+    ``REPRO_BENCH_SWEEP_JSON`` says otherwise, and the trial cache writes
+    under ``results/.trial-cache`` unless ``REPRO_BENCH_CACHE_DIR`` does;
+    tests must leave the working tree clean, so both variables point at
+    a temporary directory.  Forked sweep workers inherit them.
     """
-    path = tmp_path_factory.mktemp("bench") / "BENCH_sweep.json"
+    tmp = tmp_path_factory.mktemp("bench")
+    path = tmp / "BENCH_sweep.json"
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_BENCH_SWEEP_JSON", str(path))
+        mp.setenv("REPRO_BENCH_CACHE_DIR", str(tmp / "trial-cache"))
         yield path

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.bench import run_checkpoint_trial
+from repro.sim.config import RunOptions
 from repro.trace import (
     PhaseReport,
     chrome_trace,
@@ -29,7 +30,8 @@ N_SERVERS = 2
 @pytest.fixture(scope="module")
 def traced_trial():
     return run_checkpoint_trial(
-        "lwfs", N_CLIENTS, N_SERVERS, state_bytes=4 * MiB, seed=5, trace=True
+        "lwfs", N_CLIENTS, N_SERVERS, state_bytes=4 * MiB, seed=5,
+        options=RunOptions(trace=True),
     )
 
 
