@@ -16,8 +16,10 @@ flow) run three ways —
 All three run through :func:`repro.bench.run_sweep` (serially, cache
 off) so per-trial wall-clock, kernel stats, and the buffer drain stats
 land in ``BENCH_sweep.json``; the summary is recorded under the
-``buffer`` key of ``BENCH_kernel.json`` (guarded by
-``check_kernel_perf.py``) and in ``results/buffer_crossover.json``.
+``buffer`` key of ``BENCH_kernel.json`` and in
+``results/buffer_crossover.json``.  The same three points are checked
+live in tier-1 by
+``tests/storage/test_buffer.py::TestRedStormCrossover``.
 """
 
 import json
@@ -33,7 +35,7 @@ from conftest import run_once  # noqa: E402
 from bench_simkernel_events import KERNEL_JSON, KERNEL_SCHEMA  # noqa: E402
 
 #: Buffer-fits must beat direct by at least this factor (the paper-style
-#: crossover claim pinned by check_kernel_perf.py).
+#: crossover claim recorded in BENCH_kernel.json).
 MIN_SPEEDUP = BUFFER_MIN_SPEEDUP
 
 _POINTS = ("direct", "buffer_fits", "drain_limited")

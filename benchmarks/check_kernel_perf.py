@@ -35,37 +35,6 @@ from bench_simkernel_events import (  # noqa: E402
 )
 
 
-def _check_buffer(doc):
-    """Guard the pinned burst-buffer crossover (see bench_buffer.py).
-
-    The pinned record is a claim about the model, not the host, so it is
-    checked statically: the buffer-fits point must clear its recorded
-    speedup floor over direct, the fits-regime drain must have finished
-    with zero backpressure, and the drain-limited point must show
-    backpressure.  Returns True on failure.
-    """
-    buf = doc.get("buffer")
-    if not buf:
-        print(f"{'buffer':12s} SKIP (no pinned crossover; run bench_buffer.py)")
-        return False
-    speedup = buf["absorb_speedup"]
-    floor = buf["min_speedup"]
-    rows = {r["point"]: r for r in buf["rows"]}
-    fits, limited = rows["buffer_fits"], rows["drain_limited"]
-    ok = (
-        speedup >= floor
-        and fits["buffer_backpressure_s"] == 0.0
-        and fits["buffer_drained_mb"] == fits["buffer_absorbed_mb"]
-        and limited["buffer_backpressure_s"] > 0.0
-    )
-    print(
-        f"{'buffer':12s} {speedup:12,.1f}x absorb speedup "
-        f"vs floor {floor:12,.1f}x, drain-limited backpressure "
-        f"{limited['buffer_backpressure_s']:.2f}s {'ok' if ok else 'FAIL'}"
-    )
-    return not ok
-
-
 def _measure(fn, best_of, key):
     best = None
     for _ in range(best_of):
@@ -117,7 +86,6 @@ def main(argv=None):
             f"({ratio:.2f}x) {'ok' if ok else 'FAIL'}"
         )
         failed |= not ok
-    failed |= _check_buffer(doc)
     return 1 if failed else 0
 
 

@@ -9,7 +9,7 @@ parallel sweep is bit-identical to a serial one.
 
 Knobs
 -----
-* ``jobs=`` argument (or ``--jobs``/``-j`` on the CLI),
+* ``jobs=`` argument (or ``--jobs``/``-j`` on ``python -m repro fig9|fig10``),
 * ``REPRO_BENCH_JOBS`` environment variable,
 * default: ``os.cpu_count()``.
 
@@ -25,7 +25,8 @@ Every recorded sweep appends per-trial wall-clock and event-loop stats to
 Trials are deterministic, so finished outcomes persist in a
 content-addressed cache (:mod:`repro.bench.cache`) under
 ``results/.trial-cache/`` and re-running an unchanged sweep point costs a
-file read instead of a simulation.  Disable with ``--no-cache`` or
+file read instead of a simulation.  Disable with ``cache=False``
+(``--no-cache`` on ``python -m repro fig9|fig10``) or
 ``REPRO_BENCH_CACHE=0``; sweep records report ``cache_hits`` /
 ``cache_misses`` so warm runs are visible in BENCH_sweep.json.
 """
@@ -511,72 +512,9 @@ def _record_sweep(label: str, jobs: int, wall: float, outcomes: List[TrialOutcom
         pass
 
 
-def _quick_grid() -> List[TrialSpec]:
-    """The CI smoke sweep: a reduced Fig. 9 + Fig. 10 grid."""
-    from ..units import MiB
-
-    specs: List[TrialSpec] = []
-    for impl in ("lwfs", "lustre-fpp"):
-        for m in (2, 16):
-            for n in (2, 8):
-                for t in range(2):
-                    specs.append(
-                        checkpoint_spec(impl, n, m, seed=100 + t, state_bytes=8 * MiB)
-                    )
-    for m in (2, 16):
-        for n in (2, 8):
-            for t in range(2):
-                specs.append(create_spec("lwfs", n, m, seed=200 + t, creates_per_client=8))
-    return specs
-
-
-def _flow_grid(flow: bool) -> List[TrialSpec]:
-    """The flow accuracy gate: bulky dumps (> 2 chunks per rank), so the
-    steady-state middle actually rides the flow engine, run with the flag
-    both ways at otherwise identical points."""
-    from ..sim.config import RunOptions
-    from ..units import MiB
-
-    specs: List[TrialSpec] = []
-    for impl in ("lwfs", "lustre-fpp"):
-        for n, m in ((4, 2), (8, 4)):
-            specs.append(
-                checkpoint_spec(
-                    impl, n, m, seed=300, state_bytes=32 * MiB,
-                    options=RunOptions(flow=flow),
-                )
-            )
-    return specs
-
-
-#: Flow-vs-exact gate: maximum relative error on the figure of merit.
-FLOW_REL_TOL = 0.01
-
-#: Fast-forward gate: the analytic engine must match the reference flow
-#: arithmetic to floating-point noise, not merely to model tolerance.
-FF_REL_TOL = 1e-9
-
-
-def _ff_grid(fastforward: bool) -> List[TrialSpec]:
-    """The fast-forward equivalence gate: flow-mode dumps big enough to
-    keep many concurrent flows live, with the engine forced on or off."""
-    from ..sim.config import RunOptions
-    from ..units import MiB
-
-    specs: List[TrialSpec] = []
-    for impl in ("lwfs", "lustre-fpp"):
-        for n, m in ((8, 4), (16, 8)):
-            specs.append(
-                checkpoint_spec(
-                    impl, n, m, seed=400, state_bytes=32 * MiB,
-                    options=RunOptions(flow=True, fastforward=fastforward),
-                )
-            )
-    return specs
-
-
-#: Buffer crossover gate: with the burst fitting the buffer, the dump
-#: must beat direct-to-OST by at least this factor on the Red Storm slice.
+#: Buffer crossover: with the burst fitting the buffer, the dump must
+#: beat direct-to-OST by at least this factor on the Red Storm slice
+#: (asserted by benchmarks/bench_buffer.py and tests/storage/test_buffer.py).
 BUFFER_MIN_SPEEDUP = 5.0
 
 
@@ -607,187 +545,3 @@ def _buffer_grid() -> List[TrialSpec]:
             options=RunOptions(tiers=limited, **base),
         ),
     ]
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.bench.executor``: smoke-run the parallel sweep.
-
-    Runs the quick grid with the requested job count, optionally re-runs
-    it serially and asserts bit-identical results, and records both runs
-    in BENCH_sweep.json.  This is what ``make bench-quick`` / CI invokes.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.executor",
-        description="Smoke-run the parallel sweep executor on a reduced grid.",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_BENCH_JOBS or CPU count)",
-    )
-    parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="re-run the sweep with jobs=1 and require bit-identical results",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent trial cache (results/.trial-cache)",
-    )
-    parser.add_argument(
-        "--check-cache", action="store_true",
-        help="re-run the sweep warm and require identical results from cache hits",
-    )
-    parser.add_argument(
-        "--check-flow", action="store_true",
-        help="run the flow accuracy grid exact and flow-level and require "
-             f"relative error <= {FLOW_REL_TOL:.0%} at every point",
-    )
-    parser.add_argument(
-        "--check-fastforward", action="store_true",
-        help="run the flow grid with the analytic fast-forward engine on "
-             f"and off and require relative error <= {FF_REL_TOL:g}",
-    )
-    parser.add_argument(
-        "--check-buffer", action="store_true",
-        help="run the burst-buffer crossover points (direct vs buffer-fits "
-             f"vs drain-limited) and require a >= {BUFFER_MIN_SPEEDUP:g}x "
-             "absorb speedup plus visible drain-limited backpressure",
-    )
-    args = parser.parse_args(argv)
-
-    cache = False if args.no_cache else None
-    jobs = resolve_jobs(args.jobs)
-    specs = _quick_grid()
-    start = time.perf_counter()
-    outcomes = run_sweep(specs, jobs=jobs, label=f"quick(jobs={jobs})", cache=cache)
-    wall = time.perf_counter() - start
-    hits = sum(1 for o in outcomes if o.cached)
-    print(
-        f"quick sweep: {len(outcomes)} trials, jobs={jobs}, "
-        f"{wall:.2f}s wall, {sum(o.events_processed for o in outcomes)} events, "
-        f"{hits} cache hits"
-    )
-
-    if args.check_cache:
-        if args.no_cache:
-            print("--check-cache is meaningless with --no-cache")
-            return 2
-        warm_start = time.perf_counter()
-        warm = run_sweep(specs, jobs=jobs, label=f"quick-warm(jobs={jobs})", cache=cache)
-        warm_wall = time.perf_counter() - warm_start
-        warm_hits = sum(1 for o in warm if o.cached)
-        bad = [
-            (o.spec.key(), o.value, w.value)
-            for o, w in zip(outcomes, warm)
-            if o.value != w.value
-        ]
-        if bad or warm_hits != len(specs):
-            for key, cold_v, warm_v in bad[:10]:
-                print(f"CACHE MISMATCH {key}: cold={cold_v!r} warm={warm_v!r}")
-            print(f"cache check FAILED: {warm_hits}/{len(specs)} hits, {len(bad)} mismatches")
-            return 1
-        ratio = wall / warm_wall if warm_wall > 0 else float("inf")
-        print(
-            f"cache ok: {warm_hits}/{len(specs)} warm hits, identical aggregates, "
-            f"{wall:.2f}s cold vs {warm_wall:.2f}s warm ({ratio:.1f}x)"
-        )
-
-    if args.check_flow:
-        exact = run_sweep(
-            _flow_grid(False), jobs=jobs, label="flow-gate-exact", cache=cache
-        )
-        flowed = run_sweep(
-            _flow_grid(True), jobs=jobs, label="flow-gate-flow", cache=cache
-        )
-        worst = 0.0
-        bad = []
-        for e, f in zip(exact, flowed):
-            rel = abs(f.value - e.value) / e.value if e.value else 0.0
-            worst = max(worst, rel)
-            if rel > FLOW_REL_TOL:
-                bad.append((e.spec.key(), e.value, f.value, rel))
-        ev_exact = sum(o.events_processed for o in exact)
-        ev_flow = sum(o.events_processed for o in flowed)
-        if bad:
-            for key, ev, fv, rel in bad:
-                print(f"FLOW DRIFT {key}: exact={ev:.3f} flow={fv:.3f} rel={rel:.4f}")
-            print(f"flow gate FAILED: {len(bad)} points over {FLOW_REL_TOL:.0%}")
-            return 1
-        ratio = ev_exact / ev_flow if ev_flow else float("inf")
-        print(
-            f"flow gate ok: {len(flowed)} points within {FLOW_REL_TOL:.0%} "
-            f"(worst {worst:.4%}), {ev_exact} -> {ev_flow} events ({ratio:.1f}x fewer)"
-        )
-
-    if args.check_fastforward:
-        reference = run_sweep(
-            _ff_grid(False), jobs=jobs, label="ff-gate-reference", cache=cache
-        )
-        fast = run_sweep(
-            _ff_grid(True), jobs=jobs, label="ff-gate-fast", cache=cache
-        )
-        worst = 0.0
-        bad = []
-        for r, f in zip(reference, fast):
-            rel = abs(f.value - r.value) / r.value if r.value else 0.0
-            worst = max(worst, rel)
-            if rel > FF_REL_TOL:
-                bad.append((r.spec.key(), r.value, f.value, rel))
-        if bad:
-            for key, rv, fv, rel in bad:
-                print(f"FF DRIFT {key}: reference={rv!r} fast={fv!r} rel={rel:.3e}")
-            print(f"fast-forward gate FAILED: {len(bad)} points over {FF_REL_TOL:g}")
-            return 1
-        ffwd = sum(o.events_fast_forwarded for o in fast)
-        print(
-            f"fast-forward gate ok: {len(fast)} points within {FF_REL_TOL:g} "
-            f"(worst {worst:.3e}), {ffwd} completions fast-forwarded"
-        )
-
-    if args.check_buffer:
-        direct, fits, limited = run_sweep(
-            _buffer_grid(), jobs=jobs, label="buffer-crossover", cache=cache
-        )
-        speedup = fits.value / direct.value if direct.value else 0.0
-        fs = fits.buffer_summary or {}
-        ls = limited.buffer_summary or {}
-        ok = (
-            speedup >= BUFFER_MIN_SPEEDUP
-            and fs.get("buffer_backpressure_s", 1.0) == 0.0
-            and fs.get("buffer_drain_incomplete", 1.0) == 0.0
-            and ls.get("buffer_backpressure_s", 0.0) > 0.0
-            and ls.get("buffer_drain_limited", 0.0) == 1.0
-        )
-        print(
-            f"buffer crossover: direct={direct.value:.0f} MB/s, "
-            f"buffer-fits={fits.value:.0f} MB/s ({speedup:.1f}x, drain tail "
-            f"{fs.get('buffer_drain_tail_s', 0.0):.2f}s), drain-limited="
-            f"{limited.value:.0f} MB/s (backpressure "
-            f"{ls.get('buffer_backpressure_s', 0.0):.2f}s)"
-        )
-        if not ok:
-            print(f"buffer gate FAILED (need >= {BUFFER_MIN_SPEEDUP:g}x and "
-                  "drain-limited backpressure)")
-            return 1
-        print(f"buffer gate ok: {speedup:.1f}x >= {BUFFER_MIN_SPEEDUP:g}x")
-
-    if args.check_determinism:
-        serial = run_sweep(specs, jobs=1, label="quick(jobs=1)", cache=False)
-        mismatches = [
-            (o.spec.key(), o.value, s.value)
-            for o, s in zip(outcomes, serial)
-            if o.value != s.value
-        ]
-        if mismatches:
-            for key, par, ser in mismatches[:10]:
-                print(f"MISMATCH {key}: parallel={par!r} serial={ser!r}")
-            return 1
-        print(f"determinism ok: {len(serial)} trials bit-identical at jobs={jobs} vs jobs=1")
-
-    print(f"recorded -> {sweep_json_path()}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -24,6 +24,7 @@ report; with a path it also writes the JSON export that the
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -43,6 +44,19 @@ from .sim.config import RunOptions
 from .units import MiB
 
 __all__ = ["main", "build_parser"]
+
+
+def _period_seconds(raw: str) -> float:
+    """``--metrics-period``: a positive, finite number of seconds."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of seconds, got {raw!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample time-series metrics during the run and "
                             "print the series report; with a path, also "
                             "write the JSON export (also REPRO_METRICS=1)")
-    point.add_argument("--metrics-period", type=float, default=None,
+    point.add_argument("--metrics-period", type=_period_seconds, default=None,
                        metavar="SECONDS",
                        help="sampling period in simulated seconds (default: "
                             "derived from the analytic horizon; also "

@@ -18,9 +18,10 @@ Quick use::
     sampler.finish()
     doc = build_doc(registry, sampler)
 
-``python -m repro.metrics`` runs the metrics-quick gate (schema
-validation, zero-perturbation pin, sampler overhead bound, health
-smoke) — see :mod:`repro.metrics.__main__`.
+The contracts — zero simulated-time perturbation, the
+``repro-metrics/v1`` schema, the health layer's time-to-recovery — are
+pinned by ``tests/metrics``; the sampler's host-time overhead bound by
+``benchmarks/bench_trace_overhead.py::test_metrics_overhead``.
 """
 
 from .export import (

@@ -6,7 +6,8 @@ sampler's bookkeeping, and (when a fault plan ran) the health layer's
 SLO verdict.  The document is what lands in ``TrialResult.metrics``,
 the trial cache, the ``repro metrics`` CLI, and the dashboard
 generator — one schema for all consumers, validated by
-:func:`validate_metrics_doc` in the CI gate.
+:func:`validate_metrics_doc` (in ``tests/metrics`` and by the
+``repro metrics`` command).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from the sampled time series instead, with two complementary detectors:
   the gap between progress events that brackets the fault window is the
   observed outage, and its trailing edge is ``t_recover``.
 
-The injector counters stay untouched (the chaos gate pins them
+The injector counters stay untouched (``tests/faults`` pins them
 bit-identically); the health layer is the series-derived view the
 acceptance criterion checks against them (±5% on time-to-recovery,
 given a retry policy whose detection latency is small against the

@@ -188,7 +188,7 @@ class Sampler:
         }
 
     def stats(self) -> dict:
-        """Sampler-side bookkeeping for trial extras / overhead gates."""
+        """Sampler-side bookkeeping for trial extras / overhead checks."""
         return {
             "metrics_ticks": float(self.ticks),
             "metrics_samples": float(self.samples),

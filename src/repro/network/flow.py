@@ -265,7 +265,8 @@ class FlowNetwork:
         last drain point to *now* (rates are exactly constant between
         events, so the extrapolation is closed-form, not an estimate).
         Both engines agree to float-association noise — far inside the
-        1e-9 fast-forward gate.  Read-only: draining stays lazy.
+        1e-9 fast-forward equivalence tolerance.  Read-only: draining
+        stays lazy.
         """
         now = self.env._now
         moved = self.bytes_completed

@@ -24,6 +24,7 @@ other ``REPRO_*`` read routes through :func:`env_str` here.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -175,7 +176,9 @@ class RunOptions:
     #: Explicit sampling period in simulated seconds; ``None`` derives a
     #: deterministic period from the analytic horizon
     #: (:func:`repro.metrics.sampler.default_period`).  Stays ``None``
-    #: after :meth:`resolved` when unset — "auto" is a real state.
+    #: after :meth:`resolved` when unset — "auto" is a real state.  A
+    #: period that is not a positive, finite number (from the field or
+    #: ``REPRO_METRICS_PERIOD``) makes :meth:`resolved` raise ValueError.
     metrics_period: Optional[float] = None
     #: A :class:`repro.faults.FaultPlan` (or ``None`` for a clean run).
     faults: Optional[object] = None
@@ -221,16 +224,22 @@ class RunOptions:
                 continue
             from_env = _env_flag(env_name)
             values[name] = self._DEFAULTS[name] if from_env is None else from_env
-        period = self.metrics_period
+        period, source = self.metrics_period, "metrics_period"
         if period is None:
             raw_period = env_str("REPRO_METRICS_PERIOD").strip()
             if raw_period:
+                source = "REPRO_METRICS_PERIOD"
                 try:
                     period = float(raw_period)
                 except ValueError:
-                    period = None
-        if period is not None and period <= 0:
-            period = None  # nonsense cadence -> auto
+                    raise ValueError(
+                        f"REPRO_METRICS_PERIOD={raw_period!r} is not a number"
+                    ) from None
+        if period is not None and not 0 < period < math.inf:
+            raise ValueError(
+                f"{source} must be a positive, finite number of simulated "
+                f"seconds, got {period!r}"
+            )
         faults = self.faults
         if faults is None:
             path = env_str("REPRO_FAULTS").strip()

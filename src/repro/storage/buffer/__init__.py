@@ -1,7 +1,9 @@
 """Burst-buffer absorb-then-drain tier (ROADMAP item 2).
 
-``python -m repro.storage.buffer`` runs the self-check gate
-(``make buffer-quick``).
+Its contracts (spec round-trip, the passthrough kill switch, absorb
+speedup, drain-limited backpressure, crash recovery) are pinned by
+``tests/storage/test_buffer.py``, ``tests/bench/test_tiers.py`` and
+``tests/faults/test_buffer_crash.py``.
 """
 
 from .node import BufferNode, BufferTierRuntime, Extent

@@ -16,8 +16,8 @@ Quick use::
 
 ``REPRO_TENANT_COLLAPSE=0`` is the kill switch: every tenant gets its
 own session (bit-identical to collapsed mode whenever every class
-multiplicity is already 1).  ``python -m repro.workload`` runs the
-traffic-quick gate.
+multiplicity is already 1); ``tests/workload`` pins that, the 1%
+collapse accuracy, and scale invariance.
 """
 
 from .engine import WorkloadEngine, auto_representatives, run_workload_trial

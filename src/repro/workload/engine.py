@@ -28,7 +28,7 @@ block_width, op, home_server)``.  With collapsing off the block width
 is 1, so the grouping, the sessions, and every subsequent event are
 *identical* — ``REPRO_TENANT_COLLAPSE=0`` is bit-for-bit, and the
 collapse error at width > 1 is structural (measured at < 1% on goodput
-and p99 by the accuracy gate), not statistical drift.
+and p99 by ``tests/workload/test_engine.py``), not statistical drift.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.bench.cache import (
     CACHE_SCHEMA,
     TrialCache,
@@ -71,14 +73,15 @@ class TestEnvKnobs:
 
 
 class TestRunTrialsCaching:
-    def test_cold_then_warm_identical(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_then_warm_identical(self, tmp_path, jobs):
         store = TrialCache(root=str(tmp_path))
         specs = _specs()
 
-        cold = run_trials(specs, jobs=1, cache=store)
+        cold = run_trials(specs, jobs=jobs, cache=store)
         assert [o.cached for o in cold] == [False, False, False]
 
-        warm = run_trials(specs, jobs=1, cache=store)
+        warm = run_trials(specs, jobs=jobs, cache=store)
         assert [o.cached for o in warm] == [True, True, True]
         for c, w in zip(cold, warm):
             assert w.value == c.value

@@ -5,6 +5,10 @@ Contract under test:
 * **fast-forward under chaos** — a fault plan disables the analytic
   epoch-skip engine, so every chaos scenario is bit-identical with
   ``fastforward=True`` and ``False`` (the fallback *is* the reference);
+* **flow-grid equivalence** — on flow-mode dumps big enough to keep many
+  concurrent flows live, the engine on and off agree on the figure of
+  merit to 1e-9 (floating-point reassociation, not model error), and the
+  engine actually retires completions analytically;
 * **cache identity** — the ``REPRO_FASTFORWARD`` kill switch is part of
   the trial-cache key, so a fast-forwarded outcome never answers for a
   reference run.
@@ -45,6 +49,26 @@ class TestChaosFastForwardFallback:
         assert fast.mean_elapsed == ref.mean_elapsed
         assert fast.extra == ref.extra
         assert fast.fault_log == ref.fault_log
+
+
+#: Fast-forward vs reference flow arithmetic: floating-point noise only.
+FF_REL_TOL = 1e-9
+
+
+class TestFlowGridEquivalence:
+    @pytest.mark.parametrize("n,m", [(8, 4), (16, 8)])
+    @pytest.mark.parametrize("impl", ["lwfs", "lustre-fpp"])
+    def test_within_1e9_and_fast_forwards(self, impl, n, m):
+        def run(fastforward):
+            return run_checkpoint_trial(
+                impl, n, m, state_bytes=32 * MiB, seed=400,
+                options=RunOptions(flow=True, fastforward=fastforward),
+            )
+
+        fast, ref = run(True), run(False)
+        assert fast.extra["events_fast_forwarded"] > 0
+        rel = abs(fast.throughput_mb_s - ref.throughput_mb_s) / ref.throughput_mb_s
+        assert rel <= FF_REL_TOL, (fast.throughput_mb_s, ref.throughput_mb_s)
 
 
 class TestCacheKeySensitivity:

@@ -61,10 +61,19 @@ class TestOffPathUntouched:
         assert forced.extra.get("flows_active", 0) > 0
 
 
+#: Dev-cluster layouts (clients, servers); the 8x4 cases keep their
+#: original bare-impl ids.
+DEV_POINTS = [
+    pytest.param(impl, n, m, id=impl if (n, m) == (8, 4) else f"{impl}-{n}x{m}")
+    for n, m in ((8, 4), (4, 2))
+    for impl in FLOW_IMPLS
+]
+
+
 class TestFlowApproximation:
-    @pytest.mark.parametrize("impl", FLOW_IMPLS)
-    def test_devcluster_within_one_percent(self, impl):
-        exact, flow = _pair(impl, 8, 4)
+    @pytest.mark.parametrize("impl,n,m", DEV_POINTS)
+    def test_devcluster_within_one_percent(self, impl, n, m):
+        exact, flow = _pair(impl, n, m)
         rel = abs(flow.max_elapsed - exact.max_elapsed) / exact.max_elapsed
         assert rel <= 0.01, (impl, flow.max_elapsed, exact.max_elapsed)
 

@@ -1,10 +1,18 @@
 """ASCII charting and the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.bench.harness import SweepPoint
 from repro.bench.plot import ascii_chart, chart_sweep
 from repro.cli import build_parser, main
+from repro.trace import validate_chrome_trace
+from repro.workload import TenantClass, WorkloadSpec, save_workload
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+SMALL_DUMP = ["--clients", "8", "--servers", "4", "--state-mb", "8"]
 
 
 def _point(clients, servers, mean, unit="MB/s"):
@@ -69,6 +77,47 @@ class TestCLI:
                      "--servers", "2", "--state-mb", "8"]) == 0
         out = capsys.readouterr().out
         assert "MB/s" in out
+
+    @pytest.mark.parametrize("args,expected", [
+        (["--impl", "lustre-fpp", "--clients", "64", "--servers", "16",
+          "--state-mb", "16", "--collapse"], "representatives, max class"),
+        ([*SMALL_DUMP, "--seed", "42", "--faults",
+          os.path.join(EXAMPLES, "faults", "storage_crash.json")],
+         "faults: 1 injected"),
+        ([*SMALL_DUMP, "--tiers",
+          os.path.join(EXAMPLES, "tiers", "nvram_node_local.json")],
+         "buffer tier: 8 nodes absorbed 64 MB"),
+    ], ids=["collapse", "faults", "tiers"])
+    def test_checkpoint_flag(self, capsys, args, expected):
+        assert main(["checkpoint", *args]) == 0
+        assert expected in capsys.readouterr().out
+
+    def test_checkpoint_rejects_nonpositive_metrics_period(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["checkpoint", *SMALL_DUMP, "--metrics", "--metrics-period", "0"])
+        assert exc.value.code == 2
+        assert "--metrics-period" in capsys.readouterr().err
+
+    def test_traffic_workload_file(self, capsys, tmp_path):
+        spec = WorkloadSpec(
+            classes=(TenantClass(name="meta", tenants=40, rate=50.0,
+                                 op_mix=(("getattr", 1.0),),
+                                 representatives=4),),
+            horizon=1.0, quantum=0.05, warmup=0.1,
+        )
+        path = str(tmp_path / "mix.json")
+        save_workload(spec, path)
+        assert main(["traffic", "--workload", path, "--servers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("40 tenants over 2 servers")
+        assert "meta" in out
+
+    def test_trace_out_is_valid_chrome_json(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
+        assert main(["trace", *SMALL_DUMP, "--out", str(path),
+                     "--timeline-lines", "0"]) == 0
+        assert str(path) in capsys.readouterr().out
+        assert validate_chrome_trace(json.loads(path.read_text())) == []
 
     def test_create_point(self, capsys):
         assert main(["create", "--clients", "4", "--servers", "2",

@@ -103,6 +103,25 @@ class TestResolutionOrder:
         assert RunOptions(tiers=tier).describe()["tiers"] == tier.signature()
 
 
+class TestMetricsPeriodRejected:
+    """A sampling period that is not a positive number raises instead of
+    silently falling back to the automatic period."""
+
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_nonpositive_field(self, period):
+        with pytest.raises(ValueError, match="metrics_period"):
+            RunOptions(metrics_period=period).resolved()
+
+    def test_unparsable_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_METRICS_PERIOD", "abc")
+        with pytest.raises(ValueError, match="REPRO_METRICS_PERIOD"):
+            RunOptions().resolved()
+
+    def test_valid_env_period_resolves(self, monkeypatch):
+        monkeypatch.setenv("REPRO_METRICS_PERIOD", "5e-4")
+        assert RunOptions().resolved().metrics_period == 5e-4
+
+
 class TestOneConfigurationSurface:
     def test_run_options_has_exactly_ten_fields(self):
         assert [f.name for f in dataclasses.fields(RunOptions)] == FIELDS

@@ -77,7 +77,8 @@ class TestFaultsOffBitIdentical:
         # The pins were recorded on the per-chunk-epoch reference path;
         # the analytic fast-forward (on by default with flow mode) can
         # reassociate the same sums and drift the last ulp, so its
-        # equivalence is gated separately at 1e-9 (--check-fastforward)
+        # equivalence is checked separately at 1e-9
+        # (tests/bench/test_fastforward.py::TestFlowGridEquivalence)
         # while this test pins the reference bit-exact.
         r = run_checkpoint_trial(
             impl, N, M, state_bytes=32 * MiB, seed=SEED,
@@ -113,6 +114,19 @@ SCENARIOS = {
         retry=RETRY, seed=SEED)),
     "drop+dup": ("lwfs", lambda: FaultPlan(
         rpc_drop_rate=0.05, rpc_dup_rate=0.05, retry=RETRY, seed=SEED)),
+    # Every injector kind in one run: crash, stall, degrade and a
+    # revocation storm on top of stochastic drop/duplicate.
+    "all-kinds": ("lwfs", lambda: FaultPlan(
+        events=(
+            FaultEvent(kind="server_crash", at=0.04, target="stor0",
+                       duration=0.05),
+            FaultEvent(kind="disk_stall", at=0.02, target="stor1",
+                       duration=0.03),
+            FaultEvent(kind="link_degrade", at=0.06, target="stor2",
+                       duration=0.05, factor=0.25),
+            FaultEvent(kind="revoke_storm", at=0.08, target="authz"),
+        ),
+        rpc_drop_rate=0.08, rpc_dup_rate=0.08, retry=RETRY, seed=SEED)),
 }
 
 

@@ -154,10 +154,11 @@ class TestAcceptance:
         from repro.faults.plan import FaultEvent, FaultPlan, RetryPolicy
         from repro.sim.config import RunOptions, SimConfig
 
-        # The storage-crash scenario retuned for measurement (see
-        # repro.metrics.__main__): a 0.5 s outage against a 10 ms
-        # failure-detection timeout, fine-grained chunks for a dense
-        # per-server progress signal.
+        # The storage-crash scenario retuned for measurement: a 0.5 s
+        # outage against a 10 ms failure-detection timeout (with the
+        # stock 250 ms timeout the observed outage is dominated by
+        # detection latency, not the fault window), fine-grained chunks
+        # for a dense per-server progress signal.
         plan = FaultPlan(
             events=(
                 FaultEvent(kind="server_crash", at=0.05, target="stor0", duration=0.5),

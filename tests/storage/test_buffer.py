@@ -5,11 +5,17 @@ import json
 import pytest
 
 from repro.bench import run_checkpoint_trial
+from repro.bench.executor import BUFFER_MIN_SPEEDUP, _buffer_grid, run_trials
 from repro.sim.config import RunOptions
 from repro.storage.buffer import TIER_MODES, TIER_PLACEMENTS, TierSpec, load_tiers, save_tiers
 from repro.units import KiB, MiB, GiB
 
 STATE = 2 * MiB
+
+#: Buffer-fits speedup floor on the dev cluster (the Red Storm slice must
+#: clear BUFFER_MIN_SPEEDUP; the dev cluster's slower fabric makes this
+#: floor conservative).
+MIN_SPEEDUP = 1.5
 
 
 def _trial(tiers, seed=11, clients=8, servers=4, state=STATE, **opts):
@@ -67,7 +73,7 @@ class TestAbsorbDrain:
     def test_buffer_beats_direct_and_drains_fully(self):
         direct = _trial(None)
         buffered = _trial(TierSpec(mode="buffer", placement="node-local"))
-        assert buffered.max_elapsed < direct.max_elapsed
+        assert direct.max_elapsed / buffered.max_elapsed >= MIN_SPEEDUP
         e = buffered.extra
         assert e["buffer_drained_mb"] == e["buffer_absorbed_mb"] == 16.0
         assert e["buffer_lost_mb"] == 0.0
@@ -106,3 +112,16 @@ class TestAbsorbDrain:
         a, b = _trial(tier), _trial(tier)
         assert a.max_elapsed == b.max_elapsed
         assert a.extra == b.extra
+
+
+class TestRedStormCrossover:
+    """The 128-client Red Storm slice: direct, buffer-fits, drain-limited."""
+
+    def test_fits_beats_direct_and_limited_is_drain_bound(self):
+        direct, fits, limited = run_trials(_buffer_grid(), jobs=1, cache=False)
+        assert fits.value / direct.value >= BUFFER_MIN_SPEEDUP
+        f, lim = fits.buffer_summary, limited.buffer_summary
+        assert f["buffer_backpressure_s"] == 0.0
+        assert f["buffer_drain_incomplete"] == 0.0
+        assert lim["buffer_backpressure_s"] > 0.0
+        assert lim["buffer_drain_limited"] == 1.0

@@ -10,12 +10,17 @@ Contract under test:
   statistics rows;
 * **accuracy** — at class sizes of 10^3 the collapsed run stays within
   1% of the uncollapsed reference on per-class goodput, p50, and p99;
+* **scale invariance** — 100x the tenants at constant offered rate keeps
+  the session count and stays within 5% of the event count: simulated
+  users are free, traffic is what costs;
 * **fast-forward** — the analytic epoch-skip engine on/off leaves every
   traffic statistic within 1e-9 (open-loop trials never enter the
   flow steady state it accelerates, so it must be inert);
 * **recovery** — a revocation storm under open-loop load fails closed,
   re-acquires capabilities, and completes every operation.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,9 +32,62 @@ from repro.sim.collapse import class_block_width, tenant_class_plan
 from repro.sim.config import RunOptions, SimConfig
 from repro.sim.deployment import LWFSDeployment
 from repro.workload import TenantClass, WorkloadEngine, WorkloadSpec, run_workload_trial
-from repro.workload.__main__ import ACCURACY_TOL, _gate_spec, _rows, _run
 
 SEED = 11
+
+#: Collapsed-vs-uncollapsed relative error bound (goodput, p50, p99).
+ACCURACY_TOL = 0.01
+#: Event-count growth allowed for a 100x tenant population at equal rate.
+EVENT_RATIO_LIMIT = 1.05
+
+#: Per-class statistics compared between runs.
+_FIELDS = ("ops", "goodput_mb_s", "latency_p50", "latency_p99")
+
+
+def _accuracy_spec(tenants, reps):
+    """Jitter-free costs, fixed sizes for the latency-checked classes,
+    moderate utilization — the regime where collapse error is
+    structural, not measurement noise."""
+    return WorkloadSpec(
+        classes=(
+            TenantClass(
+                name="meta", tenants=tenants, rate=500.0, arrival="poisson",
+                op_mix=(("create", 3.0), ("getattr", 2.0)),
+                size_dist="fixed", size_bytes=4096, representatives=reps,
+            ),
+            TenantClass(
+                name="readers", tenants=tenants, rate=300.0, arrival="diurnal",
+                diurnal_profile=(0.5, 1.5, 1.0), op_mix=(("read", 1.0),),
+                size_dist="fixed", size_bytes=65536, representatives=reps,
+            ),
+        ),
+        horizon=4.0, quantum=0.005, warmup=0.4,
+    )
+
+
+def _run(spec, collapse):
+    cfg = replace(SimConfig(), cost_jitter=0.0)
+    opts = RunOptions(tenant_collapse=collapse, trace=False, metrics=False)
+    return run_workload_trial(
+        workload=spec, n_servers=4, seed=SEED, config=cfg, options=opts
+    )
+
+
+def _rows(trial):
+    """Per-class statistics plus the trial's aggregate figures."""
+    picked = {
+        k: v for k, v in trial.extra.items()
+        if k.startswith("wl.") and k.rsplit(".", 1)[1] in _FIELDS
+    }
+    picked["throughput_mb_s"] = trial.throughput_mb_s
+    picked["max_elapsed"] = trial.max_elapsed
+    return picked
+
+
+@pytest.fixture(scope="module")
+def collapsed_1e3():
+    """The collapsed run at class sizes of 10^3 (multiplicity up to 63)."""
+    return _run(_accuracy_spec(tenants=1000, reps=16), collapse=True)
 
 
 def _small_spec(tenants=24, reps=24, **kw):
@@ -123,15 +181,23 @@ class TestCollapseKeying:
 
 
 class TestCollapseAccuracy:
-    def test_within_one_percent_at_class_size_1e3(self):
-        spec = _gate_spec(tenants=1000, reps=16)
-        coll = _run(spec, collapse=True, seed=SEED)
-        ref = _run(spec, collapse=False, seed=SEED)
+    def test_within_one_percent_at_class_size_1e3(self, collapsed_1e3):
+        coll = collapsed_1e3
+        ref = _run(_accuracy_spec(tenants=1000, reps=16), collapse=False)
         assert coll.extra["max_class_multiplicity"] >= 10
         ref_rows, coll_rows = _rows(ref), _rows(coll)
         for key, rv in ref_rows.items():
             rel = abs(coll_rows[key] - rv) / max(abs(rv), 1e-12)
             assert rel <= ACCURACY_TOL, f"{key}: {rel:.2%} > {ACCURACY_TOL:.0%}"
+
+
+class TestScaleInvariance:
+    def test_100x_tenants_same_sessions_and_events(self, collapsed_1e3):
+        small = collapsed_1e3
+        big = _run(_accuracy_spec(tenants=100_000, reps=16), collapse=True)
+        assert big.extra["sessions_simulated"] == small.extra["sessions_simulated"]
+        ratio = big.extra["events_processed"] / small.extra["events_processed"]
+        assert ratio <= EVENT_RATIO_LIMIT, ratio
 
 
 class TestFastForwardInert:
