@@ -3,7 +3,6 @@
 from .analytic import CheckpointModel, petaflop_extrapolation
 from .dashboard import build_dashboard, write_dashboard
 from .executor import (
-    TrialOutcome,
     TrialSpec,
     checkpoint_spec,
     create_spec,
@@ -32,7 +31,6 @@ __all__ = [
     "TrialResult",
     "SweepPoint",
     "TrialSpec",
-    "TrialOutcome",
     "build_dashboard",
     "write_dashboard",
     "checkpoint_spec",

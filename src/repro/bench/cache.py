@@ -1,20 +1,23 @@
 """Persistent content-addressed trial cache for incremental sweeps.
 
 Every benchmark trial is a deterministic function of its spec — same
-implementation, grid point, seed, parameters, simulator version, and
+implementation, grid point, seed, parameters, simulator source, and
 fast-path switches always produce bit-identical figures of merit.  That
 makes re-running an unchanged trial pure waste: a sweep edited to add one
 server count re-simulates every point it already measured.
 
 This module gives :mod:`repro.bench.executor` a persistent cache keyed by
-a SHA-256 over the trial's full identity.  Warm entries skip simulation
-entirely; anything that could change a result — the ``repro`` version,
-the kernel/fabric fast-path env switches, any trial parameter — is part
-of the key, so stale hits are impossible by construction rather than by
-invalidation logic.
+a SHA-256 over the trial's full identity: the spec, the resolved
+:class:`~repro.sim.config.RunOptions`, the kernel/fabric fast-path
+switches, and a digest of the ``repro`` package's source files, so an
+edit to the model re-simulates instead of answering from older entries.
+Files the key does not cover (a dependency upgrade, say) are not
+tracked: clear the store or pass ``--no-cache`` after changing them.
 
 Layout: one small JSON file per trial under ``results/.trial-cache/``
-(first two hex chars shard the directory).  Escape hatches:
+(first two hex chars shard the directory), holding the
+:class:`~repro.bench.harness.TrialResult` minus its host-side fields.
+Escape hatches:
 
 * ``--no-cache`` on the sweep CLIs,
 * ``REPRO_BENCH_CACHE=0`` in the environment,
@@ -26,38 +29,22 @@ and the trace is the product the caller wants, not the scalar.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional
+from dataclasses import fields
+from typing import Any, Optional
 
-from .._version import __version__
 from ..sim.config import RunOptions, env_str
+from .harness import TrialResult
 
-__all__ = ["CACHE_SCHEMA", "TrialCache", "cache_enabled", "default_cache_dir", "trial_key"]
+__all__ = ["TrialCache", "cache_enabled", "default_cache_dir", "trial_key"]
 
-#: Schema marker written into every cache entry; bump to invalidate.
-#: v3: accelerator switches (REPRO_FASTFORWARD / REPRO_SHARD) joined the
-#: key and ``peak_event_queue`` changed meaning (live depth under lazy
-#: cancellation), so v2 entries are stale by construction.
-#: v4: the metrics knobs (REPRO_METRICS / REPRO_METRICS_PERIOD) joined
-#: the key via ``RunOptions.describe()`` and outcome payloads grew the
-#: metrics document + summary, so v3 entries are stale by construction.
-#: v5: open-loop workload trials joined the executor — the workload
-#: spec's content signature and the tenant-collapse knob (plus its raw
-#: ``REPRO_TENANT_COLLAPSE`` kill switch) are part of the key, and
-#: outcome payloads grew tenants_simulated / max_class_multiplicity and
-#: per-tenant-class latency rows, so v4 entries are stale by construction.
-#: v6: the burst-buffer tier spec (REPRO_TIERS) joined the key — its
-#: resolved content signature rides ``RunOptions.describe()`` — and
-#: buffered trials grew the buffer_* drain stats in ``extra``, so v5
-#: entries are stale by construction.
-#: v7: server-group sharding and three RunOptions fields (fastpath,
-#: lazy_kernel, cache) were removed, so the resolved-options document and
-#: the raw kill-switch block both lost keys, and outcome payloads lost
-#: ``window_barriers``; v6 entries are stale by construction.
-CACHE_SCHEMA = "repro-trial-cache/v7"
+#: Record fields the store leaves out: set by the executor per run, or
+#: the products of traced and fault-injected trials, which never cache.
+_NOT_STORED = frozenset(("spec", "wall_clock_s", "cached", "trace", "fault_log"))
 
 
 def cache_enabled() -> bool:
@@ -99,11 +86,30 @@ def _resolved_options(spec) -> RunOptions:
     return (spec.params.get("options") or RunOptions()).resolved()
 
 
+@functools.lru_cache(maxsize=1)
+def _source_digest() -> str:
+    """SHA-256 over every ``.py`` file of the ``repro`` package.
+
+    Computed once per process; only a sweep that uses the cache pays for
+    it.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, files in os.walk(root):
+        dirnames.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, root).encode("utf-8") + b"\0")
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def trial_key(spec) -> str:
-    """SHA-256 identity of one trial: spec + version + resolved options."""
+    """SHA-256 identity of one trial: spec + source + resolved options."""
     doc = {
-        "schema": CACHE_SCHEMA,
-        "version": __version__,
+        "source": _source_digest(),
         "kind": spec.kind,
         "impl": spec.impl,
         "n_clients": spec.n_clients,
@@ -115,20 +121,17 @@ def trial_key(spec) -> str:
         # fault-injected spec, and fast paths stay out of each other's
         # cache lines so a regression can never masquerade as a hit.
         "options": _resolved_options(spec).describe(),
-        # Kill switches beat even explicit options, so their raw values
-        # are part of the identity too.
+        # The two kill switches that are not RunOptions fields, read
+        # where they are used.
         "fastpath": env_str("REPRO_FABRIC_FASTPATH", "1"),
         "lazy": env_str("REPRO_KERNEL_LAZY", "1"),
-        "flow": env_str("REPRO_FLOW", ""),
-        "fastforward": env_str("REPRO_FASTFORWARD", ""),
-        "tenant_collapse": env_str("REPRO_TENANT_COLLAPSE", ""),
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class TrialCache:
-    """Content-addressed store of finished trial outcomes."""
+    """Content-addressed store of finished trial records."""
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_cache_dir()
@@ -151,32 +154,28 @@ class TrialCache:
         opts = _resolved_options(spec)
         return not opts.trace and opts.faults is None
 
-    def get(self, spec) -> Optional[Dict[str, Any]]:
-        """The stored outcome payload for *spec*, or ``None`` on a miss."""
+    def get(self, spec) -> Optional[TrialResult]:
+        """The stored record for *spec*, or ``None`` on a miss."""
         if not self.cacheable(spec):
             return None
         try:
             with open(self._path(trial_key(spec)), encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError):
+            return TrialResult(**doc["record"])
+        except (OSError, ValueError, TypeError, KeyError):
+            # A missing, unreadable or foreign-shaped entry is a miss.
             return None
-        if not isinstance(doc, dict) or doc.get("schema") != CACHE_SCHEMA:
-            return None
-        outcome = doc.get("outcome")
-        return outcome if isinstance(outcome, dict) else None
 
-    def put(self, spec, outcome: Dict[str, Any]) -> None:
-        """Persist *outcome* for *spec* (atomic rename; failures are soft)."""
+    def put(self, spec, result: TrialResult) -> None:
+        """Persist *result* for *spec* (atomic rename; failures are soft)."""
         if not self.cacheable(spec):
             return
-        key = trial_key(spec)
-        path = self._path(key)
-        doc = {
-            "schema": CACHE_SCHEMA,
-            "version": __version__,
-            "key": spec.key(),
-            "outcome": outcome,
+        path = self._path(trial_key(spec))
+        record = {
+            f.name: getattr(result, f.name) for f in fields(result)
+            if f.name not in _NOT_STORED
         }
+        doc = {"key": spec.key(), "record": record}
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")

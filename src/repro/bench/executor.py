@@ -18,12 +18,16 @@ sandboxed semaphores, unpicklable trial parameters) falls back to plain
 in-process execution, which is also the reference the determinism tests
 compare against.
 
-Every recorded sweep appends per-trial wall-clock and event-loop stats to
+Each trial returns the harness's one record,
+:class:`~repro.bench.harness.TrialResult`; the executor sets its
+``spec``, ``wall_clock_s`` and ``cached`` fields.  Every recorded sweep
+appends one row per trial, built from the record, to
 ``BENCH_sweep.json`` at the repository root (override the path with
 ``REPRO_BENCH_SWEEP_JSON``), so speedups are measurable across PRs.
 
-Trials are deterministic, so finished outcomes persist in a
-content-addressed cache (:mod:`repro.bench.cache`) under
+Trials are deterministic, so finished records persist in a
+content-addressed cache (:mod:`repro.bench.cache`, keyed on the spec,
+the resolved options and the simulator source) under
 ``results/.trial-cache/`` and re-running an unchanged sweep point costs a
 file read instead of a simulation.  Disable with ``cache=False``
 (``--no-cache`` on ``python -m repro fig9|fig10``) or
@@ -43,10 +47,10 @@ from pickle import PicklingError
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..sim.config import env_str
+from .harness import TrialResult, run_checkpoint_trial, run_create_trial, run_workload_trial
 
 __all__ = [
     "TrialSpec",
-    "TrialOutcome",
     "checkpoint_spec",
     "create_spec",
     "workload_spec",
@@ -56,15 +60,9 @@ __all__ = [
     "sweep_json_path",
 ]
 
-#: Schema marker written into BENCH_sweep.json.  Jumped v1 -> v4 to join
-#: the trial cache's generation numbering (repro-trial-cache/v4): both
-#: stores grew the metrics summary in the same change, and one shared
-#: generation is easier to audit than two drifting ones.  v5: open-loop
-#: workload trials (kind="workload") joined the sweep, and per-trial
-#: rows grew tenants_simulated / max_class_multiplicity.  v6: the
-#: burst-buffer tier signature joined the trial key (repro-trial-cache/v6)
-#: and buffered rows carry the buffer_* drain stats; sweeps recorded
-#: under older schemas are dropped on the next write (with a count).
+#: Schema marker written into BENCH_sweep.json; bump it when the row
+#: format changes.  Sweeps recorded under older schemas are dropped on
+#: the next write (with a count).
 SWEEP_SCHEMA = "repro-bench-sweep/v6"
 
 #: Cap on recorded sweep entries kept in BENCH_sweep.json.
@@ -85,54 +83,6 @@ class TrialSpec:
     def key(self) -> tuple:
         """Stable identity used for result assembly and JSON records."""
         return (self.kind, self.impl, self.n_clients, self.n_servers, self.seed)
-
-
-@dataclass
-class TrialOutcome:
-    """A finished trial: the figure of merit plus executor-side stats.
-
-    ``value``/``unit`` are the deterministic simulation outputs;
-    ``wall_clock_s`` is host time and intentionally kept out of every
-    aggregate that must be reproducible.
-    """
-
-    spec: TrialSpec
-    value: float
-    unit: str
-    wall_clock_s: float
-    events_processed: int
-    peak_event_queue: int
-    sim_seconds: float = 0.0
-    #: Flow completions the analytic fast-forward engine retired without
-    #: per-chunk event scheduling (0 when the engine is off or unused).
-    events_fast_forwarded: int = 0
-    #: Completed span list when the spec carried ``trace=True`` (spans
-    #: pickle cleanly, so traced trials survive the process pool).
-    trace: Optional[list] = None
-    #: Compact per-kind summary of the trace, sized for BENCH_sweep.json.
-    trace_summary: Optional[Dict[str, Any]] = None
-    #: Fault-recovery counters + log when the spec carried a fault plan
-    #: (``retries``, ``recovered_ops``, ``goodput_degraded``, ...).
-    fault_summary: Optional[Dict[str, Any]] = None
-    fault_log: Optional[list] = None
-    #: Full exported metrics document when the spec carried
-    #: ``RunOptions(metrics=True)`` (see :mod:`repro.metrics.export`);
-    #: plain JSON dict, so it survives the pool and the trial cache.
-    metrics: Optional[Dict[str, Any]] = None
-    #: Compact series summary + SLO verdict, sized for BENCH_sweep.json.
-    metrics_summary: Optional[Dict[str, Any]] = None
-    #: Burst-buffer drain stats when the spec carried a tier
-    #: (``buffer_absorbed_mb``, ``buffer_drain_tail_s``,
-    #: ``buffer_backpressure_s``, ...; None on the direct path).
-    buffer_summary: Optional[Dict[str, float]] = None
-    #: Open-loop workload trials: how many tenants the run stood for and
-    #: the largest tenant multiplicity one representative session carried
-    #: (0 for the closed-loop checkpoint/create kinds).
-    tenants_simulated: int = 0
-    max_class_multiplicity: int = 0
-    #: ``True`` when the outcome came from the persistent trial cache
-    #: (``wall_clock_s`` is then the cache lookup, not a simulation).
-    cached: bool = False
 
 
 def checkpoint_spec(impl: str, n_clients: int, n_servers: int, seed: int, **params) -> TrialSpec:
@@ -181,28 +131,19 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _run_trial(spec: TrialSpec) -> TrialOutcome:
+def _run_trial(spec: TrialSpec) -> TrialResult:
     """Execute one trial (runs in a worker process or in-process)."""
-    from .harness import run_checkpoint_trial, run_create_trial
-
     start = time.perf_counter()
     if spec.kind == "checkpoint":
         result = run_checkpoint_trial(
             spec.impl, spec.n_clients, spec.n_servers, seed=spec.seed, **spec.params
         )
-        value, unit = result.throughput_mb_s, "MB/s"
     elif spec.kind == "create":
         result = run_create_trial(
             spec.impl, spec.n_clients, spec.n_servers, seed=spec.seed, **spec.params
         )
-        value, unit = result.extra["creates_per_s"], "ops/s"
     elif spec.kind == "workload":
-        from ..workload.engine import run_workload_trial
-
-        result = run_workload_trial(
-            n_servers=spec.n_servers, seed=spec.seed, **spec.params
-        )
-        value, unit = result.extra["ops_per_s"], "ops/s"
+        result = run_workload_trial(n_servers=spec.n_servers, seed=spec.seed, **spec.params)
     else:
         raise ValueError(f"unknown trial kind {spec.kind!r}")
     # The finished trial's machine (environment, processes, servers) is
@@ -210,50 +151,9 @@ def _run_trial(spec: TrialSpec) -> TrialOutcome:
     # collection now that the hot path leaves no cycles: free it here so
     # a worker's dead trials do not pile up ahead of its next one.
     gc.collect()
-    wall = time.perf_counter() - start
-    trace_summary = None
-    if result.trace is not None:
-        from ..trace import summarize
-
-        trace_summary = summarize(result.trace)
-    fault_summary = None
-    if result.fault_log is not None:
-        fault_summary = {
-            k: result.extra[k]
-            for k in (
-                "faults_injected", "retries", "recovered_ops", "rpc_dropped",
-                "rpc_duplicated", "degraded_seconds", "goodput_degraded",
-            )
-            if k in result.extra
-        }
-        fault_summary["fault_log_entries"] = len(result.fault_log)
-    buffer_summary = {
-        k: v for k, v in result.extra.items() if k.startswith("buffer_")
-    } or None
-    metrics_summary = None
-    if result.metrics is not None:
-        from ..metrics import metrics_summary as summarize_metrics
-
-        metrics_summary = summarize_metrics(result.metrics)
-    return TrialOutcome(
-        spec=spec,
-        value=value,
-        unit=unit,
-        wall_clock_s=wall,
-        events_processed=int(result.extra.get("events_processed", 0)),
-        peak_event_queue=int(result.extra.get("peak_event_queue", 0)),
-        sim_seconds=float(result.extra.get("sim_seconds", 0.0)),
-        events_fast_forwarded=int(result.extra.get("events_fast_forwarded", 0)),
-        trace=result.trace,
-        trace_summary=trace_summary,
-        fault_summary=fault_summary,
-        buffer_summary=buffer_summary,
-        fault_log=result.fault_log,
-        metrics=result.metrics,
-        metrics_summary=metrics_summary,
-        tenants_simulated=int(result.extra.get("tenants_simulated", 0)),
-        max_class_multiplicity=int(result.extra.get("max_class_multiplicity", 0)),
-    )
+    result.spec = spec
+    result.wall_clock_s = time.perf_counter() - start
+    return result
 
 
 def _pool_context():
@@ -284,47 +184,6 @@ def _resolve_cache(cache):
     return cache
 
 
-def _outcome_payload(o: TrialOutcome) -> Dict[str, Any]:
-    """The deterministic slice of an outcome, as stored in the cache."""
-    payload = {
-        "value": o.value,
-        "unit": o.unit,
-        "events_processed": o.events_processed,
-        "peak_event_queue": o.peak_event_queue,
-        "sim_seconds": o.sim_seconds,
-        "events_fast_forwarded": o.events_fast_forwarded,
-    }
-    if o.tenants_simulated:
-        payload["tenants_simulated"] = o.tenants_simulated
-        payload["max_class_multiplicity"] = o.max_class_multiplicity
-    if o.buffer_summary is not None:
-        payload["buffer_summary"] = o.buffer_summary
-    if o.metrics is not None:
-        payload["metrics"] = o.metrics
-        payload["metrics_summary"] = o.metrics_summary
-    return payload
-
-
-def _cached_outcome(spec: TrialSpec, payload: Dict[str, Any], wall: float) -> TrialOutcome:
-    metrics = payload.get("metrics")
-    return TrialOutcome(
-        spec=spec,
-        value=float(payload["value"]),
-        unit=str(payload["unit"]),
-        wall_clock_s=wall,
-        events_processed=int(payload.get("events_processed", 0)),
-        peak_event_queue=int(payload.get("peak_event_queue", 0)),
-        sim_seconds=float(payload.get("sim_seconds", 0.0)),
-        events_fast_forwarded=int(payload.get("events_fast_forwarded", 0)),
-        metrics=metrics if isinstance(metrics, dict) else None,
-        metrics_summary=payload.get("metrics_summary"),
-        buffer_summary=payload.get("buffer_summary"),
-        tenants_simulated=int(payload.get("tenants_simulated", 0)),
-        max_class_multiplicity=int(payload.get("max_class_multiplicity", 0)),
-        cached=True,
-    )
-
-
 #: Keys of one-shot executor warnings that already fired this process.
 #: Convention: every "warn once" site registers a short string key here
 #: via :func:`_warn_once` instead of growing its own module-level flag.
@@ -348,8 +207,8 @@ def _warn_once(key: str, message: str, stacklevel: int = 3) -> bool:
 
 def run_trials(
     specs: Sequence[TrialSpec], jobs: Optional[int] = None, cache=None
-) -> List[TrialOutcome]:
-    """Run every trial and return outcomes in input order.
+) -> List[TrialResult]:
+    """Run every trial and return the records in input order.
 
     With ``jobs > 1`` the trials run on a process pool; the merge is keyed
     by input position, so the output is bit-identical to the serial path
@@ -358,30 +217,32 @@ def run_trials(
     in-process path; real trial errors propagate either way.
 
     Specs with a warm entry in the persistent trial cache are answered
-    from disk (``cached=True`` on the outcome) and never reach the pool;
+    from disk (``cached=True`` on the record) and never reach the pool;
     fresh results are written back.  Pass ``cache=False`` to bypass.
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     store = _resolve_cache(cache)
 
-    merged: Dict[int, TrialOutcome] = {}
+    merged: Dict[int, TrialResult] = {}
     pending: List[int] = []
     if store is not None:
         for i, spec in enumerate(specs):
             t0 = time.perf_counter()
-            payload = store.get(spec)
-            if payload is not None:
-                merged[i] = _cached_outcome(spec, payload, time.perf_counter() - t0)
+            hit = store.get(spec)
+            if hit is not None:
+                hit.spec, hit.cached = spec, True
+                hit.wall_clock_s = time.perf_counter() - t0
+                merged[i] = hit
             else:
                 pending.append(i)
     else:
         pending = list(range(len(specs)))
 
-    def finish(i: int, outcome: TrialOutcome) -> None:
+    def finish(i: int, outcome: TrialResult) -> None:
         merged[i] = outcome
         if store is not None:
-            store.put(specs[i], _outcome_payload(outcome))
+            store.put(specs[i], outcome)
 
     if jobs <= 1 or len(pending) <= 1:
         for i in pending:
@@ -424,7 +285,7 @@ def run_sweep(
     label: str = "sweep",
     record: bool = True,
     cache=None,
-) -> List[TrialOutcome]:
+) -> List[TrialResult]:
     """Run a whole sweep, optionally recording stats to BENCH_sweep.json."""
     specs = list(specs)
     jobs = resolve_jobs(jobs)
@@ -436,7 +297,7 @@ def run_sweep(
     return outcomes
 
 
-def _trial_record(o: TrialOutcome) -> Dict[str, Any]:
+def _trial_record(o: TrialResult) -> Dict[str, Any]:
     """One per-trial JSON row: identity, figure of merit, kernel stats."""
     row: Dict[str, Any] = {
         "kind": o.spec.kind,
@@ -467,7 +328,7 @@ def _trial_record(o: TrialOutcome) -> Dict[str, Any]:
     return row
 
 
-def _record_sweep(label: str, jobs: int, wall: float, outcomes: List[TrialOutcome]) -> None:
+def _record_sweep(label: str, jobs: int, wall: float, outcomes: List[TrialResult]) -> None:
     path = sweep_json_path()
     doc: Dict[str, Any] = {"schema": SWEEP_SCHEMA, "sweeps": []}
     try:

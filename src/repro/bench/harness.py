@@ -1,19 +1,22 @@
-"""Experiment harness: build a cluster, run a checkpoint, measure.
+"""Experiment harness: build a cluster, run a trial, measure.
 
-Each trial constructs a fresh dev-cluster simulation (fresh seed →
-jittered service times → the error bars of the paper's plots), runs the
-chosen checkpoint implementation at (n_clients, n_servers), and reports
-the figure-of-merit the paper uses:
+Every trial kind — the checkpoint dump (Fig. 9), the create phase
+(Fig. 10) and the open-loop multi-tenant workload — runs through one
+lifecycle (:func:`_lifecycle`) and returns one record
+(:class:`TrialResult`).  Each trial constructs a fresh simulation
+(fresh seed → jittered service times → the error bars of the paper's
+plots) and reports the figure of merit the paper uses:
 
 * dump phase (Fig. 9): aggregate MB/s = n_clients * size / max-rank time,
-* create phase (Fig. 10): aggregate creates/s.
+* create phase (Fig. 10): aggregate creates/s,
+* workload: completed operations/s over the measured window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..iolib.checkpoint import CheckpointError, LWFSCheckpointer, PFSCheckpointer
 from ..machine.presets import dev_cluster
@@ -24,7 +27,12 @@ from ..sim.cluster import SimCluster
 from ..sim.config import RunOptions, SimConfig
 from ..sim.deployment import LWFSDeployment
 from ..storage.data import SyntheticData
+from ..trace.stats import kernel_stats
 from ..units import MiB
+from .analytic import analytic_horizon
+
+if TYPE_CHECKING:
+    from .executor import TrialSpec
 
 __all__ = [
     "IMPLEMENTATIONS",
@@ -33,6 +41,7 @@ __all__ = [
     "SweepPoint",
     "run_checkpoint_trial",
     "run_create_trial",
+    "run_workload_trial",
     "checkpoint_main",
     "create_main",
     "measure_point",
@@ -50,10 +59,23 @@ PAPER_STATE_BYTES = 512 * MiB
 #: aborted dump (2PC rollback) is re-driven up to this many times.
 CKPT_ATTEMPTS = 3
 
+#: Fault-recovery counters summarized for BENCH_sweep.json rows.
+_FAULT_KEYS = (
+    "faults_injected", "retries", "recovered_ops", "rpc_dropped",
+    "rpc_duplicated", "degraded_seconds", "goodput_degraded",
+)
+
 
 @dataclass
 class TrialResult:
-    """One simulated run at one (impl, clients, servers) point."""
+    """One simulated trial: the only trial record.
+
+    The harness fills the simulation outputs; the sweep executor sets
+    ``spec``, ``wall_clock_s`` and ``cached``; the trial cache stores the
+    record without those three, ``trace`` and ``fault_log``
+    (:mod:`repro.bench.cache`).  Every field is plain data, so records
+    cross the executor's process-pool boundary.
+    """
 
     impl: str
     n_clients: int
@@ -77,6 +99,77 @@ class TrialResult:
     #: Plain JSON-ready dict, so it crosses the sweep executor's
     #: process-pool boundary and lands in the trial cache.
     metrics: Optional[dict] = None
+    #: The figure of merit: MB/s for a checkpoint, ops/s (creates or
+    #: completed operations) for the create and workload kinds.
+    value: float = 0.0
+    unit: str = ""
+    #: The executor's spec for this trial (None when called directly).
+    spec: Optional["TrialSpec"] = None
+    #: Host seconds the trial took, or the cache lookup when ``cached``;
+    #: kept out of every aggregate that must be reproducible.
+    wall_clock_s: float = 0.0
+    #: ``True`` when the record came from the persistent trial cache.
+    cached: bool = False
+
+    @property
+    def events_processed(self) -> int:
+        return int(self.extra.get("events_processed", 0))
+
+    @property
+    def peak_event_queue(self) -> int:
+        return int(self.extra.get("peak_event_queue", 0))
+
+    @property
+    def sim_seconds(self) -> float:
+        return float(self.extra.get("sim_seconds", 0.0))
+
+    @property
+    def events_fast_forwarded(self) -> int:
+        """Flow completions the analytic fast-forward engine retired
+        without per-chunk event scheduling (0 when off or unused)."""
+        return int(self.extra.get("events_fast_forwarded", 0))
+
+    @property
+    def tenants_simulated(self) -> int:
+        """Tenants an open-loop workload trial stood for (0 otherwise)."""
+        return int(self.extra.get("tenants_simulated", 0))
+
+    @property
+    def max_class_multiplicity(self) -> int:
+        """Most tenants one workload session carried (0 otherwise)."""
+        return int(self.extra.get("max_class_multiplicity", 0))
+
+    @property
+    def fault_summary(self) -> Optional[Dict[str, float]]:
+        """Recovery counters and log length of a fault-injected trial."""
+        if self.fault_log is None:
+            return None
+        summary = {k: self.extra[k] for k in _FAULT_KEYS if k in self.extra}
+        summary["fault_log_entries"] = len(self.fault_log)
+        return summary
+
+    @property
+    def buffer_summary(self) -> Optional[Dict[str, float]]:
+        """The ``buffer_*`` drain stats of a buffered trial (else None)."""
+        return {k: v for k, v in self.extra.items() if k.startswith("buffer_")} or None
+
+    @property
+    def trace_summary(self) -> Optional[Dict[str, Any]]:
+        """Compact per-kind summary of the trace, sized for BENCH_sweep.json."""
+        if self.trace is None:
+            return None
+        from ..trace import summarize
+
+        return summarize(self.trace)
+
+    @property
+    def metrics_summary(self) -> Optional[Dict[str, Any]]:
+        """Compact series summary + SLO verdict, sized for BENCH_sweep.json."""
+        if self.metrics is None:
+            return None
+        from ..metrics import metrics_summary
+
+        return metrics_summary(self.metrics)
 
 
 @dataclass
@@ -147,21 +240,24 @@ def _attach_tier(cluster, deployment, opts: RunOptions, impl: str, n_clients: in
     return cls(deployment, runtime)
 
 
-def _build(
+def _deploy(
     impl: str,
     n_clients: int,
     n_servers: int,
     seed: int,
-    spec: Optional[MachineSpec] = None,
-    config: Optional[SimConfig] = None,
-    opts: Optional[RunOptions] = None,
-    collapse_state_bytes: int = 0,
+    spec: Optional[MachineSpec],
+    config: Optional[SimConfig],
+    opts: RunOptions,
     **deploy_kwargs,
 ):
-    opts = opts if opts is not None else RunOptions().resolved()
+    """Cluster, deployment, burst-buffer tier and fault injector.
+
+    Returns ``(cluster, deployment, checkpointer, injector)``; the
+    checkpointer is the buffered one when the tier interposes, and the
+    injector is None on a fault-free trial.
+    """
     spec = spec or dev_cluster()
-    config = config or SimConfig()
-    config = replace(config, seed=seed)
+    config = replace(config or SimConfig(), seed=seed)
     if opts.flow:
         config = replace(config, flow=True)
     cluster = SimCluster(
@@ -187,17 +283,136 @@ def _build(
         from ..faults import FaultInjector
 
         injector = FaultInjector(cluster, deployment, opts.faults).install()
+    return cluster, deployment, checkpointer, injector
+
+
+def _rank_app(cluster, checkpointer, opts: RunOptions, n_clients: int, state_bytes: int):
+    """The ranks' :class:`ParallelApp`; with ``collapse`` one
+    representative per symmetric client class (:mod:`repro.sim.collapse`)."""
     plan = None
     if opts.collapse:
         from ..sim.collapse import collapse_plan
 
-        plan = collapse_plan(
-            n_clients, lambda r: checkpointer.collapse_key(r, collapse_state_bytes)
-        )
-    app = ParallelApp(
+        plan = collapse_plan(n_clients, lambda r: checkpointer.collapse_key(r, state_bytes))
+    return ParallelApp(
         cluster.env, cluster.fabric, cluster.compute_nodes, n_ranks=n_clients, collapse=plan
     )
+
+
+def _build(
+    impl: str,
+    n_clients: int,
+    n_servers: int,
+    seed: int,
+    spec: Optional[MachineSpec] = None,
+    config: Optional[SimConfig] = None,
+    opts: Optional[RunOptions] = None,
+    collapse_state_bytes: int = 0,
+    **deploy_kwargs,
+):
+    """A rank-program trial's machine without the lifecycle around it.
+
+    Returns ``(cluster, deployment, checkpointer, app, injector)`` for
+    callers that drive their own rank program.
+    """
+    opts = opts if opts is not None else RunOptions().resolved()
+    cluster, deployment, checkpointer, injector = _deploy(
+        impl, n_clients, n_servers, seed, spec, config, opts, **deploy_kwargs
+    )
+    app = _rank_app(cluster, checkpointer, opts, n_clients, collapse_state_bytes)
     return cluster, deployment, checkpointer, app, injector
+
+
+def _lifecycle(
+    impl: str,
+    n_clients: int,
+    n_servers: int,
+    seed: int,
+    spec: Optional[MachineSpec],
+    config: Optional[SimConfig],
+    opts: RunOptions,
+    horizon: Callable[[SimCluster], float],
+    drive: Callable[..., TrialResult],
+    **deploy_kwargs,
+) -> TrialResult:
+    """The one lifecycle every trial kind runs through.
+
+    Builds the cluster from the resolved *opts* (:func:`_deploy`: tier,
+    then fault injector), installs the tracer and the metrics sampler,
+    and calls the kind's ``drive(cluster, deployment, checkpointer,
+    injector)``, which runs the trial and returns the record with the
+    kind's own ``extra`` entries.  Then it drains the tier and collects the
+    kernel, fault and metrics stats.  ``extra`` keys land in that order:
+    tier, kernel, kind, fault, metrics.  The Chrome-trace metadata is
+    built from ``extra``, so the order is part of the exported file.
+
+    The sampling period is ``opts.metrics_period`` when explicit, else
+    derived from ``horizon(cluster)``, the analytic makespan — a model
+    quantity, so serial and process-pool executions of one spec land on
+    the same grid.  The sampler starts after the injector (so the
+    fault-pressure gauges see it) and before ``drive`` launches the
+    workload (so ``t0`` anchors the grid at setup time).
+    """
+    cluster, deployment, checkpointer, injector = _deploy(
+        impl, n_clients, n_servers, seed, spec, config, opts, **deploy_kwargs
+    )
+    tracer = None
+    if opts.trace:
+        from ..trace import Tracer
+
+        tracer = Tracer.install(cluster.env)
+    sampler = None
+    if opts.metrics:
+        from ..metrics import (
+            MetricsRegistry,
+            Sampler,
+            default_period,
+            install_standard_instruments,
+        )
+
+        period = opts.metrics_period
+        if period is None:
+            period = default_period(horizon(cluster))
+        registry = MetricsRegistry.install(cluster.env)
+        install_standard_instruments(registry, cluster, deployment)
+        sampler = Sampler(registry, period).start()
+
+    result = drive(cluster, deployment, checkpointer, injector)
+
+    # The measured window ends when ``drive`` returns; the buffer tier keeps
+    # draining in the background, so run the drain barrier (and charge
+    # its tail) before the injector/sampler close their windows.
+    runtime = getattr(deployment, "buffer_tier", None)
+    extra = runtime.finish() if runtime is not None else {}
+    extra.update({k: float(v) for k, v in kernel_stats(cluster.env).items()})
+    extra.update(result.extra)
+    if injector is not None:
+        injector.finish()
+        extra.update(injector.stats())
+        result.fault_log = injector.log
+    if sampler is not None:
+        from ..metrics import build_doc, evaluate_health
+
+        sampler.finish()
+        doc = build_doc(sampler.registry, sampler)
+        doc["health"] = evaluate_health(doc, fault_log=result.fault_log).to_dict()
+        result.metrics = doc
+        extra.update(sampler.stats())
+    result.extra = extra
+    if tracer is not None:
+        result.trace = tracer.spans
+    return result
+
+
+def _collapse_stats(app) -> Dict[str, float]:
+    """Collapse-plan summary for the trial record (empty when exact)."""
+    if not app.collapse:
+        return {}
+    mults = [ctx.multiplicity for ctx in app.contexts]
+    return {
+        "ranks_simulated": float(len(mults)),
+        "max_multiplicity": float(max(mults)),
+    }
 
 
 def run_checkpoint_trial(
@@ -233,50 +448,37 @@ def run_checkpoint_trial(
     tail, goodput, and backpressure land in ``TrialResult.extra``.
     """
     opts = (options or RunOptions()).resolved()
-    cluster, deployment, checkpointer, app, injector = _build(
-        impl, n_clients, n_servers, seed, spec, config,
-        opts=opts, collapse_state_bytes=state_bytes, **deploy_kwargs
-    )
-    tracer = _maybe_trace(cluster, opts.trace)
-    sampler = _maybe_metrics(
-        cluster, deployment, opts, "checkpoint", impl, n_clients, n_servers,
-        state_bytes=state_bytes,
-    )
 
-    # Under fault injection a checkpoint can abort wholesale (2PC presumed
-    # abort wipes the uncommitted creates at a rebooted server); real
-    # checkpoint libraries re-drive the dump, so the harness does too.
-    attempts = CKPT_ATTEMPTS if injector is not None else 1
-    main = checkpoint_main(checkpointer, state_bytes, attempts, injector)
-    results = app.run(main)
-    max_elapsed = max(r.elapsed for r in results)
-    mean_elapsed = sum(r.elapsed for r in results) / len(results)
-    # The workload's measured window ends here; the buffer tier keeps
-    # draining in the background, so run the drain barrier (and charge
-    # its tail) before the injector/sampler close their windows.
-    extra = _drain_tier(deployment)
-    extra.update(_kernel_stats(cluster))
-    extra.update(_collapse_stats(app))
-    if injector is not None:
-        injector.finish()
-        extra.update(injector.stats())
-    fault_log = injector.log if injector is not None else None
-    metrics_doc = _finish_metrics(sampler, fault_log)
-    if sampler is not None:
-        extra.update(sampler.stats())
-    return TrialResult(
-        impl=impl,
-        n_clients=n_clients,
-        n_servers=n_servers,
-        state_bytes=state_bytes,
-        max_elapsed=max_elapsed,
-        mean_elapsed=mean_elapsed,
-        throughput_mb_s=(n_clients * state_bytes / MiB) / max_elapsed,
-        create_max_elapsed=max(r.create_elapsed for r in results),
-        extra=extra,
-        trace=tracer.spans if tracer is not None else None,
-        fault_log=fault_log,
-        metrics=metrics_doc,
+    def drive(cluster, deployment, checkpointer, injector):
+        app = _rank_app(cluster, checkpointer, opts, n_clients, state_bytes)
+        # Under fault injection a checkpoint can abort wholesale (2PC
+        # presumed abort wipes the uncommitted creates at a rebooted
+        # server); real checkpoint libraries re-drive the dump, so the
+        # harness does too.
+        attempts = CKPT_ATTEMPTS if injector is not None else 1
+        results = app.run(checkpoint_main(checkpointer, state_bytes, attempts, injector))
+        max_elapsed = max(r.elapsed for r in results)
+        throughput = (n_clients * state_bytes / MiB) / max_elapsed
+        return TrialResult(
+            impl=impl,
+            n_clients=n_clients,
+            n_servers=n_servers,
+            state_bytes=state_bytes,
+            max_elapsed=max_elapsed,
+            mean_elapsed=sum(r.elapsed for r in results) / len(results),
+            throughput_mb_s=throughput,
+            create_max_elapsed=max(r.create_elapsed for r in results),
+            extra=_collapse_stats(app),
+            value=throughput,
+            unit="MB/s",
+        )
+
+    return _lifecycle(
+        impl, n_clients, n_servers, seed, spec, config, opts,
+        lambda c: analytic_horizon(
+            "checkpoint", impl, n_clients, n_servers, c.spec, c.config, state_bytes
+        ),
+        drive, **deploy_kwargs,
     )
 
 
@@ -297,41 +499,119 @@ def run_create_trial(
     :func:`run_checkpoint_trial`.
     """
     opts = (options or RunOptions()).resolved()
-    cluster, deployment, checkpointer, app, injector = _build(
-        impl, n_clients, n_servers, seed, spec, config, opts=opts, **deploy_kwargs
+
+    def drive(cluster, deployment, checkpointer, injector):
+        app = _rank_app(cluster, checkpointer, opts, n_clients, 0)
+        results = app.run(create_main(checkpointer, creates_per_client))
+        max_elapsed = max(r.elapsed for r in results)
+        extra = _collapse_stats(app)
+        extra["creates_per_s"] = n_clients * creates_per_client / max_elapsed
+        return TrialResult(
+            impl=impl,
+            n_clients=n_clients,
+            n_servers=n_servers,
+            state_bytes=0,
+            max_elapsed=max_elapsed,
+            mean_elapsed=sum(r.elapsed for r in results) / len(results),
+            throughput_mb_s=0.0,
+            extra=extra,
+            value=extra["creates_per_s"],
+            unit="ops/s",
+        )
+
+    return _lifecycle(
+        impl, n_clients, n_servers, seed, spec, config, opts,
+        lambda c: analytic_horizon(
+            "create", impl, n_clients, n_servers, c.spec, c.config, 0, creates_per_client
+        ),
+        drive, **deploy_kwargs,
     )
-    tracer = _maybe_trace(cluster, opts.trace)
-    sampler = _maybe_metrics(
-        cluster, deployment, opts, "create", impl, n_clients, n_servers,
-        creates_per_client=creates_per_client,
+
+
+def run_workload_trial(
+    workload=None,
+    n_servers: int = 4,
+    seed: int = 0,
+    spec: Optional[MachineSpec] = None,
+    config: Optional[SimConfig] = None,
+    options: Optional[RunOptions] = None,
+) -> TrialResult:
+    """One open-loop traffic trial (:mod:`repro.workload`, ``impl="lwfs"``).
+
+    ``workload`` is a :class:`~repro.workload.WorkloadSpec`, a JSON path,
+    or a plain spec document (dict); ``options.workload`` /
+    ``REPRO_WORKLOAD`` supply it when the argument is None.
+    ``options.tenant_collapse`` selects the collapsed or the uncollapsed
+    reference population; the figure of merit is completed
+    operations/second over the measured window.  The other options
+    behave as in :func:`run_checkpoint_trial`, except two that raise
+    ValueError before anything is built: ``collapse`` (workload trials
+    collapse tenants through ``tenant_collapse``) and a ``tiers`` spec
+    that interposes (the buffer tier fronts checkpoint dumps).
+    """
+    # Imported here: repro.workload re-exports this function from this module.
+    from ..workload.engine import WorkloadEngine, auto_representatives
+    from ..workload.spec import WorkloadSpec, load_workload
+
+    opts = (options if options is not None else RunOptions()).resolved()
+    if opts.collapse:
+        raise ValueError(
+            "RunOptions.collapse does not apply to workload trials; "
+            "tenants collapse through RunOptions.tenant_collapse"
+        )
+    if opts.tiers is not None and opts.tiers.enabled:
+        raise ValueError(
+            "RunOptions.tiers: the burst-buffer tier fronts checkpoint dumps, "
+            "not workload trials (use mode: passthrough)"
+        )
+    if workload is None:
+        workload = opts.workload
+    if workload is None:
+        raise ValueError("run_workload_trial needs a workload "
+                         "(argument, RunOptions(workload=...), or REPRO_WORKLOAD)")
+    if isinstance(workload, str):
+        workload = load_workload(workload)
+    elif isinstance(workload, dict):
+        workload = WorkloadSpec.from_doc(workload)
+    collapse = bool(opts.tenant_collapse)
+    n_sessions = sum(
+        (auto_representatives(c, workload) if collapse else c.tenants)
+        for c in workload.classes
     )
-    main = create_main(checkpointer, creates_per_client)
-    results = app.run(main)
-    max_elapsed = max(r.elapsed for r in results)
-    total_creates = n_clients * creates_per_client
-    extra = _drain_tier(deployment)
-    extra.update(_kernel_stats(cluster))
-    extra.update(_collapse_stats(app))
-    extra["creates_per_s"] = total_creates / max_elapsed
-    if injector is not None:
-        injector.finish()
-        extra.update(injector.stats())
-    fault_log = injector.log if injector is not None else None
-    metrics_doc = _finish_metrics(sampler, fault_log)
-    if sampler is not None:
-        extra.update(sampler.stats())
-    return TrialResult(
-        impl=impl,
-        n_clients=n_clients,
-        n_servers=n_servers,
-        state_bytes=0,
-        max_elapsed=max_elapsed,
-        mean_elapsed=sum(r.elapsed for r in results) / len(results),
-        throughput_mb_s=0.0,
-        extra=extra,
-        trace=tracer.spans if tracer is not None else None,
-        fault_log=fault_log,
-        metrics=metrics_doc,
+
+    def drive(cluster, deployment, checkpointer, injector):
+        engine = WorkloadEngine(cluster, deployment, workload, collapse=collapse)
+        engine.run()
+        extra = {
+            "tenants_simulated": float(workload.total_tenants),
+            "sessions_simulated": float(n_sessions),
+            "max_class_multiplicity": float(engine.max_class_multiplicity()),
+        }
+        total_ops = 0.0
+        total_bytes = 0.0
+        for name, row in engine.class_rows().items():
+            total_ops += row["ops"]
+            total_bytes += row["bytes"]
+            for field_name, value in row.items():
+                extra[f"wl.{name}.{field_name}"] = value
+        span = engine.span
+        extra["ops_per_s"] = total_ops / span
+        return TrialResult(
+            impl="lwfs",
+            n_clients=workload.total_tenants,
+            n_servers=n_servers,
+            state_bytes=0,
+            max_elapsed=span,
+            mean_elapsed=span,
+            throughput_mb_s=total_bytes / span / MiB,
+            extra=extra,
+            value=extra["ops_per_s"],
+            unit="ops/s",
+        )
+
+    return _lifecycle(
+        "lwfs", n_sessions, n_servers, seed, spec, config, opts,
+        lambda cluster: workload.horizon, drive,
     )
 
 
@@ -378,97 +658,6 @@ def create_main(checkpointer, creates_per_client: int):
         return result
 
     return main
-
-
-def _maybe_trace(cluster, trace: bool):
-    if not trace:
-        return None
-    from ..trace import Tracer
-
-    return Tracer.install(cluster.env)
-
-
-def _maybe_metrics(
-    cluster,
-    deployment,
-    opts: RunOptions,
-    kind: str,
-    impl: str,
-    n_clients: int,
-    n_servers: int,
-    state_bytes: int = 0,
-    creates_per_client: int = 1,
-):
-    """Install the metrics registry + sampler when the trial opts in.
-
-    The sampling period is ``opts.metrics_period`` when explicit, else
-    derived from the analytic horizon — a model quantity, so serial and
-    process-pool executions of one spec land on the same grid.  Must run after :func:`_build` (the injector is already on
-    ``env.faults``, so the fault-pressure gauges see it) and before the
-    workload launches (``t0`` anchors the grid at setup time).
-    """
-    if not opts.metrics:
-        return None
-    from ..metrics import (
-        MetricsRegistry,
-        Sampler,
-        default_period,
-        install_standard_instruments,
-    )
-    from .analytic import analytic_horizon
-
-    period = opts.metrics_period
-    if period is None:
-        horizon = analytic_horizon(
-            kind, impl, n_clients, n_servers, cluster.spec, cluster.config,
-            state_bytes, creates_per_client,
-        )
-        period = default_period(horizon)
-    registry = MetricsRegistry.install(cluster.env)
-    install_standard_instruments(registry, cluster, deployment)
-    return Sampler(registry, period).start()
-
-
-def _finish_metrics(sampler, fault_log: Optional[list]) -> Optional[dict]:
-    """Close the sampler and export the trial's metrics document."""
-    if sampler is None:
-        return None
-    from ..metrics import build_doc, evaluate_health
-
-    sampler.finish()
-    doc = build_doc(sampler.registry, sampler)
-    doc["health"] = evaluate_health(doc, fault_log=fault_log).to_dict()
-    return doc
-
-
-def _drain_tier(deployment) -> Dict[str, float]:
-    """Run the buffer tier's drain barrier and collect its stats.
-
-    No-op (empty dict) on the direct path; the dict shape matches
-    ``TrialResult.extra`` (plain floats, process-pool safe).
-    """
-    runtime = getattr(deployment, "buffer_tier", None)
-    if runtime is None:
-        return {}
-    return runtime.finish()
-
-
-def _kernel_stats(cluster) -> Dict[str, float]:
-    """Deterministic event-loop stats for one finished trial."""
-    from ..trace.stats import kernel_stats
-
-    return {k: float(v) for k, v in kernel_stats(cluster.env).items()}
-
-
-def _collapse_stats(app) -> Dict[str, float]:
-    """Collapse-plan summary for the trial record (empty when exact)."""
-    if not app.collapse:
-        return {}
-    mults = [ctx.multiplicity for ctx in app.contexts]
-    return {
-        "ranks_simulated": float(len(mults)),
-        "max_multiplicity": float(max(mults)),
-    }
 
 
 def _aggregate(impl, n_clients, n_servers, values: List[float], unit: str) -> SweepPoint:

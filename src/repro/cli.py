@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(weighted resources; far fewer processes)")
     point.add_argument("--flow", action="store_true",
                        help="flow-level bulk transfers: fluid fair-share streams for "
-                            "the steady-state middle of each dump (REPRO_FLOW=0 "
-                            "overrides back to the exact chunked path)")
+                            "the steady-state middle of each dump (without the "
+                            "flag, REPRO_FLOW=1 turns it on)")
     point.add_argument("--faults", default=None, metavar="PLAN.json",
                        help="inject the faults scheduled in this JSON plan "
                             "(see repro.faults; also REPRO_FAULTS=PLAN.json) "
@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--fast-forward", dest="fastforward", default=None,
                        action="store_true",
                        help="analytic steady-state fast-forward for flow-mode "
-                            "transfers (the default; REPRO_FASTFORWARD=0 "
-                            "kills it globally)")
+                            "transfers (the default; without either flag, "
+                            "REPRO_FASTFORWARD=0 turns it off)")
     point.add_argument("--no-fast-forward", dest="fastforward",
                        action="store_false",
                        help="force the reference per-event flow arithmetic")

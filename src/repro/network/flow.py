@@ -24,10 +24,11 @@ share on its tx pipe (coefficient 1) while the receiver's rx pipe and
 disk serve the whole equivalence class (coefficient ``mult``), mirroring
 the fabric's asymmetric weighted holds.
 
-The engine is strictly opt-in (``flow=True`` harness kwarg / ``--flow``
-CLI flag); ``REPRO_FLOW=0`` force-disables it so the exact chunked path
-remains the bit-identical reference, and ``REPRO_FLOW=1`` force-enables
-it regardless of the per-run flag.
+The engine is strictly opt-in: clients take the flow path only when
+``SimConfig.flow`` is set, which the harness does from the resolved
+``RunOptions.flow`` (``--flow`` on the CLI, ``REPRO_FLOW`` when the
+field is unset).  Otherwise the exact chunked path runs, and it stays
+the bit-identical reference.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..simkernel import Environment, Event
 
-__all__ = [
-    "FluidResource", "Flow", "FlowNetwork",
-    "flow_enabled", "fastforward_enabled", "fluid_of",
-]
+__all__ = ["FluidResource", "Flow", "FlowNetwork", "fluid_of"]
 
 #: Bytes of slack below which a flow counts as complete.  Float roundoff
 #: across advance/recompute cycles is ~1e-7 B at simulation scale; real
@@ -55,41 +53,6 @@ _SAT_TOL = 1e-9
 #: may ride the current fast-forward step (float-roundoff ulps between a
 #: heap entry's closed-form time and the armed timer's fire time).
 _T_SLOP = 1e-12
-
-
-def flow_enabled(flag: bool) -> bool:
-    """Resolve the per-run ``flow`` flag against the ``REPRO_FLOW`` switch.
-
-    ``REPRO_FLOW=0`` is the kill switch (reference path, always exact),
-    ``REPRO_FLOW=1`` force-enables, anything else defers to *flag*.  Read
-    at call time so tests can flip the environment without reimports.
-    """
-    import os
-
-    forced = os.environ.get("REPRO_FLOW", "")
-    if forced == "0":
-        return False
-    if forced == "1":
-        return True
-    return flag
-
-
-def fastforward_enabled(flag: bool) -> bool:
-    """Resolve ``fastforward`` against the ``REPRO_FASTFORWARD`` switch.
-
-    ``REPRO_FASTFORWARD=0`` is the kill switch (global progressive
-    filling, the pre-fast-forward reference arithmetic, bit-identical to
-    older timelines), ``REPRO_FASTFORWARD=1`` force-enables, anything
-    else defers to *flag*.  Read at call time, like :func:`flow_enabled`.
-    """
-    import os
-
-    forced = os.environ.get("REPRO_FASTFORWARD", "")
-    if forced == "0":
-        return False
-    if forced == "1":
-        return True
-    return flag
 
 
 class FluidResource:
@@ -177,8 +140,7 @@ class FlowNetwork:
     disengages automatically whenever a fault injector is installed,
     because capacity perturbations (crash/stall/degrade) invalidate the
     steady-state assumption — chaos timelines therefore ride the
-    reference arithmetic bit-identically.  ``REPRO_FASTFORWARD=0``
-    force-disables, ``=1`` force-enables.
+    reference arithmetic bit-identically.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -200,10 +162,7 @@ class FlowNetwork:
         self._res_flows: Dict[FluidResource, Dict[Flow, None]] = {}
         self._ff_heap: list = []  # (t_done, flow.seq, gen, flow)
         self._armed_at = float("inf")
-        self._ff = (
-            fastforward_enabled(bool(getattr(env, "fastforward", True)))
-            and env.faults is None
-        )
+        self._ff = env.fastforward and env.faults is None
         env._flow_network = self  # type: ignore[attr-defined]
 
     @classmethod

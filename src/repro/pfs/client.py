@@ -17,7 +17,6 @@ from typing import List, Optional
 
 from ..lwfs.ids import TxnID  # noqa: F401 (symmetry with the LWFS client)
 from ..machine.node import Node
-from ..network.flow import flow_enabled
 from ..network.portals import MemoryDescriptor, install_portals
 from ..network.rpc import RpcClient
 from ..simkernel import Resource
@@ -137,7 +136,7 @@ class SimPFSClient:
         (file-per-process — sole-writer fast path).
         """
         total = piece_len(data)
-        if flow_enabled(self.config.flow) and not shared:
+        if self.config.flow and not shared:
             # Flow-level path for sole-writer single-OST (file-per-process)
             # writes: exact first fragment, one fluid stream for the rest.
             frags = list(fh.layout.map_extent(offset, total))

@@ -7,17 +7,17 @@ creates around 0.2 ms at the owning server, Lustre-like MDS creates around
 
 This module is also the single source of truth for *run configuration*:
 :class:`RunOptions` is the one way to configure a trial — harness,
-executor, trial cache and CLI all take it — with one documented
-resolution order per knob:
+executor, trial cache and CLI all take it — and the only reader of its
+fields' ``REPRO_*`` variables, with one resolution order per knob:
 
 1. an explicit value (``RunOptions(flow=True)``),
 2. the corresponding ``REPRO_*`` environment variable,
 3. the built-in default.
 
-Exception — kill switches: ``REPRO_FABRIC_FASTPATH=0``,
-``REPRO_KERNEL_LAZY=0`` and ``REPRO_FLOW=0`` are not RunOptions fields;
-they force the bit-identical reference paths for equivalence tests and
-are read at their point of use, because :mod:`repro.simkernel` and
+Exception — kill switches: ``REPRO_FABRIC_FASTPATH=0`` and
+``REPRO_KERNEL_LAZY=0`` are not RunOptions fields; they force the
+bit-identical reference paths for equivalence tests and are read at
+their point of use, because :mod:`repro.simkernel` and
 :mod:`repro.network` cannot import this module without a cycle.  Every
 other ``REPRO_*`` read routes through :func:`env_str` here.
 """
@@ -119,8 +119,8 @@ class SimConfig:
     cost_jitter: float = 0.03  # relative sigma on service times
     #: Opt-in flow-level data path (repro.network.flow): the steady-state
     #: middle of a bulk write rides a fluid fair-share stream instead of
-    #: per-chunk RPCs.  ``REPRO_FLOW=0`` force-disables (reference path),
-    #: ``REPRO_FLOW=1`` force-enables.
+    #: per-chunk RPCs.  The harness sets it from the resolved
+    #: ``RunOptions.flow``.
     flow: bool = False
     lwfs: LWFSCosts = field(default_factory=LWFSCosts)
     pfs: PFSCosts = field(default_factory=PFSCosts)
@@ -138,8 +138,7 @@ class RunOptions:
 
     ``None`` means "unset": :meth:`resolved` fills it from the matching
     ``REPRO_*`` environment variable, then the default.  Explicit values
-    always win (except the documented kill switches, which force the
-    reference paths regardless).
+    always win.
 
     =============== ========================== ===========
     field           environment variable       default
@@ -169,9 +168,9 @@ class RunOptions:
     metrics: Optional[bool] = None
     #: Tenant-class collapsing in the open-loop workload engine
     #: (:mod:`repro.workload`): simulate one representative per tenant
-    #: block with a multiplicity weight.  ``REPRO_TENANT_COLLAPSE=0`` is
-    #: the kill switch that pins the uncollapsed reference population
-    #: (bit-identical when every multiplicity is already 1).
+    #: block with a multiplicity weight.  ``False`` runs the uncollapsed
+    #: reference population (bit-identical when every multiplicity is
+    #: already 1).
     tenant_collapse: Optional[bool] = None
     #: Explicit sampling period in simulated seconds; ``None`` derives a
     #: deterministic period from the analytic horizon

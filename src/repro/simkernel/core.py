@@ -83,8 +83,9 @@ class Environment:
         #: fast-forward engine (see :mod:`repro.network.flow`) instead of
         #: a full rate recompute over every active flow.
         self.events_fast_forwarded: int = 0
-        #: Analytic steady-state fast-forward opt-in (the
-        #: ``REPRO_FASTFORWARD`` kill switch still wins at point of use).
+        #: Analytic steady-state fast-forward opt-in, set by
+        #: :class:`~repro.sim.cluster.SimCluster` from the resolved
+        #: ``RunOptions.fastforward`` and read by the flow engine.
         self.fastforward: bool = True
         self._peak_queue: int = 0
         #: Optional :class:`repro.trace.Tracer`; ``None`` keeps every

@@ -6,6 +6,9 @@ process × op mix × size distribution); :func:`run_workload_trial`
 drives them against a shared LWFS deployment with arrival-batch
 aggregation and tenant-class collapsing, so 10^6 simulated tenants cost
 event-loop work proportional to the *traffic*, not the population.
+The trial runs through the bench harness's shared trial lifecycle and
+returns its :class:`~repro.bench.harness.TrialResult`; it is defined
+in :mod:`repro.bench.harness` and re-exported here.
 
 Quick use::
 
@@ -14,13 +17,15 @@ Quick use::
     result = run_workload_trial(diurnal_mixed(tenants=1_000_000), n_servers=16)
     print(result.extra["ops_per_s"], result.extra["max_class_multiplicity"])
 
-``REPRO_TENANT_COLLAPSE=0`` is the kill switch: every tenant gets its
-own session (bit-identical to collapsed mode whenever every class
-multiplicity is already 1); ``tests/workload`` pins that, the 1%
-collapse accuracy, and scale invariance.
+``RunOptions(tenant_collapse=False)`` (or ``REPRO_TENANT_COLLAPSE=0``
+when the field is unset) gives every tenant its own session
+(bit-identical to collapsed mode whenever every class multiplicity is
+already 1); ``tests/workload`` pins that, the 1% collapse accuracy, and
+scale invariance.
 """
 
-from .engine import WorkloadEngine, auto_representatives, run_workload_trial
+from ..bench.harness import run_workload_trial
+from .engine import WorkloadEngine, auto_representatives
 from .spec import (
     ARRIVALS,
     OPS,

@@ -26,7 +26,7 @@ arrival counts, tenant assignments, op picks, and sizes from the same
 per-class substreams, and group arrivals by ``(tenant_id //
 block_width, op, home_server)``.  With collapsing off the block width
 is 1, so the grouping, the sessions, and every subsequent event are
-*identical* — ``REPRO_TENANT_COLLAPSE=0`` is bit-for-bit, and the
+*identical* — ``tenant_collapse=False`` is bit-for-bit, and the
 collapse error at width > 1 is structural (measured at < 1% on goodput
 and p99 by ``tests/workload/test_engine.py``), not statistical drift.
 """
@@ -41,18 +41,15 @@ import numpy as np
 
 from ..errors import ReproError
 from ..lwfs.capabilities import OpMask
-from ..machine.presets import dev_cluster
-from ..machine.spec import MachineSpec
 from ..sim.cluster import SimCluster
 from ..sim.collapse import class_block_width, tenant_class_plan
-from ..sim.config import RunOptions, SimConfig
 from ..sim.deployment import LWFSDeployment
 from ..simkernel.monitor import Tally
 from ..storage.data import SyntheticData
 from ..units import MiB
 from .spec import OPS, TenantClass, WorkloadSpec
 
-__all__ = ["WorkloadEngine", "auto_representatives", "run_workload_trial"]
+__all__ = ["WorkloadEngine", "auto_representatives"]
 
 #: Auto-sizing bounds for representatives per class (collapsed mode):
 #: enough sessions to spread load across servers and keep batch weights
@@ -489,119 +486,3 @@ class WorkloadEngine:
                 "failed": float(state.ops_failed),
             }
         return rows
-
-
-def run_workload_trial(
-    workload=None,
-    n_servers: int = 4,
-    seed: int = 0,
-    spec: Optional[MachineSpec] = None,
-    config: Optional[SimConfig] = None,
-    options: Optional[RunOptions] = None,
-):
-    """One open-loop traffic trial; returns a
-    :class:`~repro.bench.harness.TrialResult` (``impl="lwfs"``).
-
-    ``workload`` is a :class:`WorkloadSpec`, a JSON path, or a plain
-    spec document (dict); ``options.workload`` / ``REPRO_WORKLOAD``
-    supply it when the argument is None.  ``options.tenant_collapse``
-    (kill switch ``REPRO_TENANT_COLLAPSE=0``) selects the collapsed or
-    the uncollapsed reference population; the figure of merit is
-    completed operations/second over the measured window.
-    """
-    from dataclasses import replace
-
-    from ..bench.harness import TrialResult, _kernel_stats
-
-    opts = (options if options is not None else RunOptions()).resolved()
-    if workload is None:
-        workload = opts.workload
-    if workload is None:
-        raise ValueError("run_workload_trial needs a workload "
-                         "(argument, RunOptions(workload=...), or REPRO_WORKLOAD)")
-    if isinstance(workload, str):
-        from .spec import load_workload
-
-        workload = load_workload(workload)
-    elif isinstance(workload, dict):
-        workload = WorkloadSpec.from_doc(workload)
-
-    machine = spec or dev_cluster()
-    config = config or SimConfig()
-    config = replace(config, seed=seed)
-    collapse = bool(opts.tenant_collapse)
-    n_sessions = sum(
-        (auto_representatives(c, workload) if collapse else c.tenants)
-        for c in workload.classes
-    )
-    cluster = SimCluster(
-        machine,
-        config,
-        compute_nodes=min(machine.compute_nodes, max(1, n_sessions)),
-        io_nodes=machine.io_nodes,
-        service_nodes=1,
-        options=opts,
-    )
-    deployment = LWFSDeployment(cluster, n_storage_servers=n_servers)
-    injector = None
-    if opts.faults is not None:
-        from ..faults import FaultInjector
-
-        injector = FaultInjector(cluster, deployment, opts.faults).install()
-    sampler = None
-    if opts.metrics:
-        from ..metrics import (
-            MetricsRegistry,
-            Sampler,
-            default_period,
-            install_standard_instruments,
-        )
-
-        period = opts.metrics_period
-        if period is None:
-            period = default_period(workload.horizon)
-        registry = MetricsRegistry.install(cluster.env)
-        install_standard_instruments(registry, cluster, deployment)
-        sampler = Sampler(registry, period).start()
-
-    engine = WorkloadEngine(cluster, deployment, workload, collapse=collapse)
-    engine.run()
-
-    extra = _kernel_stats(cluster)
-    extra["tenants_simulated"] = float(workload.total_tenants)
-    extra["sessions_simulated"] = float(n_sessions)
-    extra["max_class_multiplicity"] = float(engine.max_class_multiplicity())
-    total_ops = 0.0
-    total_bytes = 0.0
-    rows = engine.class_rows()
-    for name, row in rows.items():
-        total_ops += row["ops"]
-        total_bytes += row["bytes"]
-        for field_name, value in row.items():
-            extra[f"wl.{name}.{field_name}"] = value
-    span = engine.span
-    extra["ops_per_s"] = total_ops / span
-    if injector is not None:
-        injector.finish()
-        extra.update(injector.stats())
-    fault_log = injector.log if injector is not None else None
-    metrics_doc = None
-    if sampler is not None:
-        from ..metrics import build_doc, evaluate_health
-
-        sampler.finish()
-        metrics_doc = build_doc(sampler.registry, sampler)
-        metrics_doc["health"] = evaluate_health(metrics_doc, fault_log=fault_log).to_dict()
-        extra.update(sampler.stats())
-    return TrialResult(
-        impl="lwfs",
-        n_clients=workload.total_tenants,
-        n_servers=n_servers,
-        state_bytes=0,
-        max_elapsed=span,
-        mean_elapsed=span,
-        throughput_mb_s=total_bytes / span / MiB,
-        extra=extra,
-        fault_log=fault_log,
-        metrics=metrics_doc,
-    )

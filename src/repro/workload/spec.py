@@ -178,7 +178,7 @@ class WorkloadSpec:
     seconds: per (class, quantum) the engine draws how many arrivals
     land in the window, then which tenants issued them — one RNG
     consumption pattern shared by the collapsed and uncollapsed paths
-    (common random numbers), so ``REPRO_TENANT_COLLAPSE=0`` is
+    (common random numbers), so ``tenant_collapse=False`` is
     bit-identical whenever every class multiplicity is 1.  ``warmup``
     excludes the ramp-in prefix from the measured latency/goodput
     statistics (the load is still offered).

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
+import repro.bench.cache as cache_module
 from repro.bench.cache import (
-    CACHE_SCHEMA,
     TrialCache,
     cache_enabled,
     default_cache_dir,
@@ -14,7 +14,15 @@ from repro.bench.cache import (
 )
 from repro.bench.executor import checkpoint_spec, create_spec, run_trials
 from repro.sim.config import RunOptions
+from repro.storage.buffer import TierSpec
 from repro.units import MiB
+
+#: Every read-only view a record derives from its extra/trace/metrics.
+DERIVED = (
+    "events_processed", "peak_event_queue", "sim_seconds",
+    "events_fast_forwarded", "tenants_simulated", "max_class_multiplicity",
+    "fault_summary", "buffer_summary", "trace_summary", "metrics_summary",
+)
 
 
 def _specs():
@@ -52,6 +60,13 @@ class TestTrialKey:
         monkeypatch.setenv("REPRO_FABRIC_FASTPATH", "0")
         assert trial_key(spec) != base
 
+    def test_sensitive_to_simulator_source(self, monkeypatch):
+        spec = _specs()[0]
+        base = trial_key(spec)
+        assert len(cache_module._source_digest()) == 64
+        monkeypatch.setattr(cache_module, "_source_digest", lambda: "0" * 64)
+        assert trial_key(spec) != base
+
 
 class TestEnvKnobs:
     def test_cache_enabled_env(self, monkeypatch):
@@ -76,18 +91,27 @@ class TestRunTrialsCaching:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cold_then_warm_identical(self, tmp_path, jobs):
         store = TrialCache(root=str(tmp_path))
-        specs = _specs()
+        specs = _specs() + [
+            checkpoint_spec("lwfs", 2, 2, seed=100, state_bytes=2 * MiB,
+                            options=RunOptions(metrics=True)),
+            checkpoint_spec("lwfs", 2, 2, seed=100, state_bytes=2 * MiB,
+                            options=RunOptions(tiers=TierSpec(mode="buffer"))),
+        ]
 
         cold = run_trials(specs, jobs=jobs, cache=store)
-        assert [o.cached for o in cold] == [False, False, False]
+        assert [o.cached for o in cold] == [False] * len(specs)
+        assert cold[3].metrics is not None and cold[4].buffer_summary is not None
 
         warm = run_trials(specs, jobs=jobs, cache=store)
-        assert [o.cached for o in warm] == [True, True, True]
-        for c, w in zip(cold, warm):
-            assert w.value == c.value
-            assert w.unit == c.unit
-            assert w.events_processed == c.events_processed
-            assert w.sim_seconds == c.sim_seconds
+        assert [o.cached for o in warm] == [True] * len(specs)
+        for spec, c, w in zip(specs, cold, warm):
+            assert w.spec == c.spec == spec
+            assert (w.value, w.unit) == (c.value, c.unit)
+            assert w.extra == c.extra
+            # JSON spelling: the metrics document may hold NaN gauges.
+            assert json.dumps(w.metrics) == json.dumps(c.metrics)
+            for name in DERIVED:
+                assert json.dumps(getattr(w, name)) == json.dumps(getattr(c, name)), name
 
     def test_partial_warm_run(self, tmp_path):
         store = TrialCache(root=str(tmp_path))
@@ -129,8 +153,8 @@ class TestRunTrialsCaching:
         path = tmp_path / key[:2] / (key + ".json")
         assert path.is_file()
         doc = json.loads(path.read_text())
-        assert doc["schema"] == CACHE_SCHEMA
-        assert doc["outcome"]["unit"] == "MB/s"
+        assert doc["key"] == list(spec.key())
+        assert doc["record"]["unit"] == "MB/s"
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = TrialCache(root=str(tmp_path))

@@ -15,11 +15,20 @@ from repro.bench.executor import (
     run_sweep,
     run_trials,
     sweep_json_path,
+    workload_spec,
 )
 from repro.bench.harness import _aggregate
 from repro.units import MiB
+from repro.workload import TenantClass, WorkloadSpec
 
 SIZE = 8 * MiB
+
+#: The keys of every BENCH_sweep.json row; the dashboard reads them.
+ROW_KEYS = {
+    "kind", "impl", "n_clients", "n_servers", "seed", "value", "unit",
+    "wall_clock_s", "events_processed", "peak_event_queue", "sim_seconds",
+    "events_fast_forwarded", "cached",
+}
 
 
 def _small_grid():
@@ -134,7 +143,16 @@ class TestRecording:
         monkeypatch.setenv("REPRO_BENCH_SWEEP_JSON", str(path))
         assert sweep_json_path() == str(path)
 
-        specs = [checkpoint_spec("lwfs", 2, 2, seed=100, state_bytes=SIZE)]
+        mix = WorkloadSpec(
+            classes=(TenantClass(name="meta", tenants=40, rate=100.0,
+                                 op_mix=(("getattr", 1.0),), representatives=4),),
+            horizon=0.5, quantum=0.05, warmup=0.1,
+        )
+        specs = [
+            checkpoint_spec("lwfs", 2, 2, seed=100, state_bytes=SIZE),
+            create_spec("lwfs", 2, 2, seed=100, creates_per_client=4),
+            workload_spec(mix, 2, seed=100),
+        ]
         run_sweep(specs, jobs=1, label="unit-a")
         run_sweep(specs, jobs=1, label="unit-b")
 
@@ -143,12 +161,17 @@ class TestRecording:
         labels = [s["label"] for s in doc["sweeps"]]
         assert labels == ["unit-a", "unit-b"]
         sweep = doc["sweeps"][0]
-        assert sweep["jobs"] == 1 and sweep["trials"] == 1
+        assert sweep["jobs"] == 1 and sweep["trials"] == 3
         trial = sweep["per_trial"][0]
         assert trial["impl"] == "lwfs" and trial["unit"] == "MB/s"
         assert trial["events_processed"] > 0
         assert trial["peak_event_queue"] > 0
         assert trial["wall_clock_s"] > 0
+        workload_keys = ROW_KEYS | {"tenants_simulated", "max_class_multiplicity"}
+        for recorded in doc["sweeps"]:
+            rows = recorded["per_trial"]
+            assert [set(row) for row in rows] == [ROW_KEYS, ROW_KEYS, workload_keys]
+            assert [row["unit"] for row in rows] == ["MB/s", "ops/s", "ops/s"]
 
     def test_suite_leaves_committed_sweep_file_alone(self, monkeypatch, sweep_json_outside_repo):
         with monkeypatch.context() as m:

@@ -4,8 +4,8 @@ Contract under test:
 
 * ``flow=False`` (the default) never touches the flow engine — no flow
   counters, identical figures to a run made before the engine existed;
-* ``REPRO_FLOW=0`` is a kill switch: ``flow=True`` under it is
-  bit-identical to ``flow=False``;
+* an explicit ``flow=False`` beats ``REPRO_FLOW=1``: the trial runs
+  the exact path the resolved options report;
 * ``flow=True`` approximates the exact run within 1% on the bulk-bound
   workloads it targets, while processing far fewer kernel events;
 * flow trials advertise themselves (``flows_active``,
@@ -42,18 +42,17 @@ class TestOffPathUntouched:
         assert "flows_active" not in exact.extra
         assert "rate_recomputes" not in exact.extra
 
-    def test_repro_flow_zero_kills_the_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW", "0")
-        off = run_checkpoint_trial("lwfs", 4, 2, seed=3, state_bytes=STATE)
-        killed = run_checkpoint_trial(
+    def test_explicit_flow_false_beats_repro_flow_one(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FLOW", raising=False)
+        exact = run_checkpoint_trial("lwfs", 4, 2, seed=3, state_bytes=STATE)
+        monkeypatch.setenv("REPRO_FLOW", "1")
+        pinned = run_checkpoint_trial(
             "lwfs", 4, 2, seed=3, state_bytes=STATE,
-            options=RunOptions(flow=True),
+            options=RunOptions(flow=False),
         )
-        assert killed.max_elapsed == off.max_elapsed
-        assert killed.mean_elapsed == off.mean_elapsed
-        assert killed.throughput_mb_s == off.throughput_mb_s
-        assert killed.extra["events_processed"] == off.extra["events_processed"]
-        assert "flows_active" not in killed.extra
+        assert "flows_active" not in pinned.extra
+        assert pinned.extra == exact.extra
+        assert pinned.max_elapsed == exact.max_elapsed
 
     def test_repro_flow_one_forces_the_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLOW", "1")

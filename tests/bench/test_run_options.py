@@ -169,7 +169,6 @@ class TestEnvReadWhitelist:
     WHITELIST = {
         os.path.join("sim", "config.py"),      # env_str gateway
         os.path.join("network", "fabric.py"),  # REPRO_FABRIC_FASTPATH
-        os.path.join("network", "flow.py"),    # REPRO_FLOW
         os.path.join("simkernel", "core.py"),  # REPRO_KERNEL_LAZY
     }
 

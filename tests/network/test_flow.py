@@ -6,7 +6,6 @@ from repro.network.flow import (
     Flow,
     FlowNetwork,
     FluidResource,
-    flow_enabled,
     fluid_of,
 )
 from repro.simkernel import Environment
@@ -217,12 +216,3 @@ class TestHelpers:
         fluid = fluid_of(pipe)
         assert fluid_of(pipe) is fluid
         assert fluid.capacity == pipe.bandwidth
-
-    def test_flow_enabled_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW", raising=False)
-        assert flow_enabled(True) is True
-        assert flow_enabled(False) is False
-        monkeypatch.setenv("REPRO_FLOW", "0")
-        assert flow_enabled(True) is False
-        monkeypatch.setenv("REPRO_FLOW", "1")
-        assert flow_enabled(False) is True

@@ -17,7 +17,9 @@ Contract under test:
   traffic statistic within 1e-9 (open-loop trials never enter the
   flow steady state it accelerates, so it must be inert);
 * **recovery** — a revocation storm under open-loop load fails closed,
-  re-acquires capabilities, and completes every operation.
+  re-acquires capabilities, and completes every operation;
+* **run options** — a workload trial honours ``trace`` and ``flow`` and
+  rejects ``collapse`` and an interposing tier with a ValueError.
 """
 
 from dataclasses import replace
@@ -31,6 +33,8 @@ from repro.sim.cluster import SimCluster
 from repro.sim.collapse import class_block_width, tenant_class_plan
 from repro.sim.config import RunOptions, SimConfig
 from repro.sim.deployment import LWFSDeployment
+from repro.storage.buffer import TierSpec
+from repro.units import KiB
 from repro.workload import TenantClass, WorkloadEngine, WorkloadSpec, run_workload_trial
 
 SEED = 11
@@ -318,3 +322,41 @@ class TestRevocationStormUnderLoad:
         a, b = run(), run()
         assert _rows(a) == _rows(b)
         assert a.fault_log == b.fault_log
+
+
+class TestRunOptions:
+    """Every option a workload trial takes is honoured or rejected."""
+
+    #: Writes of four 64 KiB chunks, long enough for the flow path.
+    CONFIG = replace(SimConfig(), chunk_bytes=64 * KiB)
+    SPEC = WorkloadSpec(
+        classes=(TenantClass(name="bulk", tenants=8, rate=40.0,
+                             op_mix=(("write", 1.0),), size_bytes=256 * KiB,
+                             representatives=4),),
+        horizon=1.0, quantum=0.05, warmup=0.1,
+    )
+
+    def _run(self, **opts):
+        return run_workload_trial(workload=self.SPEC, n_servers=2, seed=SEED,
+                                  config=self.CONFIG, options=RunOptions(**opts))
+
+    @pytest.mark.parametrize("opts,rejected", [
+        ({"trace": True}, None),
+        ({"flow": True}, None),
+        ({"collapse": True}, "collapse"),
+        ({"tiers": TierSpec(mode="buffer")}, "tiers"),
+    ], ids=["trace", "flow", "collapse", "tiers"])
+    def test_honoured_or_rejected(self, opts, rejected):
+        if rejected is not None:
+            with pytest.raises(ValueError, match=rf"RunOptions\.{rejected}\b"):
+                self._run(**opts)
+            return
+        base, trial = self._run(), self._run(**opts)
+        if "trace" in opts:
+            assert base.trace is None and len(trial.trace) > 0
+            # Tracing schedules nothing: every statistic is unchanged.
+            assert trial.extra == base.extra
+        else:
+            assert "flows_active" not in base.extra
+            assert trial.extra["flows_active"] > 0
+

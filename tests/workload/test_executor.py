@@ -6,9 +6,10 @@ Contract under test:
   processes is bit-identical to the serial run (trial statistics and
   the new tenant columns included);
 * **cache identity** — the trial key folds in the workload signature
-  and the ``REPRO_TENANT_COLLAPSE`` kill switch, so a cached
-  clean-traffic outcome can never answer for a different mix or mode;
-* **reporting** — ``TrialOutcome`` carries ``tenants_simulated`` /
+  and the resolved ``tenant_collapse`` (``REPRO_TENANT_COLLAPSE``), so a
+  cached clean-traffic outcome can never answer for a different mix or
+  mode;
+* **reporting** — the trial record carries ``tenants_simulated`` /
   ``max_class_multiplicity`` through cache round-trips.
 """
 
