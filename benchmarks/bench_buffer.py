@@ -14,15 +14,13 @@ flow) run three ways —
   throughput collapses back toward the direct path.
 
 All three run through :func:`repro.bench.run_sweep` (serially, cache
-off) so per-trial wall-clock, kernel stats, and the buffer drain stats
-land in ``BENCH_sweep.json``; the summary is recorded under the
-``buffer`` key of ``BENCH_kernel.json`` and in
-``results/buffer_crossover.json``.  The same three points are checked
-live in tier-1 by
+off), so per-trial wall-clock, kernel stats, and the buffer drain stats
+join the sweep file when ``REPRO_BENCH_SWEEP_JSON`` names one; the
+summary lands in ``results/buffer_crossover.json``.  The same three
+points are checked live in tier-1 by
 ``tests/storage/test_buffer.py::TestRedStormCrossover``.
 """
 
-import json
 import os
 import sys
 
@@ -32,10 +30,9 @@ from repro.bench.executor import BUFFER_MIN_SPEEDUP, _buffer_grid
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import run_once  # noqa: E402
-from bench_simkernel_events import KERNEL_JSON, KERNEL_SCHEMA  # noqa: E402
 
 #: Buffer-fits must beat direct by at least this factor (the paper-style
-#: crossover claim recorded in BENCH_kernel.json).
+#: crossover claim).
 MIN_SPEEDUP = BUFFER_MIN_SPEEDUP
 
 _POINTS = ("direct", "buffer_fits", "drain_limited")
@@ -61,35 +58,6 @@ def run_crossover(record=True):
                 row[k] = round(o.buffer_summary[k], 6)
         rows.append(row)
     return rows
-
-
-def record_buffer(rows, path=KERNEL_JSON):
-    """Write the crossover summary under BENCH_kernel.json's buffer key."""
-    doc = {"schema": KERNEL_SCHEMA, "entries": []}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if isinstance(existing, dict) and existing.get("schema") == KERNEL_SCHEMA:
-            doc = existing
-    except (OSError, ValueError):
-        pass
-    direct, fits, limited = rows
-    doc["buffer"] = {
-        "workload": "lwfs 128 clients x 8 MiB over 32 servers red_storm "
-                    "seed=600 collapse+flow, node-local NVRAM tier",
-        "direct_mb_s": direct["throughput_mb_s"],
-        "buffer_fits_mb_s": fits["throughput_mb_s"],
-        "drain_limited_mb_s": limited["throughput_mb_s"],
-        "absorb_speedup": round(fits["throughput_mb_s"] / direct["throughput_mb_s"], 3),
-        "min_speedup": MIN_SPEEDUP,
-        "drain_tail_s": fits["buffer_drain_tail_s"],
-        "drain_goodput_mb_s": fits["buffer_drain_goodput_mb_s"],
-        "drain_limited_backpressure_s": limited["buffer_backpressure_s"],
-        "rows": rows,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _check(rows):
@@ -122,7 +90,6 @@ def test_buffer_crossover(benchmark):
     print()
     _print(rows)
     save_json("buffer_crossover", {"rows": rows})
-    record_buffer(rows)
     _check(rows)
 
 
@@ -130,7 +97,6 @@ if __name__ == "__main__":  # pragma: no cover - CLI for the perf record
     rows = run_crossover()
     _print(rows)
     save_json("buffer_crossover", {"rows": rows})
-    record_buffer(rows)
     _check(rows)
     speedup = rows[1]["throughput_mb_s"] / rows[0]["throughput_mb_s"]
     print(f"buffer gates ok: {speedup:.1f}x absorb speedup, drain tail "

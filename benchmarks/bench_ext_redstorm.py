@@ -144,9 +144,9 @@ def test_redstorm_slice(benchmark):
 
 
 def _flow_specs(flow, collapse=False):
-    """Red Storm bulky-dump specs, recorded through the sweep executor so
-    the exact/flow pairs land in BENCH_sweep.json with wall clock and
-    kernel event counts."""
+    """Red Storm bulky-dump specs, run through the sweep executor so the
+    exact/flow pairs join the sweep file (when ``REPRO_BENCH_SWEEP_JSON``
+    names one) with wall clock and kernel event counts."""
     spec = red_storm()
     return [
         checkpoint_spec(
@@ -170,7 +170,7 @@ def test_flow_level_accuracy_and_speedup(benchmark):
 
     def sweep():
         # Red Storm 128-client slice, exact vs flow, via the executor so
-        # both sweeps are recorded in BENCH_sweep.json.
+        # both sweeps can be recorded.
         exact = run_sweep(
             _flow_specs(False), jobs=1, label="redstorm-flow-exact", cache=False
         )

@@ -11,13 +11,11 @@ run two ways in one process:
   baseline and at least **3×** faster.
 
 Both trials run through :func:`repro.bench.run_sweep` (serially, cache
-off) so per-trial wall-clock and kernel stats land in
-``BENCH_sweep.json``; the speedup summary is recorded under the
-``headline`` key of ``BENCH_kernel.json`` (preserved across baseline
-reseeds) and in ``results/fastforward.json``.
+off), so per-trial wall-clock and kernel stats join the sweep file when
+``REPRO_BENCH_SWEEP_JSON`` names one; the speedup summary lands in
+``results/fastforward.json``.
 """
 
-import json
 import os
 import sys
 
@@ -31,7 +29,6 @@ from repro.units import MiB
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import run_once  # noqa: E402
-from bench_simkernel_events import KERNEL_JSON, KERNEL_SCHEMA  # noqa: E402
 
 #: Red Storm at scale: 10,368 compute ranks (Table 2) over 320 servers.
 HL_CLIENTS = 10368
@@ -80,26 +77,6 @@ def run_headline(record=True):
     return rows
 
 
-def record_headline(rows, path=KERNEL_JSON):
-    """Write the speedup summary under BENCH_kernel.json's headline key."""
-    doc = {"schema": KERNEL_SCHEMA, "entries": []}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if isinstance(existing, dict) and existing.get("schema") == KERNEL_SCHEMA:
-            doc = existing
-    except (OSError, ValueError):
-        pass
-    doc["headline"] = {
-        "workload": f"lwfs {HL_CLIENTS}x{HL_STATE // MiB}MiB/{HL_SERVERS} "
-                    f"red_storm seed={HL_SEED} collapse+flow",
-        "rows": rows,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _check(rows):
     ff = {r["config"]: r for r in rows}["fast-forward"]
     # Fast-forward is an exact transformation: same figure of merit to
@@ -117,7 +94,6 @@ def test_fastforward_headline(benchmark):
             f"{r['throughput_mb_s']:11,.1f} MB/s  rel_err {r['rel_err']:.2e}"
         )
     save_json("fastforward", {"rows": rows})
-    record_headline(rows)
     _check(rows)
 
 
@@ -130,7 +106,6 @@ if __name__ == "__main__":  # pragma: no cover - CLI for the perf record
             f"(ffwd {r['events_fast_forwarded']})"
         )
     save_json("fastforward", {"rows": rows})
-    record_headline(rows)
     _check(rows)
     print("headline gates ok: fast-forward bit-identical and >= "
           f"{MIN_FF_SPEEDUP:.0f}x")

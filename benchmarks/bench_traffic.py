@@ -12,12 +12,11 @@ runs must use the same session count and nearly the same event count —
 that scale invariance is what makes 10^6 users affordable at all.
 
 Both trials run through :func:`repro.bench.run_sweep` (serially, cache
-off) so per-trial wall-clock, kernel stats, and the tenant columns land
-in ``BENCH_sweep.json``; the summary is recorded under the ``traffic``
-key of ``BENCH_kernel.json`` and in ``results/traffic.json``.
+off), so per-trial wall-clock, kernel stats, and the tenant columns join
+the sweep file when ``REPRO_BENCH_SWEEP_JSON`` names one; the summary
+lands in ``results/traffic.json``.
 """
 
-import json
 import os
 import sys
 
@@ -29,7 +28,6 @@ from repro.workload import diurnal_mixed
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import run_once  # noqa: E402
-from bench_simkernel_events import KERNEL_JSON, KERNEL_SCHEMA  # noqa: E402
 
 #: The headline population and its scale-invariance reference.
 HL_TENANTS = 1_000_000
@@ -90,27 +88,6 @@ def run_headline(record=True):
     return rows
 
 
-def record_traffic(rows, path=KERNEL_JSON):
-    """Write the traffic summary under BENCH_kernel.json's traffic key."""
-    doc = {"schema": KERNEL_SCHEMA, "entries": []}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if isinstance(existing, dict) and existing.get("schema") == KERNEL_SCHEMA:
-            doc = existing
-    except (OSError, ValueError):
-        pass
-    doc["traffic"] = {
-        "workload": f"diurnal_mixed {HL_TENANTS} tenants @ {HL_RATE:.0f} ops/s "
-                    f"x {HL_HORIZON:.0f}s / {HL_SERVERS} servers red_storm "
-                    f"seed={HL_SEED} tenant-collapse on",
-        "rows": rows,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _check(rows):
     ref, hl = rows
     assert hl["tenants_simulated"] == HL_TENANTS, hl
@@ -137,7 +114,6 @@ def test_traffic_headline(benchmark):
     print()
     _print(rows)
     save_json("traffic", {"rows": rows})
-    record_traffic(rows)
     _check(rows)
 
 
@@ -145,7 +121,6 @@ if __name__ == "__main__":  # pragma: no cover - CLI for the perf record
     rows = run_headline()
     _print(rows)
     save_json("traffic", {"rows": rows})
-    record_traffic(rows)
     _check(rows)
     print(f"traffic gates ok: {HL_TENANTS:,d} tenants x {HL_HORIZON:.0f}s "
           f"in {rows[1]['wall_s']:.0f}s wall, sessions and events "

@@ -11,8 +11,8 @@ Every benchmark prints the series/rows it regenerates (run pytest with
 
 Parallelism: sweeps fan trials out over ``REPRO_BENCH_JOBS`` worker
 processes (default: CPU count) via :mod:`repro.bench.executor`; results
-are bit-identical to a serial run, and per-trial wall-clock/event stats
-land in ``BENCH_sweep.json`` at the repo root.
+are bit-identical to a serial run.  Set ``REPRO_BENCH_SWEEP_JSON=FILE``
+to record per-trial wall-clock/event stats there.
 """
 
 import os

@@ -1,16 +1,16 @@
 """Persistent content-addressed trial cache for incremental sweeps.
 
 Every benchmark trial is a deterministic function of its spec — same
-implementation, grid point, seed, parameters, simulator source, and
-fast-path switches always produce bit-identical figures of merit.  That
+implementation, grid point, seed, parameters, run options and simulator
+source always produce bit-identical figures of merit.  That
 makes re-running an unchanged trial pure waste: a sweep edited to add one
 server count re-simulates every point it already measured.
 
 This module gives :mod:`repro.bench.executor` a persistent cache keyed by
 a SHA-256 over the trial's full identity: the spec, the resolved
-:class:`~repro.sim.config.RunOptions`, the kernel/fabric fast-path
-switches, and a digest of the ``repro`` package's source files, so an
-edit to the model re-simulates instead of answering from older entries.
+:class:`~repro.sim.config.RunOptions`, and a digest of the ``repro``
+package's source files, so an edit to the model re-simulates instead of
+answering from older entries.
 Files the key does not cover (a dependency upgrade, say) are not
 tracked: clear the store or pass ``--no-cache`` after changing them.
 
@@ -78,7 +78,7 @@ def _canonical(value: Any) -> Any:
 
 
 def _resolved_options(spec) -> RunOptions:
-    """The trial's effective :class:`RunOptions`, environment included.
+    """The trial's effective :class:`RunOptions`.
 
     Resolved the same way the harness resolves it, so the cache key sees
     exactly the configuration the trial will run under.
@@ -121,10 +121,6 @@ def trial_key(spec) -> str:
         # fault-injected spec, and fast paths stay out of each other's
         # cache lines so a regression can never masquerade as a hit.
         "options": _resolved_options(spec).describe(),
-        # The two kill switches that are not RunOptions fields, read
-        # where they are used.
-        "fastpath": env_str("REPRO_FABRIC_FASTPATH", "1"),
-        "lazy": env_str("REPRO_KERNEL_LAZY", "1"),
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -9,7 +9,8 @@ and a browser can open from disk.  Two kinds of panel:
   time with the health layer's degraded windows shaded, plus a compact
   per-instrument table with sparklines.
 * **Regression plots** — the figure of merit of every recorded sweep in
-  ``BENCH_sweep.json`` grouped by trial identity, one polyline per
+  a sweep file (see :func:`repro.bench.executor.sweep_json_path`)
+  grouped by trial identity, one polyline per
   (kind, impl, clients, servers, seed) across sweep history.  A trial
   whose latest value strays more than :data:`REGRESSION_TOL` from its
   history median is flagged.
@@ -294,7 +295,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--sweep", default=None,
-        help="BENCH_sweep.json path (default: the repo's recorded sweeps)",
+        help="recorded sweep file for the regression panel (default: the "
+             "file sweeps are being recorded to, if any)",
     )
     parser.add_argument(
         "--metrics", action="append", default=[], metavar="EXPORT_JSON",
@@ -307,11 +309,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sweep_doc = None
     sweep_path = args.sweep or sweep_json_path()
-    try:
-        with open(sweep_path, encoding="utf-8") as fh:
-            sweep_doc = json.load(fh)
-    except (OSError, ValueError):
-        sweep_doc = None
+    if sweep_path:
+        try:
+            with open(sweep_path, encoding="utf-8") as fh:
+                sweep_doc = json.load(fh)
+        except (OSError, ValueError):
+            sweep_doc = None
 
     docs: List[Tuple[str, Dict[str, Any]]] = []
     for path in args.metrics:

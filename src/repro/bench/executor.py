@@ -20,10 +20,10 @@ compare against.
 
 Each trial returns the harness's one record,
 :class:`~repro.bench.harness.TrialResult`; the executor sets its
-``spec``, ``wall_clock_s`` and ``cached`` fields.  Every recorded sweep
-appends one row per trial, built from the record, to
-``BENCH_sweep.json`` at the repository root (override the path with
-``REPRO_BENCH_SWEEP_JSON``), so speedups are measurable across PRs.
+``spec``, ``wall_clock_s`` and ``cached`` fields.  Sweep recording is
+opt-in: when ``REPRO_BENCH_SWEEP_JSON`` names a file, every sweep
+appends one row per trial, built from the record, to it (the dashboard's
+``--sweep FILE`` panel reads it back).  Nothing is written otherwise.
 
 Trials are deterministic, so finished records persist in a
 content-addressed cache (:mod:`repro.bench.cache`, keyed on the spec,
@@ -32,7 +32,7 @@ the resolved options and the simulator source) under
 file read instead of a simulation.  Disable with ``cache=False``
 (``--no-cache`` on ``python -m repro fig9|fig10``) or
 ``REPRO_BENCH_CACHE=0``; sweep records report ``cache_hits`` /
-``cache_misses`` so warm runs are visible in BENCH_sweep.json.
+``cache_misses`` so warm runs are visible in the recorded file.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ __all__ = [
     "sweep_json_path",
 ]
 
-#: Schema marker written into BENCH_sweep.json; bump it when the row
+#: Schema marker written into the sweep file; bump it when the row
 #: format changes.  Sweeps recorded under older schemas are dropped on
 #: the next write (with a count).
 SWEEP_SCHEMA = "repro-bench-sweep/v6"
 
-#: Cap on recorded sweep entries kept in BENCH_sweep.json.
+#: Cap on recorded sweep entries kept in the sweep file.
 SWEEP_HISTORY = 50
 
 
@@ -270,13 +270,10 @@ def run_trials(
         return [merged[i] for i in range(len(specs))]
 
 
-def sweep_json_path() -> str:
-    """Where sweep trajectories are recorded (``REPRO_BENCH_SWEEP_JSON``)."""
-    override = env_str("REPRO_BENCH_SWEEP_JSON")
-    if override:
-        return override
-    here = os.path.dirname(os.path.abspath(__file__))
-    return os.path.normpath(os.path.join(here, "..", "..", "..", "BENCH_sweep.json"))
+def sweep_json_path() -> Optional[str]:
+    """The file sweeps are recorded to (``REPRO_BENCH_SWEEP_JSON``), or
+    ``None`` when recording is off (the default)."""
+    return env_str("REPRO_BENCH_SWEEP_JSON") or None
 
 
 def run_sweep(
@@ -286,14 +283,16 @@ def run_sweep(
     record: bool = True,
     cache=None,
 ) -> List[TrialResult]:
-    """Run a whole sweep, optionally recording stats to BENCH_sweep.json."""
+    """Run a whole sweep; with ``record`` and a :func:`sweep_json_path`,
+    append its stats to that file."""
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     start = time.perf_counter()
     outcomes = run_trials(specs, jobs=jobs, cache=cache)
     wall = time.perf_counter() - start
-    if record:
-        _record_sweep(label, jobs, wall, outcomes)
+    path = sweep_json_path()
+    if record and path:
+        _record_sweep(path, label, jobs, wall, outcomes)
     return outcomes
 
 
@@ -328,8 +327,9 @@ def _trial_record(o: TrialResult) -> Dict[str, Any]:
     return row
 
 
-def _record_sweep(label: str, jobs: int, wall: float, outcomes: List[TrialResult]) -> None:
-    path = sweep_json_path()
+def _record_sweep(
+    path: str, label: str, jobs: int, wall: float, outcomes: List[TrialResult]
+) -> None:
     doc: Dict[str, Any] = {"schema": SWEEP_SCHEMA, "sweeps": []}
     try:
         with open(path, encoding="utf-8") as fh:

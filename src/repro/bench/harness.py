@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
+from ..errors import ConfigError
 from ..iolib.checkpoint import CheckpointError, LWFSCheckpointer, PFSCheckpointer
 from ..machine.presets import dev_cluster
 from ..machine.spec import MachineSpec
@@ -59,7 +60,7 @@ PAPER_STATE_BYTES = 512 * MiB
 #: aborted dump (2PC rollback) is re-driven up to this many times.
 CKPT_ATTEMPTS = 3
 
-#: Fault-recovery counters summarized for BENCH_sweep.json rows.
+#: Fault-recovery counters summarized for recorded sweep rows.
 _FAULT_KEYS = (
     "faults_injected", "retries", "recovered_ops", "rpc_dropped",
     "rpc_duplicated", "degraded_seconds", "goodput_degraded",
@@ -155,7 +156,7 @@ class TrialResult:
 
     @property
     def trace_summary(self) -> Optional[Dict[str, Any]]:
-        """Compact per-kind summary of the trace, sized for BENCH_sweep.json."""
+        """Compact per-kind summary of the trace, sized for a sweep row."""
         if self.trace is None:
             return None
         from ..trace import summarize
@@ -164,7 +165,7 @@ class TrialResult:
 
     @property
     def metrics_summary(self) -> Optional[Dict[str, Any]]:
-        """Compact series summary + SLO verdict, sized for BENCH_sweep.json."""
+        """Compact series summary + SLO verdict, sized for a sweep row."""
         if self.metrics is None:
             return None
         from ..metrics import metrics_summary
@@ -429,8 +430,8 @@ def run_checkpoint_trial(
     """One full checkpoint (setup once + one dump), Figure 9 workload.
 
     Run configuration comes in only through ``options=RunOptions(...)``;
-    see :class:`~repro.sim.config.RunOptions` for the knobs and the
-    explicit value > ``REPRO_*`` env > default resolution order.
+    see :class:`~repro.sim.config.RunOptions` for the knobs and their
+    defaults.
 
     With ``RunOptions(trace=True)`` a :class:`~repro.trace.Tracer` is
     installed before the run and the completed spans land on
@@ -539,15 +540,15 @@ def run_workload_trial(
     """One open-loop traffic trial (:mod:`repro.workload`, ``impl="lwfs"``).
 
     ``workload`` is a :class:`~repro.workload.WorkloadSpec`, a JSON path,
-    or a plain spec document (dict); ``options.workload`` /
-    ``REPRO_WORKLOAD`` supply it when the argument is None.
-    ``options.tenant_collapse`` selects the collapsed or the uncollapsed
-    reference population; the figure of merit is completed
-    operations/second over the measured window.  The other options
-    behave as in :func:`run_checkpoint_trial`, except two that raise
-    ValueError before anything is built: ``collapse`` (workload trials
-    collapse tenants through ``tenant_collapse``) and a ``tiers`` spec
-    that interposes (the buffer tier fronts checkpoint dumps).
+    or a plain spec document (dict); ``options.workload`` supplies it
+    when the argument is None.  ``options.tenant_collapse`` selects the
+    collapsed or the uncollapsed reference population; the figure of
+    merit is completed operations/second over the measured window.  The
+    other options behave as in :func:`run_checkpoint_trial`, except two
+    that raise :class:`~repro.errors.ConfigError` before anything is
+    built: ``collapse`` (workload trials collapse tenants through
+    ``tenant_collapse``) and a ``tiers`` spec that interposes (the buffer
+    tier fronts checkpoint dumps).
     """
     # Imported here: repro.workload re-exports this function from this module.
     from ..workload.engine import WorkloadEngine, auto_representatives
@@ -555,20 +556,20 @@ def run_workload_trial(
 
     opts = (options if options is not None else RunOptions()).resolved()
     if opts.collapse:
-        raise ValueError(
+        raise ConfigError(
             "RunOptions.collapse does not apply to workload trials; "
             "tenants collapse through RunOptions.tenant_collapse"
         )
     if opts.tiers is not None and opts.tiers.enabled:
-        raise ValueError(
+        raise ConfigError(
             "RunOptions.tiers: the burst-buffer tier fronts checkpoint dumps, "
             "not workload trials (use mode: passthrough)"
         )
     if workload is None:
         workload = opts.workload
     if workload is None:
-        raise ValueError("run_workload_trial needs a workload "
-                         "(argument, RunOptions(workload=...), or REPRO_WORKLOAD)")
+        raise ConfigError("run_workload_trial needs a workload "
+                          "(argument or RunOptions(workload=...))")
     if isinstance(workload, str):
         workload = load_workload(workload)
     elif isinstance(workload, dict):

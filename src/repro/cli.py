@@ -40,6 +40,7 @@ from .bench import (
     run_create_trial,
 )
 from .bench.plot import chart_sweep
+from .errors import ConfigError
 from .sim.config import RunOptions
 from .units import MiB
 
@@ -83,22 +84,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "(weighted resources; far fewer processes)")
     point.add_argument("--flow", action="store_true",
                        help="flow-level bulk transfers: fluid fair-share streams for "
-                            "the steady-state middle of each dump (without the "
-                            "flag, REPRO_FLOW=1 turns it on)")
+                            "the steady-state middle of each dump")
     point.add_argument("--faults", default=None, metavar="PLAN.json",
                        help="inject the faults scheduled in this JSON plan "
-                            "(see repro.faults; also REPRO_FAULTS=PLAN.json) "
-                            "and print the fault/recovery summary")
+                            "(see repro.faults) and print the fault/recovery "
+                            "summary")
     point.add_argument("--tiers", default=None, metavar="TIERS.json",
                        help="checkpoint through the burst-buffer tier described "
                             "by this JSON spec (see repro.storage.buffer and "
-                            "examples/tiers/; also REPRO_TIERS=TIERS.json) and "
-                            "print the absorb/drain summary")
+                            "examples/tiers/) and print the absorb/drain summary")
     point.add_argument("--fast-forward", dest="fastforward", default=None,
                        action="store_true",
                        help="analytic steady-state fast-forward for flow-mode "
-                            "transfers (the default; without either flag, "
-                            "REPRO_FASTFORWARD=0 turns it off)")
+                            "transfers (default: on unless --faults is given; "
+                            "with --faults it is an error)")
     point.add_argument("--no-fast-forward", dest="fastforward",
                        action="store_false",
                        help="force the reference per-event flow arithmetic")
@@ -106,12 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="EXPORT.json",
                        help="sample time-series metrics during the run and "
                             "print the series report; with a path, also "
-                            "write the JSON export (also REPRO_METRICS=1)")
+                            "write the JSON export")
     point.add_argument("--metrics-period", type=_period_seconds, default=None,
                        metavar="SECONDS",
                        help="sampling period in simulated seconds (default: "
-                            "derived from the analytic horizon; also "
-                            "REPRO_METRICS_PERIOD)")
+                            "derived from the analytic horizon)")
 
     create = sub.add_parser("create", help="one Fig. 10 point (creates/s)")
     create.add_argument("--impl", default="lwfs", choices=["lwfs", "lustre-fpp"])
@@ -131,13 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_jobs_flag(p):
         p.add_argument(
             "-j", "--jobs", type=positive_int, default=None, metavar="N",
-            help="worker processes for the sweep (default: REPRO_BENCH_JOBS "
-                 "env var, else the CPU count; 1 = serial in-process)",
+            help="worker processes for the sweep (default: one per CPU; "
+                 "1 = serial in-process)",
         )
         p.add_argument(
             "--no-cache", action="store_true",
-            help="bypass the persistent trial cache (results/.trial-cache); "
-                 "also REPRO_BENCH_CACHE=0",
+            help="bypass the persistent trial cache (results/.trial-cache)",
         )
 
     fig9 = sub.add_parser("fig9", help="one Fig. 9 panel, charted")
@@ -191,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--servers", type=int, default=8)
     traffic.add_argument("--seed", type=int, default=1)
     traffic.add_argument("--no-collapse", dest="collapse", action="store_false",
-                         help="one session per tenant (the reference path; "
-                              "also REPRO_TENANT_COLLAPSE=0)")
+                         help="one session per tenant (the reference path)")
     traffic.add_argument("--faults", default=None, metavar="PLAN.json",
                          help="inject the faults scheduled in this JSON plan "
                               "and print the fault/recovery summary")
@@ -257,8 +253,15 @@ def _export_trace(result, path: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "table1":
         from .machine import table1_rows
 
@@ -284,13 +287,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     elif args.command == "checkpoint":
         options = RunOptions(
-            trace=True if args.trace is not None else None,
-            collapse=True if args.collapse else None,
-            flow=True if args.flow else None,
+            trace=args.trace is not None,
+            collapse=args.collapse,
+            flow=args.flow,
             faults=args.faults,
             tiers=args.tiers,
             fastforward=args.fastforward,
-            metrics=True if args.metrics is not None else None,
+            metrics=args.metrics is not None,
             metrics_period=args.metrics_period,
         )
         result = run_checkpoint_trial(
@@ -339,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = run_create_trial(
             args.impl, args.clients, args.servers,
             creates_per_client=args.per_client, seed=args.seed,
-            options=RunOptions(collapse=True if args.collapse else None),
+            options=RunOptions(collapse=args.collapse),
         )
         collapsed = ""
         if args.collapse:
@@ -417,10 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             workload = diurnal_mixed(
                 tenants=args.tenants, rate=args.rate, horizon=args.horizon,
             )
-        options = RunOptions(
-            tenant_collapse=None if args.collapse else False,
-            faults=args.faults,
-        )
+        options = RunOptions(tenant_collapse=args.collapse, faults=args.faults)
         result = run_workload_trial(
             workload=workload, n_servers=args.servers, seed=args.seed,
             options=options,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 __all__ = [
     "ReproError",
+    "ConfigError",
     "SecurityError",
     "AuthenticationError",
     "CredentialExpired",
@@ -47,6 +48,14 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
+
+
+class ConfigError(ReproError, ValueError):
+    """A run configuration that is invalid or combines unsupported options.
+
+    Raised before anything is built, so a bad combination fails at
+    construction instead of silently falling back.
+    """
 
 
 # -- security -----------------------------------------------------------------

@@ -9,7 +9,7 @@ same spec with the same plan therefore produce identical fault logs and
 identical timelines — faults are part of the experiment, not noise.
 
 Plans round-trip through JSON (``--faults plan.json`` on the CLI,
-``REPRO_FAULTS`` in the environment) and hash stably via
+``RunOptions(faults="plan.json")`` in code) and hash stably via
 :meth:`FaultPlan.signature`, which the bench trial cache folds into its
 key so a fault-free cached outcome can never answer for a faulted spec.
 """

@@ -198,7 +198,7 @@ def tenant_class_rows(doc: dict) -> Dict[str, Dict[str, float]]:
 
 
 def metrics_summary(doc: dict) -> Dict[str, object]:
-    """The compact slice for BENCH_sweep.json rows (``TrialResult.metrics_summary``).
+    """The compact slice for recorded sweep rows (``TrialResult.metrics_summary``).
 
     Totals for model-scope counters plus the sampler's footprint, the
     per-tenant-class rows, and the SLO verdict — small enough to embed

@@ -8,13 +8,17 @@ A transfer from node A to node B:
 3. experiences wire latency (base + per-hop for mesh topologies),
 4. pays B's per-message host overhead, then delivers.
 
+When both pipes are free the slots are claimed synchronously
+(``Resource.try_acquire``), which leaves only the two timing events;
+under contention the transfer queues for them instead.  Both paths
+produce bit-identical timestamps.
+
 Transfers to a dead node fail with :class:`~repro.errors.NodeFailure`,
 which is how failure-injection experiments observe lost servers.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -23,15 +27,7 @@ from ..machine.node import Node
 from ..machine.topology import Topology, make_topology
 from ..simkernel import Counter, Environment, Event
 
-__all__ = ["Message", "Fabric", "FASTPATH"]
-
-#: When true (default), transfers over uncontended pipes take an analytic
-#: fast path: the pipe slots are claimed and released without any of the
-#: queued path's request/release event-loop turns, leaving only the two
-#: timing events (serialization, wire latency).  Simulated timestamps are
-#: bit-identical to the queued path.  Set ``REPRO_FABRIC_FASTPATH=0`` to
-#: force the reference queued path (used by the equivalence tests).
-FASTPATH = os.environ.get("REPRO_FABRIC_FASTPATH", "1") != "0"
+__all__ = ["Message", "Fabric"]
 
 
 @dataclass(slots=True)
@@ -71,10 +67,6 @@ class Fabric:
         self._n_nodes_hint = n_nodes_hint
         self.counters = Counter()
         self._flow_network = None
-        #: The module-level FASTPATH switch as it stood when this fabric
-        #: was built (equivalence tests patch the global to pin the
-        #: reference queued path for one run).
-        self.fastpath = FASTPATH
 
     @property
     def flows(self):
@@ -146,8 +138,8 @@ class Fabric:
         dst = self.node(msg.dst)
         src.check_alive()
 
-        # The span covers the whole transfer and sits OUTSIDE the fastpath
-        # branch, so the recorded trace is identical in both modes.
+        # The span covers the whole transfer and sits OUTSIDE the
+        # uncontended/queued branch, so both paths record the same trace.
         tracer = env.tracer
         t0 = env._now if tracer is not None else 0.0
 
@@ -244,7 +236,7 @@ class Fabric:
                     )
                 return msg
 
-            tx_tok = tx_pipe._slot.try_acquire() if self.fastpath else None
+            tx_tok = tx_pipe._slot.try_acquire()
             rx_tok = None
             if tx_tok is not None:
                 rx_tok = rx_pipe._slot.try_acquire()

@@ -25,10 +25,9 @@ disk serve the whole equivalence class (coefficient ``mult``), mirroring
 the fabric's asymmetric weighted holds.
 
 The engine is strictly opt-in: clients take the flow path only when
-``SimConfig.flow`` is set, which the harness does from the resolved
-``RunOptions.flow`` (``--flow`` on the CLI, ``REPRO_FLOW`` when the
-field is unset).  Otherwise the exact chunked path runs, and it stays
-the bit-identical reference.
+``SimConfig.flow`` is set, which the harness does from
+``RunOptions.flow`` (``--flow`` on the CLI).  Otherwise the exact
+chunked path runs, and it stays the bit-identical reference.
 """
 
 from __future__ import annotations

@@ -7,49 +7,31 @@ creates around 0.2 ms at the owning server, Lustre-like MDS creates around
 
 This module is also the single source of truth for *run configuration*:
 :class:`RunOptions` is the one way to configure a trial — harness,
-executor, trial cache and CLI all take it — and the only reader of its
-fields' ``REPRO_*`` variables, with one resolution order per knob:
+executor, trial cache and CLI all take it — and a trial's behaviour
+comes only from its fields.  No trial reads the environment.
 
-1. an explicit value (``RunOptions(flow=True)``),
-2. the corresponding ``REPRO_*`` environment variable,
-3. the built-in default.
-
-Exception — kill switches: ``REPRO_FABRIC_FASTPATH=0`` and
-``REPRO_KERNEL_LAZY=0`` are not RunOptions fields; they force the
-bit-identical reference paths for equivalence tests and are read at
-their point of use, because :mod:`repro.simkernel` and
-:mod:`repro.network` cannot import this module without a cycle.  Every
-other ``REPRO_*`` read routes through :func:`env_str` here.
+:func:`env_str` is the only reader of ``os.environ`` in the package, and
+it serves only the bench plumbing: worker counts and file locations
+(``REPRO_BENCH_JOBS``, ``REPRO_BENCH_CACHE``, ``REPRO_BENCH_CACHE_DIR``,
+``REPRO_BENCH_SWEEP_JSON`` and ``REPRO_RESULTS_DIR``).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
+from ..errors import ConfigError
 from ..units import KiB, MiB, USEC
 
 __all__ = ["LWFSCosts", "PFSCosts", "RunOptions", "SimConfig", "env_str"]
 
 
 def env_str(name: str, default: str = "") -> str:
-    """The single gateway for ``REPRO_*`` environment reads.
-
-    Keeping every non-kill-switch read behind this function makes the
-    resolution order auditable: grep for ``os.environ`` finds only this
-    site and the documented kill switches.
-    """
+    """The single gateway for environment reads (bench plumbing only)."""
     return os.environ.get(name, default)
-
-
-def _env_flag(name: str) -> Optional[bool]:
-    """``REPRO_*`` boolean: ``0``/``false`` -> False, other non-empty -> True."""
-    raw = env_str(name).strip().lower()
-    if not raw:
-        return None
-    return raw not in ("0", "false", "no")
 
 
 @dataclass(frozen=True)
@@ -136,164 +118,108 @@ class SimConfig:
 class RunOptions:
     """Typed run configuration: every knob a trial accepts, in one place.
 
-    ``None`` means "unset": :meth:`resolved` fills it from the matching
-    ``REPRO_*`` environment variable, then the default.  Explicit values
-    always win.
-
-    =============== ========================== ===========
-    field           environment variable       default
-    =============== ========================== ===========
-    collapse        ``REPRO_COLLAPSE``         False
-    flow            ``REPRO_FLOW``             False
-    trace           ``REPRO_TRACE``            False
-    fastforward     ``REPRO_FASTFORWARD``      True
-    metrics         ``REPRO_METRICS``          False
-    tenant_collapse ``REPRO_TENANT_COLLAPSE``  True
-    metrics_period  ``REPRO_METRICS_PERIOD``   None (auto)
-    faults          ``REPRO_FAULTS`` (path)    None
-    workload        ``REPRO_WORKLOAD`` (path)  None
-    tiers           ``REPRO_TIERS`` (path)     None
-    =============== ========================== ===========
+    Fields hold concrete values; the defaults are the shipping
+    configuration.  :meth:`resolved` loads the specs given as JSON paths
+    and settles ``fastforward``'s automatic setting.
     """
 
-    collapse: Optional[bool] = None
-    flow: Optional[bool] = None
-    trace: Optional[bool] = None
+    collapse: bool = False
+    flow: bool = False
+    trace: bool = False
     #: Analytic steady-state fast-forward in the flow engine
     #: (:mod:`repro.network.flow`); only observable on flow-mode runs.
+    #: ``None`` is "auto": :meth:`resolved` turns it on exactly when no
+    #: fault plan is given, because capacity perturbations break the
+    #: steady-state assumption.  An explicit ``True`` together with
+    #: ``faults`` makes :meth:`resolved` raise :class:`ConfigError`.
     fastforward: Optional[bool] = None
     #: Time-series metrics sampling (:mod:`repro.metrics`): install the
     #: standard instrument pack and a simulated-time sampler, attach the
     #: exported document to the trial result.
-    metrics: Optional[bool] = None
+    metrics: bool = False
     #: Tenant-class collapsing in the open-loop workload engine
     #: (:mod:`repro.workload`): simulate one representative per tenant
     #: block with a multiplicity weight.  ``False`` runs the uncollapsed
     #: reference population (bit-identical when every multiplicity is
     #: already 1).
-    tenant_collapse: Optional[bool] = None
+    tenant_collapse: bool = True
     #: Explicit sampling period in simulated seconds; ``None`` derives a
     #: deterministic period from the analytic horizon
     #: (:func:`repro.metrics.sampler.default_period`).  Stays ``None``
     #: after :meth:`resolved` when unset — "auto" is a real state.  A
-    #: period that is not a positive, finite number (from the field or
-    #: ``REPRO_METRICS_PERIOD``) makes :meth:`resolved` raise ValueError.
+    #: period that is not a positive, finite number makes
+    #: :meth:`resolved` raise :class:`ConfigError`.
     metrics_period: Optional[float] = None
-    #: A :class:`repro.faults.FaultPlan` (or ``None`` for a clean run).
+    #: A :class:`repro.faults.FaultPlan` (or a JSON path, or ``None`` for
+    #: a clean run).  A string resolves through
+    #: :func:`repro.faults.load_plan`, and :meth:`describe` folds the
+    #: plan's content signature into the trial-cache key.
     faults: Optional[object] = None
     #: A :class:`repro.workload.WorkloadSpec` (or a JSON path, or ``None``
     #: when the trial is not an open-loop traffic run).  Follows the
-    #: ``faults`` pattern: a string resolves through
-    #: :func:`repro.workload.load_workload` and :meth:`describe` folds the
-    #: spec's content signature into the trial-cache key.
+    #: ``faults`` pattern through :func:`repro.workload.load_workload`.
     workload: Optional[object] = None
     #: A :class:`repro.storage.buffer.TierSpec` (or a JSON path, or
     #: ``None`` for the direct-to-OST path).  Follows the ``faults``
-    #: pattern: a string resolves through
-    #: :func:`repro.storage.buffer.load_tiers` and :meth:`describe` folds
-    #: the spec's content signature into the trial-cache key.  A spec
+    #: pattern through :func:`repro.storage.buffer.load_tiers`.  A spec
     #: with ``mode: passthrough`` is kept but never interposes — the
     #: kill-switch state that is bit-identical to ``tiers=None``.
     tiers: Optional[object] = None
 
-    _ENV = {
-        "collapse": "REPRO_COLLAPSE",
-        "flow": "REPRO_FLOW",
-        "trace": "REPRO_TRACE",
-        "fastforward": "REPRO_FASTFORWARD",
-        "metrics": "REPRO_METRICS",
-        "tenant_collapse": "REPRO_TENANT_COLLAPSE",
-    }
-    _DEFAULTS = {
-        "collapse": False,
-        "flow": False,
-        "trace": False,
-        "fastforward": True,
-        "metrics": False,
-        "tenant_collapse": True,
-    }
-
     def resolved(self) -> "RunOptions":
-        """Every field concrete: explicit kwarg > ``REPRO_*`` env > default."""
-        values = {}
-        for name, env_name in self._ENV.items():
-            explicit = getattr(self, name)
-            if explicit is not None:
-                values[name] = bool(explicit)
-                continue
-            from_env = _env_flag(env_name)
-            values[name] = self._DEFAULTS[name] if from_env is None else from_env
-        period, source = self.metrics_period, "metrics_period"
-        if period is None:
-            raw_period = env_str("REPRO_METRICS_PERIOD").strip()
-            if raw_period:
-                source = "REPRO_METRICS_PERIOD"
-                try:
-                    period = float(raw_period)
-                except ValueError:
-                    raise ValueError(
-                        f"REPRO_METRICS_PERIOD={raw_period!r} is not a number"
-                    ) from None
-        if period is not None and not 0 < period < math.inf:
-            raise ValueError(
-                f"{source} must be a positive, finite number of simulated "
-                f"seconds, got {period!r}"
-            )
-        faults = self.faults
-        if faults is None:
-            path = env_str("REPRO_FAULTS").strip()
-            if path:
-                from ..faults.plan import load_plan
+        """Specs loaded from their JSON paths, ``fastforward`` concrete.
 
-                faults = load_plan(path)
-        elif isinstance(faults, str):
+        Raises :class:`~repro.errors.ConfigError` for a ``metrics_period``
+        that is not a positive, finite number and for an explicit
+        ``fastforward=True`` combined with a fault plan.
+        """
+        period = self.metrics_period
+        if period is not None and not 0 < period < math.inf:
+            raise ConfigError(
+                "metrics_period must be a positive, finite number of "
+                f"simulated seconds, got {period!r}"
+            )
+        faults, workload, tiers = self.faults, self.workload, self.tiers
+        if isinstance(faults, str):
             from ..faults.plan import load_plan
 
             faults = load_plan(faults)
-        workload = self.workload
-        if workload is None:
-            wl_path = env_str("REPRO_WORKLOAD").strip()
-            if wl_path:
-                from ..workload.spec import load_workload
-
-                workload = load_workload(wl_path)
-        elif isinstance(workload, str):
+        if isinstance(workload, str):
             from ..workload.spec import load_workload
 
             workload = load_workload(workload)
-        tiers = self.tiers
-        if tiers is None:
-            tier_path = env_str("REPRO_TIERS").strip()
-            if tier_path:
-                from ..storage.buffer.tier import load_tiers
-
-                tiers = load_tiers(tier_path)
-        elif isinstance(tiers, str):
+        if isinstance(tiers, str):
             from ..storage.buffer.tier import load_tiers
 
             tiers = load_tiers(tiers)
-        return RunOptions(
-            faults=faults,
-            workload=workload,
-            tiers=tiers,
-            metrics_period=period,
-            **values,
+        fastforward = self.fastforward
+        if fastforward is None:
+            fastforward = faults is None
+        elif fastforward and faults is not None:
+            raise ConfigError(
+                "RunOptions.fastforward=True cannot be combined with "
+                "RunOptions.faults: fault injection perturbs capacity, so the "
+                "steady-state fast-forward does not apply (leave fastforward "
+                "unset for the automatic setting)"
+            )
+        return replace(
+            self, fastforward=bool(fastforward), faults=faults,
+            workload=workload, tiers=tiers,
         )
 
     def describe(self) -> dict:
         """A JSON-stable identity of the *resolved* options.
 
-        Part of the bench trial-cache key: includes the fault plan's
-        content hash, so a cached fault-free outcome can never answer for
-        a fault-injected spec, and the accelerator knob
-        (``fastforward``), so cached results never mix modes.
+        Part of the bench trial-cache key: includes the specs' content
+        hashes, so a cached fault-free outcome can never answer for a
+        fault-injected spec, and the accelerator knob (``fastforward``),
+        so cached results never mix modes.
         """
         opts = self.resolved()
-        doc = {name: getattr(opts, name) for name in self._ENV}
-        doc["metrics_period"] = opts.metrics_period
-        doc["faults"] = opts.faults.signature() if opts.faults is not None else ""
-        doc["workload"] = (
-            opts.workload.signature() if opts.workload is not None else ""
-        )
-        doc["tiers"] = opts.tiers.signature() if opts.tiers is not None else ""
+        doc = {}
+        for f in fields(opts):
+            value = getattr(opts, f.name)
+            if f.name in ("faults", "workload", "tiers"):
+                value = value.signature() if value is not None else ""
+            doc[f.name] = value
         return doc

@@ -19,7 +19,7 @@ Quick tour::
     result = env.run(proc)        # -> 3, env.now == 3.0
 """
 
-from .core import LAZY, EmptySchedule, Environment, StopSimulation
+from .core import EmptySchedule, Environment, StopSimulation
 from .events import NORMAL, PENDING, URGENT, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .monitor import Counter, Monitor, Tally
 from .process import Interrupt, InterruptException, Process
@@ -30,7 +30,6 @@ __all__ = [
     "Environment",
     "EmptySchedule",
     "StopSimulation",
-    "LAZY",
     "Event",
     "Timeout",
     "Condition",

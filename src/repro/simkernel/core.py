@@ -3,25 +3,13 @@
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Generator, Iterable, Optional
 
 from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
 from .process import Process
 
-__all__ = ["Environment", "EmptySchedule", "StopSimulation", "LAZY"]
-
-#: When true (default), the kernel runs with its scale-out machinery on:
-#: zero-delay events bypass the heap through per-priority FIFO deques
-#: (batched same-timestamp scheduling), cancelled :class:`Timeout` objects
-#: are recycled through a free list, and the heap is compacted once
-#: tombstoned entries dominate it.  Simulated timestamps are bit-identical
-#: to the reference path.  Set ``REPRO_KERNEL_LAZY=0`` to force the
-#: plain-heap reference path (used by the equivalence tests).  Cancelled
-#: events are skipped at pop in *both* modes — cancellation is semantics,
-#: not an optimization, so its behavior cannot depend on the flag.
-LAZY = os.environ.get("REPRO_KERNEL_LAZY", "1") != "0"
+__all__ = ["Environment", "EmptySchedule", "StopSimulation"]
 
 #: Retired Timeout objects kept for reuse per environment.
 _POOL_MAX = 1024
@@ -48,24 +36,28 @@ class Environment:
     seed produce identical traces.
 
     Internally the schedule is a heap of ``(time, priority, seq, event)``
-    tuples plus — in lazy mode — two FIFO deques for zero-delay events
-    (one per priority).  A zero-delay event's entry time always equals the
-    current clock, and ``seq`` is global and monotonic, so popping the
-    tuple-minimum across the three structures reproduces the pure-heap
-    order exactly while skipping the O(log n) sift for the dominant class
-    of events (every ``succeed()``, process init/finish, interrupt).
+    tuples plus two FIFO deques for zero-delay events (one per priority).
+    A zero-delay event's entry time always equals the current clock, and
+    ``seq`` is global and monotonic, so popping the tuple-minimum across
+    the three structures reproduces the pure-heap order exactly while
+    skipping the O(log n) sift for the dominant class of events (every
+    ``succeed()``, process init/finish, interrupt).  Cancelled events stay
+    in place as tombstones that are skipped at pop; cancelled
+    :class:`Timeout` objects are recycled through a free list, and the
+    heap is compacted once tombstones dominate it.  The plain-heap
+    reference kernel that the equivalence tests compare against lives in
+    the test suite.
     """
 
-    def __init__(self, initial_time: float = 0.0, lazy: Optional[bool] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = initial_time
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq: int = 0
         self._active_process: Optional[Process] = None
-        self._lazy: bool = LAZY if lazy is None else bool(lazy)
-        #: FIFO side-queues for zero-delay events (lazy mode only).
+        #: FIFO side-queues for zero-delay events.
         self._imm_urgent: deque = deque()
         self._imm_normal: deque = deque()
-        #: Free list of retired Timeout objects (lazy mode only).
+        #: Free list of retired Timeout objects.
         self._timeout_pool: list = []
         #: Live (scheduled, not cancelled) entries in the schedule: +1 on
         #: schedule, -1 on cancel and on popping a live entry.  Tombstoned
@@ -118,8 +110,8 @@ class Environment:
 
         Counts live entries only (``_live``), not tombstoned ones
         (cancelled but not yet popped/compacted), so lazy cancellation
-        reports the same semantic depth as the eager reference path
-        instead of inflating the peak with dead weight.
+        reports the same semantic depth as an eager plain heap instead of
+        inflating the peak with dead weight.
         """
         return max(self._peak_queue, self._live)
 
@@ -157,9 +149,9 @@ class Environment:
         Timeouts dominate the event mix of a simulation, so this is a
         slots-only fast constructor: it fills the :class:`Timeout` fields
         and pushes the queue entry directly instead of going through
-        ``Timeout.__init__`` → ``Event.__init__`` → ``_schedule``.  In
-        lazy mode the object may come off the environment's free list of
-        cancelled timeouts rather than a fresh allocation.
+        ``Timeout.__init__`` → ``Event.__init__`` → ``_schedule``.  The
+        object may come off the environment's free list of cancelled
+        timeouts rather than a fresh allocation.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
@@ -181,7 +173,7 @@ class Environment:
         event.delay = delay
         event.at = at = self._now + delay
         self._seq = seq = self._seq + 1
-        if delay == 0.0 and self._lazy:
+        if delay == 0.0:
             self._imm_normal.append((at, NORMAL, seq, event))
         else:
             heapq.heappush(self._queue, (at, NORMAL, seq, event))
@@ -206,7 +198,7 @@ class Environment:
     def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Insert *event* into the queue ``delay`` seconds from now."""
         self._seq = seq = self._seq + 1
-        if delay == 0.0 and self._lazy:
+        if delay == 0.0:
             entry = (self._now, priority, seq, event)
             if priority == 0:  # URGENT
                 self._imm_urgent.append(entry)
@@ -222,10 +214,9 @@ class Environment:
         """Bookkeeping for :meth:`Event.cancel` (tombstone accounting)."""
         self.events_cancelled += 1
         self._live -= 1
-        if self._lazy:
-            tombstones = self._qlen() - self._live
-            if tombstones >= _COMPACT_MIN and tombstones * 2 > len(self._queue):
-                self._compact()
+        tombstones = self._qlen() - self._live
+        if tombstones >= _COMPACT_MIN and tombstones * 2 > len(self._queue):
+            self._compact()
 
     def _compact(self) -> None:
         """Drop tombstoned entries and re-heapify (in place: the run loop
@@ -258,7 +249,7 @@ class Environment:
     def _retire(self, event: Event, pool: list) -> None:
         """Mark a cancelled event dead; recycle Timeouts via the free list."""
         event.callbacks = None
-        if self._lazy and type(event) is Timeout and len(pool) < _POOL_MAX:
+        if type(event) is Timeout and len(pool) < _POOL_MAX:
             event._value = None  # don't pin payloads while pooled
             pool.append(event)
 
@@ -343,7 +334,6 @@ class Environment:
         imm_u = self._imm_urgent
         imm_n = self._imm_normal
         pool = self._timeout_pool
-        recycle = self._lazy
         heappop = heapq.heappop
         processed = self.events_processed
         try:
@@ -369,7 +359,7 @@ class Environment:
                 if event._cancelled:
                     self.events_skipped_cancelled += 1
                     event.callbacks = None
-                    if recycle and type(event) is Timeout and len(pool) < _POOL_MAX:
+                    if type(event) is Timeout and len(pool) < _POOL_MAX:
                         event._value = None
                         pool.append(event)
                     continue

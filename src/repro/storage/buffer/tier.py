@@ -10,7 +10,7 @@ bypassed entirely and the run is bit-identical to the direct-to-OST
 path.
 
 Specs round-trip through JSON (``--tiers tiers.json`` on the CLI,
-``REPRO_TIERS`` in the environment) and hash stably via
+``RunOptions(tiers="tiers.json")`` in code) and hash stably via
 :meth:`TierSpec.signature`, which the bench trial cache folds into its
 key so a direct-path cached outcome can never answer for a buffered
 spec.  The schema mirrors :class:`repro.faults.FaultPlan`.

@@ -185,7 +185,7 @@ def format_timeline(trace: Any, max_lines: int = 120) -> str:
 
 
 def summarize(trace: Any) -> Dict[str, Any]:
-    """Compact per-kind statistics, sized to live inside BENCH_sweep.json."""
+    """Compact per-kind statistics, sized to live inside a recorded sweep row."""
     spans = _spans_of(trace)
     by_kind: Dict[str, Dict[str, Any]] = {}
     for span in spans:

@@ -3,7 +3,7 @@
 ``events_processed`` and ``peak_queue_len`` started life as ad-hoc
 attributes on :class:`~repro.simkernel.core.Environment`; every consumer
 (benchmarks, the sweep executor, trace exports) now reads them through
-:func:`kernel_stats` so they land in ``BENCH_sweep.json`` and trace
+:func:`kernel_stats` so they land in recorded sweep rows and trace
 metadata under one set of key names.
 """
 

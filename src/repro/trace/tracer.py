@@ -12,7 +12,8 @@ simulation the un-traced run executes (bit-identical clocks).
 Zero overhead when disabled
 ---------------------------
 ``Environment.tracer`` is ``None`` by default.  Every instrumentation
-site follows the guard pattern (mirroring ``REPRO_FABRIC_FASTPATH``)::
+site follows the same guard pattern as ``env.faults`` and
+``env.metrics``::
 
     tracer = env.tracer
     if tracer is not None:

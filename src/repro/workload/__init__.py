@@ -17,11 +17,11 @@ Quick use::
     result = run_workload_trial(diurnal_mixed(tenants=1_000_000), n_servers=16)
     print(result.extra["ops_per_s"], result.extra["max_class_multiplicity"])
 
-``RunOptions(tenant_collapse=False)`` (or ``REPRO_TENANT_COLLAPSE=0``
-when the field is unset) gives every tenant its own session
-(bit-identical to collapsed mode whenever every class multiplicity is
-already 1); ``tests/workload`` pins that, the 1% collapse accuracy, and
-scale invariance.
+``RunOptions(tenant_collapse=False)`` (``--no-collapse`` on the
+``traffic`` CLI) gives every tenant its own session (bit-identical to
+collapsed mode whenever every class multiplicity is already 1);
+``tests/workload`` pins that, the 1% collapse accuracy, and scale
+invariance.
 """
 
 from ..bench.harness import run_workload_trial

@@ -51,15 +51,6 @@ class TestTrialKey:
         assert trial_key(base) not in keys
         assert len(keys) == len(variants)
 
-    def test_sensitive_to_fastpath_switches(self, monkeypatch):
-        spec = _specs()[0]
-        base = trial_key(spec)
-        monkeypatch.setenv("REPRO_KERNEL_LAZY", "0")
-        assert trial_key(spec) != base
-        monkeypatch.delenv("REPRO_KERNEL_LAZY")
-        monkeypatch.setenv("REPRO_FABRIC_FASTPATH", "0")
-        assert trial_key(spec) != base
-
     def test_sensitive_to_simulator_source(self, monkeypatch):
         spec = _specs()[0]
         base = trial_key(spec)

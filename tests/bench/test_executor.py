@@ -23,7 +23,10 @@ from repro.workload import TenantClass, WorkloadSpec
 
 SIZE = 8 * MiB
 
-#: The keys of every BENCH_sweep.json row; the dashboard reads them.
+#: Where the sweep file lived when recording was on by default.
+REPO_SWEEP_FILE = os.path.join(os.path.dirname(__file__), "..", "..", "BENCH_sweep.json")
+
+#: The keys of every recorded sweep row; the dashboard reads them.
 ROW_KEYS = {
     "kind", "impl", "n_clients", "n_servers", "seed", "value", "unit",
     "wall_clock_s", "events_processed", "peak_event_queue", "sim_seconds",
@@ -173,20 +176,30 @@ class TestRecording:
             assert [set(row) for row in rows] == [ROW_KEYS, ROW_KEYS, workload_keys]
             assert [row["unit"] for row in rows] == ["MB/s", "ops/s", "ops/s"]
 
-    def test_suite_leaves_committed_sweep_file_alone(self, monkeypatch, sweep_json_outside_repo):
-        with monkeypatch.context() as m:
-            m.delenv("REPRO_BENCH_SWEEP_JSON")
-            committed = sweep_json_path()
-        assert committed != str(sweep_json_outside_repo)
-        before = open(committed, "rb").read() if os.path.exists(committed) else None
-
+    def test_suite_leaves_committed_sweep_file_alone(self, sweep_json_outside_repo):
+        # The suite opts in to recording, into a temporary file only.
+        assert sweep_json_path() == str(sweep_json_outside_repo)
         specs = [create_spec("lwfs", 2, 2, seed=201, creates_per_client=4)]
         run_sweep(specs, jobs=1, label="redirected", cache=False)
-
-        after = open(committed, "rb").read() if os.path.exists(committed) else None
-        assert after == before
         doc = json.loads(sweep_json_outside_repo.read_text())
         assert "redirected" in [s["label"] for s in doc["sweeps"]]
+
+    def test_unset_variable_records_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_SWEEP_JSON")
+        monkeypatch.chdir(tmp_path)
+        assert sweep_json_path() is None
+
+        def snapshot():
+            if not os.path.exists(REPO_SWEEP_FILE):
+                return None
+            with open(REPO_SWEEP_FILE, "rb") as fh:
+                return fh.read()
+
+        before = snapshot()
+        specs = [create_spec("lwfs", 2, 2, seed=202, creates_per_client=4)]
+        run_sweep(specs, jobs=1, label="unrecorded", cache=False)
+        assert snapshot() == before
+        assert list(tmp_path.iterdir()) == []
 
     def test_record_survives_corrupt_file(self, tmp_path, monkeypatch):
         path = tmp_path / "BENCH_sweep.json"

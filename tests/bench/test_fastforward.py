@@ -2,15 +2,16 @@
 
 Contract under test:
 
-* **fast-forward under chaos** — a fault plan disables the analytic
-  epoch-skip engine, so every chaos scenario is bit-identical with
-  ``fastforward=True`` and ``False`` (the fallback *is* the reference);
+* **fast-forward under chaos** — a fault plan resolves the automatic
+  ``fastforward`` setting to off, so every chaos scenario run with the
+  setting unset is bit-identical to ``fastforward=False`` and
+  fast-forwards nothing;
 * **flow-grid equivalence** — on flow-mode dumps big enough to keep many
   concurrent flows live, the engine on and off agree on the figure of
   merit to 1e-9 (floating-point reassociation, not model error), and the
   engine actually retires completions analytically;
-* **cache identity** — the ``REPRO_FASTFORWARD`` kill switch is part of
-  the trial-cache key, so a fast-forwarded outcome never answers for a
+* **cache identity** — the ``fastforward`` option is part of the
+  trial-cache key, so a fast-forwarded outcome never answers for a
   reference run.
 """
 
@@ -28,9 +29,9 @@ STATE = 8 * MiB
 
 
 class TestChaosFastForwardFallback:
-    """A fault plan forces the epoch-skip engine off; the fallback must
-    reproduce the reference (``fastforward=False``) timeline bit-exact on
-    every chaos scenario."""
+    """A fault plan turns the automatic epoch-skip setting off; the run
+    must reproduce the reference (``fastforward=False``) timeline
+    bit-exact on every chaos scenario."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_bit_identical_with_and_without_fastforward(self, name):
@@ -43,7 +44,7 @@ class TestChaosFastForwardFallback:
                                    fastforward=fastforward),
             )
 
-        fast, ref = run(True), run(False)
+        fast, ref = run(None), run(False)
         assert fast.extra.get("events_fast_forwarded", 0) == 0
         assert fast.max_elapsed == ref.max_elapsed
         assert fast.mean_elapsed == ref.mean_elapsed
@@ -72,9 +73,9 @@ class TestFlowGridEquivalence:
 
 
 class TestCacheKeySensitivity:
-    def test_fastforward_kill_switch_folds_into_trial_key(self, monkeypatch):
+    def test_fastforward_kill_switch_folds_into_trial_key(self):
         spec = checkpoint_spec("lwfs", 8, 4, seed=1, state_bytes=STATE)
-        monkeypatch.delenv("REPRO_FASTFORWARD", raising=False)
-        base = trial_key(spec)
-        monkeypatch.setenv("REPRO_FASTFORWARD", "0")
-        assert trial_key(spec) != base
+        killed = checkpoint_spec("lwfs", 8, 4, seed=1, state_bytes=STATE,
+                                 options=RunOptions(fastforward=False))
+        assert trial_key(killed) != trial_key(spec)
+        assert RunOptions(fastforward=False).describe() != RunOptions().describe()

@@ -4,8 +4,6 @@ Contract under test:
 
 * ``flow=False`` (the default) never touches the flow engine — no flow
   counters, identical figures to a run made before the engine existed;
-* an explicit ``flow=False`` beats ``REPRO_FLOW=1``: the trial runs
-  the exact path the resolved options report;
 * ``flow=True`` approximates the exact run within 1% on the bulk-bound
   workloads it targets, while processing far fewer kernel events;
 * flow trials advertise themselves (``flows_active``,
@@ -42,22 +40,6 @@ class TestOffPathUntouched:
         assert "flows_active" not in exact.extra
         assert "rate_recomputes" not in exact.extra
 
-    def test_explicit_flow_false_beats_repro_flow_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW", raising=False)
-        exact = run_checkpoint_trial("lwfs", 4, 2, seed=3, state_bytes=STATE)
-        monkeypatch.setenv("REPRO_FLOW", "1")
-        pinned = run_checkpoint_trial(
-            "lwfs", 4, 2, seed=3, state_bytes=STATE,
-            options=RunOptions(flow=False),
-        )
-        assert "flows_active" not in pinned.extra
-        assert pinned.extra == exact.extra
-        assert pinned.max_elapsed == exact.max_elapsed
-
-    def test_repro_flow_one_forces_the_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW", "1")
-        forced = run_checkpoint_trial("lwfs", 4, 2, seed=3, state_bytes=STATE)
-        assert forced.extra.get("flows_active", 0) > 0
 
 
 #: Dev-cluster layouts (clients, servers); the 8x4 cases keep their

@@ -98,6 +98,14 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--metrics-period" in capsys.readouterr().err
 
+    def test_checkpoint_rejects_fast_forward_with_faults(self, capsys):
+        plan = os.path.join(EXAMPLES, "faults", "storage_crash.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["checkpoint", *SMALL_DUMP, "--fast-forward", "--faults", plan])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "RunOptions.fastforward" in err and "RunOptions.faults" in err
+
     def test_traffic_workload_file(self, capsys, tmp_path):
         spec = WorkloadSpec(
             classes=(TenantClass(name="meta", tenants=40, rate=50.0,

@@ -2,25 +2,30 @@
 
 Contract under test:
 
-* resolution order per knob is explicit value > ``REPRO_*`` env > default;
+* a trial's configuration comes only from its ``RunOptions`` fields —
+  the defaults are concrete and no environment variable changes them;
+* ``fastforward`` is automatic (on exactly when there is no fault plan),
+  and an explicit ``fastforward=True`` with a fault plan is a
+  :class:`~repro.errors.ConfigError`;
 * ``RunOptions`` is the only way to configure a trial: it has exactly
   ten fields, and the old ``trace``/``collapse``/``flow``/``tiers``
   harness kwargs are rejected;
 * the bench trial-cache key folds the resolved options in (a fault plan
   changes the key; fault-injected trials are never cached at all);
-* ``REPRO_*`` environment reads stay behind the single
-  ``repro.sim.config.env_str`` gateway, except the documented kill
-  switches.
+* only ``repro.sim.config.env_str`` reads the environment, and the
+  package names no ``REPRO_*`` variable beyond the bench plumbing.
 """
 
 import dataclasses
 import os
+import re
 
 import pytest
 
 from repro.bench import run_checkpoint_trial, run_create_trial
 from repro.bench.cache import TrialCache, trial_key
 from repro.bench.executor import checkpoint_spec
+from repro.errors import ConfigError, ReproError
 from repro.faults import FaultEvent, FaultPlan
 from repro.sim.config import RunOptions
 from repro.units import MiB
@@ -34,45 +39,37 @@ FIELDS = [
 ]
 
 
+#: Variables that configured trials before RunOptions was the only
+#: channel; none of them may change a trial any more.
+FORMER_OPTION_VARIABLES = {
+    "REPRO_COLLAPSE": "1", "REPRO_FLOW": "1", "REPRO_TRACE": "1",
+    "REPRO_FASTFORWARD": "0", "REPRO_METRICS": "1",
+    "REPRO_TENANT_COLLAPSE": "0", "REPRO_METRICS_PERIOD": "abc",
+    "REPRO_FAULTS": "missing-plan.json", "REPRO_WORKLOAD": "missing-mix.json",
+    "REPRO_TIERS": "missing-tiers.json", "REPRO_KERNEL_LAZY": "0",
+    "REPRO_FABRIC_FASTPATH": "0",
+}
+
+
 class TestResolutionOrder:
-    def test_defaults(self, monkeypatch):
-        for env in RunOptions._ENV.values():
-            monkeypatch.delenv(env, raising=False)
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    def test_defaults(self):
         opts = RunOptions().resolved()
         assert (opts.collapse, opts.flow, opts.trace) == (False, False, False)
         assert (opts.fastforward, opts.tenant_collapse) == (True, True)
         assert opts.metrics is False
         assert opts.faults is None
 
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLLAPSE", "1")
-        monkeypatch.setenv("REPRO_FASTFORWARD", "0")
-        opts = RunOptions().resolved()
-        assert opts.collapse is True
-        assert opts.fastforward is False
-
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLLAPSE", "0")
-        monkeypatch.setenv("REPRO_FLOW", "1")
+        # Explicit fields are all there is: every variable that once
+        # configured a trial is set, and none of them is read.
+        clean = RunOptions(collapse=True, flow=False).describe()
+        for name, value in FORMER_OPTION_VARIABLES.items():
+            monkeypatch.setenv(name, value)
         opts = RunOptions(collapse=True, flow=False).resolved()
         assert opts.collapse is True
         assert opts.flow is False
-
-    def test_falsey_env_spellings(self, monkeypatch):
-        for raw in ("0", "false", "no", "FALSE"):
-            monkeypatch.setenv("REPRO_TRACE", raw)
-            assert RunOptions().resolved().trace is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert RunOptions().resolved().trace is True
-
-    def test_faults_path_resolves_from_env(self, monkeypatch, tmp_path):
-        plan = FaultPlan(events=(FaultEvent(
-            kind="server_crash", at=0.1, target="stor0", duration=0.1),), seed=3)
-        path = str(tmp_path / "plan.json")
-        plan.dump(path)
-        monkeypatch.setenv("REPRO_FAULTS", path)
-        assert RunOptions().resolved().faults == plan
+        assert RunOptions(collapse=True, flow=False).describe() == clean
+        assert RunOptions().resolved() == RunOptions(fastforward=True)
 
     def test_faults_string_is_loaded_as_a_path(self, tmp_path):
         plan = FaultPlan(seed=4, rpc_drop_rate=0.01)
@@ -109,17 +106,40 @@ class TestMetricsPeriodRejected:
 
     @pytest.mark.parametrize("period", [0, -1])
     def test_nonpositive_field(self, period):
-        with pytest.raises(ValueError, match="metrics_period"):
+        with pytest.raises(ConfigError, match="metrics_period"):
             RunOptions(metrics_period=period).resolved()
 
-    def test_unparsable_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS_PERIOD", "abc")
-        with pytest.raises(ValueError, match="REPRO_METRICS_PERIOD"):
-            RunOptions().resolved()
+    def test_valid_period_resolves(self):
+        assert RunOptions(metrics_period=5e-4).resolved().metrics_period == 5e-4
 
-    def test_valid_env_period_resolves(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS_PERIOD", "5e-4")
-        assert RunOptions().resolved().metrics_period == 5e-4
+
+class TestFastForwardUnderFaults:
+    """``fastforward`` reports what the trial runs: the flow engine never
+    fast-forwards under a fault plan, so neither may the options."""
+
+    PLAN = FaultPlan(seed=3, rpc_drop_rate=0.01)
+
+    def test_auto_follows_the_fault_plan(self):
+        assert RunOptions().resolved().fastforward is True
+        assert RunOptions(faults=self.PLAN).resolved().fastforward is False
+        assert RunOptions(faults=self.PLAN).describe()["fastforward"] is False
+
+    def test_explicit_true_with_faults_raises(self):
+        with pytest.raises(ConfigError) as exc:
+            RunOptions(fastforward=True, faults=self.PLAN).resolved()
+        message = str(exc.value)
+        assert "RunOptions.fastforward" in message
+        assert "RunOptions.faults" in message
+        # Existing ValueError handlers keep catching configuration errors.
+        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, ReproError)
+
+    def test_trial_raises_before_building(self):
+        with pytest.raises(ConfigError, match="RunOptions.fastforward"):
+            run_checkpoint_trial(
+                "lwfs", 4, 2, seed=5, state_bytes=STATE,
+                options=RunOptions(flow=True, fastforward=True, faults=self.PLAN),
+            )
 
 
 class TestOneConfigurationSurface:
@@ -147,12 +167,11 @@ class TestCacheKeySeparation:
             kind="server_crash", at=0.2, target="stor0", duration=0.1),), seed=3)
         assert faulted != trial_key(self._spec(options=RunOptions(faults=other)))
 
-    def test_every_resolved_knob_is_in_the_key(self, monkeypatch):
+    def test_every_resolved_knob_is_in_the_key(self):
         base = trial_key(self._spec())
         assert trial_key(self._spec(options=RunOptions(collapse=True))) != base
         assert trial_key(self._spec(options=RunOptions(flow=True))) != base
-        monkeypatch.setenv("REPRO_COLLAPSE", "1")
-        assert trial_key(self._spec()) != base
+        assert trial_key(self._spec(options=RunOptions(fastforward=False))) != base
 
     def test_fault_trials_are_never_cached(self):
         plan = FaultPlan(seed=3, rpc_drop_rate=0.01)
@@ -162,33 +181,43 @@ class TestCacheKeySeparation:
         assert TrialCache.cacheable(self._spec(options=RunOptions(trace=True))) is False
 
 
+def _package_sources():
+    """``(path relative to the package, source)`` for every module."""
+    import repro
+
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    yield os.path.relpath(path, root), fh.read()
+
+
 class TestEnvReadWhitelist:
-    #: The documented kill switches (read at point of use to avoid import
-    #: cycles) plus the single env_str gateway.  Nothing else in
-    #: src/repro may touch os.environ.
-    WHITELIST = {
-        os.path.join("sim", "config.py"),      # env_str gateway
-        os.path.join("network", "fabric.py"),  # REPRO_FABRIC_FASTPATH
-        os.path.join("simkernel", "core.py"),  # REPRO_KERNEL_LAZY
+    #: The single env_str gateway.  Nothing else in src/repro may touch
+    #: os.environ.
+    WHITELIST = {os.path.join("sim", "config.py")}
+
+    #: The bench plumbing env_str serves: worker counts and file
+    #: locations.  No other REPRO_* variable exists.
+    BENCH_VARIABLES = {
+        "REPRO_BENCH_JOBS", "REPRO_BENCH_CACHE", "REPRO_BENCH_CACHE_DIR",
+        "REPRO_BENCH_SWEEP_JSON", "REPRO_RESULTS_DIR",
     }
 
     def test_no_stray_environment_reads(self):
-        import repro
-
-        root = os.path.dirname(os.path.abspath(repro.__file__))
-        offenders = []
-        for dirpath, _, files in os.walk(root):
-            for name in files:
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, name)
-                rel = os.path.relpath(path, root)
-                with open(path, encoding="utf-8") as fh:
-                    source = fh.read()
-                if ("os.environ" in source or "getenv" in source) \
-                        and rel not in self.WHITELIST:
-                    offenders.append(rel)
+        offenders = [
+            rel for rel, source in _package_sources()
+            if ("os.environ" in source or "getenv" in source)
+            and rel not in self.WHITELIST
+        ]
         assert not offenders, (
-            f"REPRO_* reads outside repro.sim.config.env_str and the "
-            f"documented kill switches: {offenders}"
+            f"environment reads outside repro.sim.config.env_str: {offenders}"
         )
+
+    def test_only_bench_plumbing_variables_are_named(self):
+        named = set()
+        for _, source in _package_sources():
+            named.update(re.findall(r"REPRO_[A-Z0-9_]+", source))
+        assert named == self.BENCH_VARIABLES

@@ -43,15 +43,6 @@ class TestKillSwitch:
     def test_passthrough_adds_no_buffer_stats(self):
         assert "buffer_nodes" not in _run(TierSpec(mode="passthrough")).extra
 
-    def test_env_path_resolves(self, monkeypatch, tmp_path):
-        spec = TierSpec(mode="buffer", placement="shared")
-        path = str(tmp_path / "tier.json")
-        save_tiers(spec, path)
-        monkeypatch.setenv("REPRO_TIERS", path)
-        assert RunOptions().resolved().tiers == spec
-        # Explicit value beats the environment.
-        assert RunOptions(tiers=TierSpec()).resolved().tiers == TierSpec()
-
     def test_string_is_loaded_as_a_path(self, tmp_path):
         spec = TierSpec(mode="hostlog")
         path = str(tmp_path / "tier.json")

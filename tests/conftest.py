@@ -7,10 +7,10 @@ import pytest
 def sweep_json_outside_repo(tmp_path_factory):
     """Send recorded sweeps and cached trials to a temporary directory.
 
-    ``run_sweep`` records to the committed ``BENCH_sweep.json`` unless
-    ``REPRO_BENCH_SWEEP_JSON`` says otherwise, and the trial cache writes
-    under ``results/.trial-cache`` unless ``REPRO_BENCH_CACHE_DIR`` does;
-    tests must leave the working tree clean, so both variables point at
+    ``run_sweep`` records only when ``REPRO_BENCH_SWEEP_JSON`` names a
+    file, and the trial cache writes under ``results/.trial-cache``
+    unless ``REPRO_BENCH_CACHE_DIR`` says otherwise; the suite exercises
+    both while leaving the working tree clean, so both variables point at
     a temporary directory.  Forked sweep workers inherit them.
     """
     tmp = tmp_path_factory.mktemp("bench")

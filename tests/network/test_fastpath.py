@@ -1,18 +1,22 @@
 """Fast-path equivalence: batched-timeout transfers match the reference loop.
 
-Every scenario runs the same workload twice — once with
-``repro.network.fabric.FASTPATH`` enabled (single merged timeout over
-uncontended pipes) and once forced onto the reference request/hold path —
-and asserts identical simulated completion times and pipe accounting.
+Every scenario runs the same workload twice — once on the shipping
+fabric (pipes claimed synchronously when uncontended) and once forced
+onto the reference request/hold path by
+:func:`tests.reference.queued_transfers` — and asserts identical
+simulated completion times and pipe accounting.
 """
+
+import contextlib
 
 import pytest
 
-import repro.network.fabric as fabric_mod
 from repro.machine import Node, dev_cluster
 from repro.network import Fabric, MemoryDescriptor, install_portals
 from repro.simkernel import Environment
 from repro.units import KiB, MiB
+
+from ..reference import queued_transfers
 
 SIZES = (0, 2 * KiB, 64 * KiB, 1 * MiB, 8 * MiB)
 
@@ -35,17 +39,13 @@ def build():
 
 
 def run_both(workload):
-    """Run *workload(env, fabric)* with the fast path off, then on."""
+    """Run *workload(env, fabric)* on the queued path, then the shipping one."""
     results = []
-    for enabled in (False, True):
-        saved = fabric_mod.FASTPATH
-        fabric_mod.FASTPATH = enabled
-        try:
+    for mode in (queued_transfers, contextlib.nullcontext):
+        with mode():
             env, fabric, nodes = build()
             value = workload(env, fabric)
             results.append((env, fabric, value))
-        finally:
-            fabric_mod.FASTPATH = saved
     return results
 
 

@@ -1,24 +1,32 @@
-"""Lazy event cancellation: tombstones vs. the eager reference path.
+"""Lazy event cancellation: the shipping kernel vs. the plain-heap reference.
 
-Cancellation is semantics, not an optimisation — both modes must produce
+Cancellation is semantics, not an optimisation — the shipping kernel
+(zero-delay deques, Timeout free list, tombstone compaction) and the
+plain-heap reference kernel in :mod:`tests.reference` must produce
 bit-identical simulated timelines.  Only the *accounting* counters
-(``events_skipped_cancelled``, ``peak_event_queue``) may differ: the lazy
-path leaves tombstones in the heap and skips them at pop, the eager path
-excises entries immediately.
+(``events_skipped_cancelled``, ``peak_event_queue``) may differ: they
+describe how the heap was managed.
 """
 
 import pytest
 
+import repro.sim.cluster as cluster_mod
 from repro.bench import run_checkpoint_trial, run_create_trial
 from repro.sim.config import RunOptions
 from repro.simkernel import Environment
-from repro.simkernel import core as simkernel_core
 from repro.trace import kernel_stats
+
+from ..reference import HeapEnvironment
 
 
 @pytest.fixture(params=[True, False], ids=["lazy", "eager"])
 def both_modes(request):
+    """``True`` selects the shipping kernel, ``False`` the heap reference."""
     return request.param
+
+
+def _env(lazy):
+    return Environment() if lazy else HeapEnvironment()
 
 
 def _timer_race(env, n=50):
@@ -40,28 +48,29 @@ def _timer_race(env, n=50):
 
 class TestKernelSemantics:
     def test_timelines_identical_across_modes(self):
-        lazy_env = Environment(lazy=True)
-        eager_env = Environment(lazy=False)
+        lazy_env = Environment()
+        eager_env = HeapEnvironment()
         assert _timer_race(lazy_env) == _timer_race(eager_env)
         assert lazy_env.now == eager_env.now
         # All 50 winners fired before t=2; none of the cancelled losers
         # ran their callbacks in either mode.
-        log = _timer_race(Environment(lazy=True))
+        log = _timer_race(Environment())
         assert len(log) == 50 and all(t < 2.0 for _, t in log)
 
     def test_skip_accounting_is_mode_independent(self, both_modes):
         # Cancellation is semantics, not an optimisation: tombstones are
         # discarded at pop in BOTH modes, one skip per cancelled timer.
-        env = Environment(lazy=both_modes)
+        env = _env(both_modes)
         _timer_race(env)
         assert kernel_stats(env)["events_skipped_cancelled"] == 50
         assert env.events_cancelled == 50
 
     def test_timeout_pool_recycles_only_in_lazy_mode(self, both_modes):
-        env = Environment(lazy=both_modes)
+        env = _env(both_modes)
         _timer_race(env)
-        # The retired losers feed the free list in lazy mode, so fresh
-        # timers come from the pool instead of the allocator.
+        # The retired losers feed the shipping kernel's free list, so
+        # fresh timers come from the pool instead of the allocator; the
+        # reference never reuses a Timeout.
         for _ in range(8):
             env.timeout(1.0)
         env.run()
@@ -71,7 +80,7 @@ class TestKernelSemantics:
             assert env.timeouts_recycled == 0
 
     def test_cancel_after_fire_is_noop(self, both_modes):
-        env = Environment(lazy=both_modes)
+        env = _env(both_modes)
         t = env.timeout(1.0)
         env.run()
         assert not t.cancel()
@@ -79,12 +88,14 @@ class TestKernelSemantics:
 
 
 def _with_lazy(flag, fn, *args, **kwargs):
-    saved = simkernel_core.LAZY
-    simkernel_core.LAZY = flag
-    try:
+    """Run a trial on the shipping kernel, or with ``flag=False`` on the
+    heap reference (the kernel :class:`~repro.sim.cluster.SimCluster`
+    builds is patched for the call)."""
+    if flag:
         return fn(*args, **kwargs)
-    finally:
-        simkernel_core.LAZY = saved
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster_mod, "Environment", HeapEnvironment)
+        return fn(*args, **kwargs)
 
 
 def _span_keys(trace):
@@ -92,12 +103,12 @@ def _span_keys(trace):
 
 
 class TestTrialEquivalence:
-    """Full-stack trials are bit-identical with the optimisation on/off.
+    """Full-stack trials are bit-identical on both kernels.
 
     Only deterministic simulation outputs are compared — figure of merit,
     elapsed simulated time, events processed, trace spans.  The skip and
     peak-queue counters are explicitly *not* compared: they describe how
-    the heap was managed, which is exactly what differs between modes.
+    the heap was managed, which is exactly what differs between kernels.
     """
 
     def test_checkpoint_trial_bit_identical(self):
@@ -127,5 +138,5 @@ class TestTrialEquivalence:
         assert _span_keys(lazy.trace) == _span_keys(eager.trace)
         # The RPC replies raced (and cancelled) timeout timers, which must
         # surface as pop-time skips.  The skip/peak counters describe heap
-        # management and are deliberately not compared across modes.
+        # management and are deliberately not compared across kernels.
         assert lazy.extra["events_skipped_cancelled"] > 0

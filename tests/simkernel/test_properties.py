@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.simkernel import NORMAL, Container, Environment, RandomStreams, Resource, Store
 from repro.simkernel.core import EmptySchedule
 
+from ..reference import HeapEnvironment
+
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
 @settings(max_examples=60, deadline=None)
@@ -293,13 +295,11 @@ def _recount_live(env):
     return sum(1 for entry in queued if not entry[3]._cancelled)
 
 
-class _RecountingEnvironment(Environment):
+class _Recounting:
     """Tracks the peak of the recount at every schedule, as the kernel's
     ``peak_queue_len`` contract defines it."""
 
-    def __init__(self, lazy):
-        super().__init__(lazy=lazy)
-        self.recount_peak = 0
+    recount_peak = 0
 
     def _note(self):
         self.recount_peak = max(self.recount_peak, _recount_live(self))
@@ -312,6 +312,14 @@ class _RecountingEnvironment(Environment):
         event = super().timeout(delay, value)
         self._note()
         return event
+
+
+class _RecountingEnvironment(_Recounting, Environment):
+    pass
+
+
+class _RecountingHeapEnvironment(_Recounting, HeapEnvironment):
+    pass
 
 
 _kernel_ops = st.lists(
@@ -334,7 +342,7 @@ def test_live_counter_matches_recount(lazy, ops):
     """The O(1) live-entry counter equals a full recount of the schedule
     after any mix of schedules, cancels and runs, and the queue peak is
     the recount's peak over every schedule."""
-    env = _RecountingEnvironment(lazy)
+    env = _RecountingEnvironment() if lazy else _RecountingHeapEnvironment()
     pending = []  # events we scheduled and have not cancelled
 
     def sleeper(env, delay):

@@ -2,7 +2,8 @@
 
 Traces must be bit-identical across (a) repeated runs in one process —
 process-global counters like RPC request ids must not leak into span
-identity, (b) the fabric fast path on/off, and (c) serial vs parallel
+identity, (b) the fabric fast path and the queued reference path
+(:func:`tests.reference.queued_transfers`), and (c) serial vs parallel
 sweep execution.  And with no tracer installed the instrumentation must
 not change the simulation at all.
 """
@@ -11,11 +12,12 @@ import time
 
 import pytest
 
-import repro.network.fabric as fabric_mod
 from repro.bench import run_checkpoint_trial
 from repro.bench.executor import checkpoint_spec, run_trials
 from repro.sim.config import RunOptions
 from repro.units import MiB
+
+from ..reference import queued_transfers
 
 POINT = dict(impl="lwfs", n_clients=4, n_servers=2, state_bytes=2 * MiB, seed=9)
 TRACED = RunOptions(trace=True)
@@ -34,14 +36,9 @@ def test_trace_identical_across_reruns():
 
 
 def test_trace_identical_fastpath_on_and_off():
-    results = {}
-    for enabled in (False, True):
-        saved = fabric_mod.FASTPATH
-        fabric_mod.FASTPATH = enabled
-        try:
-            results[enabled] = run_checkpoint_trial(**POINT, options=TRACED)
-        finally:
-            fabric_mod.FASTPATH = saved
+    with queued_transfers():
+        results = {False: run_checkpoint_trial(**POINT, options=TRACED)}
+    results[True] = run_checkpoint_trial(**POINT, options=TRACED)
     assert _keys(results[False]) == _keys(results[True])
     assert results[False].max_elapsed == results[True].max_elapsed
     # The queued reference path spends extra kernel events on pipe

@@ -2,9 +2,9 @@
 
 Contract under test:
 
-* **kill switch** — ``REPRO_TENANT_COLLAPSE=0`` (the env path, not just
-  the ``RunOptions`` field) is bit-for-bit identical to collapsed mode
-  whenever every class multiplicity is 1: collapsing is pure mechanism;
+* **kill switch** — ``RunOptions(tenant_collapse=False)`` is bit-for-bit
+  identical to collapsed mode whenever every class multiplicity is 1:
+  collapsing is pure mechanism;
 * **keying** — tenant blocks never cross class boundaries: two classes
   with identical parameters keep separate sessions, substreams, and
   statistics rows;
@@ -19,7 +19,7 @@ Contract under test:
 * **recovery** — a revocation storm under open-loop load fails closed,
   re-acquires capabilities, and completes every operation;
 * **run options** — a workload trial honours ``trace`` and ``flow`` and
-  rejects ``collapse`` and an interposing tier with a ValueError.
+  rejects ``collapse`` and an interposing tier with a ConfigError.
 """
 
 from dataclasses import replace
@@ -27,6 +27,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.faults import FaultEvent, FaultPlan
 from repro.machine.presets import dev_cluster
 from repro.sim.cluster import SimCluster
@@ -115,27 +116,18 @@ def _small_spec(tenants=24, reps=24, **kw):
 
 
 class TestKillSwitch:
-    def test_env_kill_switch_bit_identical_at_multiplicity_one(self, monkeypatch):
+    def test_env_kill_switch_bit_identical_at_multiplicity_one(self):
         spec = _small_spec(tenants=24, reps=24)
-        monkeypatch.delenv("REPRO_TENANT_COLLAPSE", raising=False)
         collapsed = _rows(run_workload_trial(
             workload=spec, n_servers=4, seed=SEED,
-            options=RunOptions(trace=False, metrics=False),
+            options=RunOptions(tenant_collapse=True),
         ))
 
-        monkeypatch.setenv("REPRO_TENANT_COLLAPSE", "0")
         trial = run_workload_trial(workload=spec, n_servers=4, seed=SEED,
-                                   options=RunOptions(trace=False, metrics=False))
+                                   options=RunOptions(tenant_collapse=False))
         assert trial.extra["max_class_multiplicity"] == 1.0
         killed = _rows(trial)
         assert killed == collapsed
-
-    def test_options_field_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TENANT_COLLAPSE", "0")
-        opts = RunOptions(tenant_collapse=True).resolved()
-        assert opts.tenant_collapse is True
-        monkeypatch.delenv("REPRO_TENANT_COLLAPSE")
-        assert RunOptions().resolved().tenant_collapse is True
 
 
 class TestCollapseKeying:
@@ -348,7 +340,7 @@ class TestRunOptions:
     ], ids=["trace", "flow", "collapse", "tiers"])
     def test_honoured_or_rejected(self, opts, rejected):
         if rejected is not None:
-            with pytest.raises(ValueError, match=rf"RunOptions\.{rejected}\b"):
+            with pytest.raises(ConfigError, match=rf"RunOptions\.{rejected}\b"):
                 self._run(**opts)
             return
         base, trial = self._run(), self._run(**opts)

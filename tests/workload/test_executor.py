@@ -6,9 +6,8 @@ Contract under test:
   processes is bit-identical to the serial run (trial statistics and
   the new tenant columns included);
 * **cache identity** — the trial key folds in the workload signature
-  and the resolved ``tenant_collapse`` (``REPRO_TENANT_COLLAPSE``), so a
-  cached clean-traffic outcome can never answer for a different mix or
-  mode;
+  and the resolved ``tenant_collapse``, so a cached clean-traffic
+  outcome can never answer for a different mix or mode;
 * **reporting** — the trial record carries ``tenants_simulated`` /
   ``max_class_multiplicity`` through cache round-trips.
 """
@@ -17,6 +16,7 @@ import pytest
 
 from repro.bench import run_sweep, workload_spec
 from repro.bench.cache import trial_key
+from repro.sim.config import RunOptions
 from repro.workload import TenantClass, WorkloadSpec
 
 SEED = 7
@@ -72,12 +72,11 @@ class TestCacheIdentity:
         other = trial_key(workload_spec(_mix(rate=151.0), 4, seed=SEED))
         assert base != other
 
-    def test_collapse_kill_switch_changes_key(self, monkeypatch):
-        spec = workload_spec(_mix(), 4, seed=SEED)
-        monkeypatch.delenv("REPRO_TENANT_COLLAPSE", raising=False)
-        base = trial_key(spec)
-        monkeypatch.setenv("REPRO_TENANT_COLLAPSE", "0")
-        assert trial_key(spec) != base
+    def test_collapse_kill_switch_changes_key(self):
+        base = trial_key(workload_spec(_mix(), 4, seed=SEED))
+        killed = workload_spec(_mix(), 4, seed=SEED,
+                               options=RunOptions(tenant_collapse=False))
+        assert trial_key(killed) != base
 
 
 class TestCacheRoundTrip:
