@@ -206,80 +206,63 @@ class Fabric:
                     yield env.timeout(duration - share)
                     full_pipe.bytes_moved += wire_bytes
                     full_pipe.busy_time += env.now - start
-                yield env.timeout(self.wire_latency(msg.src, msg.dst))
-                if not dst.alive:
-                    raise NodeFailure(
-                        f"node {dst.name} died before delivery of {msg.tag!r}"
-                    )
-                if fanout:
-                    # The representative receives only its own message.
-                    recv_cost = dst.msg_overhead_time() + dst.copy_overhead_time(
-                        wire_bytes // mult
-                    )
-                else:
-                    # The receiver handled all ``mult`` incoming messages.
-                    recv_cost = mult * dst.msg_overhead_time() + dst.copy_overhead_time(
-                        wire_bytes
-                    )
-                if recv_cost > 0:
-                    yield env.timeout(recv_cost)
-                self.counters.incr("messages", mult)
-                self.counters.incr("bytes", wire_bytes)
-                if tracer is not None:
-                    op = msg.tag
-                    cut = op.find(":0x")
-                    if cut >= 0:
-                        op = op[:cut]
-                    tracer.record(
-                        f"xfer:{op}" if op else "xfer", start=t0, kind="xfer",
-                        node=msg.src, op=op or None, dst=msg.dst, bytes=wire_bytes,
-                    )
-                return msg
-
-            tx_tok = tx_pipe._slot.try_acquire()
-            rx_tok = None
-            if tx_tok is not None:
-                rx_tok = rx_pipe._slot.try_acquire()
-                if rx_tok is None:
-                    # Receiver is busy: fall back to the queued path below
-                    # (which re-claims tx first, exactly as before).
-                    tx_pipe._slot.release(tx_tok)
-                    tx_tok = None
-
-            if rx_tok is not None:
-                # Uncontended fast path: both pipes claimed synchronously,
-                # so the request/release event churn of the queued path
-                # disappears and only the two timing events remain.  The
-                # timeout split (serialization, then wire latency) mirrors
-                # the queued path exactly so timestamps stay bit-identical.
-                yield env.timeout(duration)
-                for pipe in (tx_pipe, rx_pipe):
-                    pipe.bytes_moved += wire_bytes
-                    pipe.busy_time += duration
-                rx_pipe._slot.release(rx_tok)
-                tx_pipe._slot.release(tx_tok)
-                yield env.timeout(self.wire_latency(msg.src, msg.dst))
             else:
-                # Hold both endpoint pipes for the serialization time so
-                # that contention at either end throttles the transfer.
-                with tx_pipe._slot.request() as tx_req:
-                    yield tx_req
-                    with rx_pipe._slot.request() as rx_req:
-                        yield rx_req
-                        start = env.now
-                        yield env.timeout(duration)
-                        for pipe in (tx_pipe, rx_pipe):
-                            pipe.bytes_moved += wire_bytes
-                            pipe.busy_time += env.now - start
+                tx_tok = tx_pipe._slot.try_acquire()
+                rx_tok = None
+                if tx_tok is not None:
+                    rx_tok = rx_pipe._slot.try_acquire()
+                    if rx_tok is None:
+                        # Receiver is busy: fall back to the queued path
+                        # below, which claims tx first.
+                        tx_pipe._slot.release(tx_tok)
+                        tx_tok = None
 
-                yield env.timeout(self.wire_latency(msg.src, msg.dst))
+                if rx_tok is not None:
+                    # Uncontended fast path: both pipes claimed
+                    # synchronously, so the request/release event churn of
+                    # the queued path disappears and only the two timing
+                    # events remain.  The timeout split (serialization,
+                    # then wire latency) mirrors the queued path exactly so
+                    # timestamps stay bit-identical.
+                    yield env.timeout(duration)
+                    for pipe in (tx_pipe, rx_pipe):
+                        pipe.bytes_moved += wire_bytes
+                        pipe.busy_time += duration
+                    rx_pipe._slot.release(rx_tok)
+                    tx_pipe._slot.release(tx_tok)
+                else:
+                    # Hold both endpoint pipes for the serialization time so
+                    # that contention at either end throttles the transfer.
+                    with tx_pipe._slot.request() as tx_req:
+                        yield tx_req
+                        with rx_pipe._slot.request() as rx_req:
+                            yield rx_req
+                            start = env.now
+                            yield env.timeout(duration)
+                            for pipe in (tx_pipe, rx_pipe):
+                                pipe.bytes_moved += wire_bytes
+                                pipe.busy_time += env.now - start
+
+            yield env.timeout(self.wire_latency(msg.src, msg.dst))
         else:
             yield env.timeout(wire_bytes / (4 * src.nic.tx.bandwidth))
 
         if not dst.alive:
             raise NodeFailure(f"node {dst.name} died before delivery of {msg.tag!r}")
 
-        recv_cost = dst.msg_overhead_time() + dst.copy_overhead_time(wire_bytes)
+        if mult > 1 and msg.src != msg.dst:
+            if fanout:
+                # The representative receives only its own message.
+                recv_cost = dst.msg_overhead_time() + dst.copy_overhead_time(
+                    wire_bytes // mult
+                )
+            else:
+                # The receiver handled all ``mult`` incoming messages.
+                recv_cost = mult * dst.msg_overhead_time() + dst.copy_overhead_time(
+                    wire_bytes
+                )
+        else:
+            recv_cost = dst.msg_overhead_time() + dst.copy_overhead_time(wire_bytes)
         if recv_cost > 0:
             yield env.timeout(recv_cost)
 
@@ -287,7 +270,7 @@ class Fabric:
         # for a whole equivalence class; the sender stamps the class size
         # in msg.meta["mult"] so message counts stay truthful (bytes scale
         # through the weighted size already).
-        self.counters.incr("messages", msg.meta.get("mult", 1))
+        self.counters.incr("messages", mult)
         self.counters.incr("bytes", wire_bytes)
         if tracer is not None:
             # Strip hex match-bits from portals tags: those come from

@@ -14,7 +14,10 @@ Implemented subset:
 * memory descriptors carrying a Python payload by reference plus a
   declared length (the simulated wire cost),
 * event queues delivering ``PUT_END`` / ``GET_END`` / ``REPLY_END``
-  events as :class:`~repro.simkernel.resources.Store` items.
+  events as :class:`~repro.simkernel.resources.Store` items,
+* ``put``/``get`` (and the flow-level ``get_stream``) as generators:
+  the initiator runs every transfer inside its own process with
+  ``yield from``.  No transfer is wrapped in a process of its own.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..errors import NetworkError, NodeFailure
+from ..errors import NetworkError
 from ..machine.node import Node
-from ..simkernel import Environment, Event, Store
+from ..simkernel import Environment, Store
 from .fabric import Fabric, Message
 from .flow import fluid_of
 
@@ -175,6 +178,9 @@ class PortalsEndpoint:
         return Store(self.env, capacity=capacity)
 
     # -- one-sided operations ---------------------------------------------------
+    # Both are generators for ``yield from`` callers: the caller's process
+    # runs the transfer itself, so a crash interrupt of that process
+    # reaches the transfer directly and no orphaned transfer outlives it.
     def put(
         self,
         md: MemoryDescriptor,
@@ -184,40 +190,17 @@ class PortalsEndpoint:
         hdr_data: Any = None,
         offset: int = 0,
         wire_weight: int = 1,
-    ) -> Event:
+    ):
         """One-sided write of ``md.payload`` into the target's match entry.
 
-        Returns an event that fires (initiator side) when the data has been
-        deposited remotely; the target's EQ receives a ``PUT_END`` event.
+        ``yield from endpoint.put(...)`` returns the length once the data
+        has been deposited remotely; the target's EQ receives a
+        ``PUT_END`` event.
 
         ``wire_weight`` mirrors :meth:`get` (symmetric-client collapsing):
         the push serializes ``wire_weight * length`` bytes and counts as
         that many messages.  At 1, exactly the unweighted transfer.
         """
-        gen = self._put_proc(md, target_nid, pt_index, match_bits, hdr_data, offset, wire_weight)
-        if self.env.faults is not None:
-            gen = self._shielded(gen)
-        return self.env.process(gen, name=f"ptl_put->{target_nid}")
-
-    def put_inline(
-        self,
-        md: MemoryDescriptor,
-        target_nid: int,
-        pt_index: int,
-        match_bits: int,
-        hdr_data: Any = None,
-        offset: int = 0,
-        wire_weight: int = 1,
-    ):
-        """:meth:`put` as a plain generator for ``yield from`` callers.
-
-        Identical semantics, but without the process wrapper — callers
-        that immediately wait on the put (the RPC layer, server-directed
-        reads) save the wrapper's start/finish event-loop turns.
-        """
-        return self._put_proc(md, target_nid, pt_index, match_bits, hdr_data, offset, wire_weight)
-
-    def _put_proc(self, md, target_nid, pt_index, match_bits, hdr_data, offset, wire_weight=1):
         # Not itself a generator: picks the worker generator so the
         # tracing-disabled path keeps its exact pre-trace frame count.
         if self.env.tracer is None:
@@ -283,11 +266,11 @@ class PortalsEndpoint:
         match_bits: int,
         length: Optional[int] = None,
         wire_weight: int = 1,
-    ) -> Event:
+    ):
         """One-sided read from the target's match entry into local *md*.
 
-        The initiator-side event fires with the fetched payload once the
-        data lands locally (``REPLY_END``); the target's EQ sees
+        ``yield from endpoint.get(...)`` returns the fetched payload once
+        the data lands locally (``REPLY_END``); the target's EQ sees
         ``GET_END``.
 
         ``wire_weight`` (symmetric-client collapsing) makes this one pull
@@ -295,45 +278,10 @@ class PortalsEndpoint:
         ``wire_weight * nbytes`` on the wire and the fabric counts it as
         that many messages.  At 1, exactly the unweighted transfer.
         """
-        gen = self._get_proc(md, target_nid, pt_index, match_bits, length, wire_weight)
-        if self.env.faults is not None:
-            gen = self._shielded(gen)
-        return self.env.process(gen, name=f"ptl_get<-{target_nid}")
-
-    def get_inline(
-        self,
-        md: MemoryDescriptor,
-        target_nid: int,
-        pt_index: int,
-        match_bits: int,
-        length: Optional[int] = None,
-        wire_weight: int = 1,
-    ):
-        """:meth:`get` as a plain generator for ``yield from`` callers."""
-        return self._get_proc(md, target_nid, pt_index, match_bits, length, wire_weight)
-
-    def _get_proc(self, md, target_nid, pt_index, match_bits, length, wire_weight=1):
-        # Dispatcher, mirroring _put_proc.
+        # Dispatcher, mirroring put.
         if self.env.tracer is None:
             return self._get_inner(md, target_nid, pt_index, match_bits, length, wire_weight)
         return self._get_traced(md, target_nid, pt_index, match_bits, length, wire_weight)
-
-    def _shielded(self, gen):
-        """Fault-injection wrapper for spawned transfer processes.
-
-        When this endpoint's node is crash-killed mid-transfer, the
-        transfer raises :class:`NodeFailure` — but the handler process
-        that was waiting on it has already been crash-interrupted, so the
-        failure would reach the kernel un-waited and un-defused.  A dead
-        machine's DMA engine simply stops: swallow the failure iff our
-        own node is down, propagate it otherwise.
-        """
-        try:
-            return (yield from gen)
-        except NodeFailure:
-            if self.node.alive:
-                raise
-            return None
 
     def _get_traced(self, md, target_nid, pt_index, match_bits, length, wire_weight):
         tracer = self.env.tracer
@@ -348,8 +296,13 @@ class PortalsEndpoint:
         finally:
             tracer.pop(span, prev)
 
-    def _get_inner(self, md, target_nid, pt_index, match_bits, length, wire_weight):
-        # Request phase: a small control message carrying the descriptor.
+    def _get_request(self, target_nid, pt_index, match_bits, length, op):
+        """The request phase every pull shares (``yield from``).
+
+        A header-sized control message carries the descriptor to the
+        target, which matches it and posts ``GET_END``.  Returns the
+        target node, the matched entry and the byte count to move.
+        """
         req = Message(
             src=self.node.node_id,
             dst=target_nid,
@@ -359,11 +312,10 @@ class PortalsEndpoint:
         yield from self.fabric.transfer_inline(req)
 
         target = self.fabric.node(target_nid)
-        endpoint = _endpoint_of(target)
-        me = endpoint.tables[pt_index].match(match_bits)
+        me = _endpoint_of(target).tables[pt_index].match(match_bits)
         if me is None:
             raise NetworkError(
-                f"ptl_get: no match entry at node {target_nid} portal {pt_index} "
+                f"{op}: no match entry at node {target_nid} portal {pt_index} "
                 f"for bits {match_bits:#x}"
             )
         nbytes = me.md.length if length is None else min(length, me.md.length)
@@ -376,6 +328,12 @@ class PortalsEndpoint:
                     length=nbytes,
                 )
             )
+        return target, me, nbytes
+
+    def _get_inner(self, md, target_nid, pt_index, match_bits, length, wire_weight):
+        _, me, nbytes = yield from self._get_request(
+            target_nid, pt_index, match_bits, length, "ptl_get"
+        )
 
         # Reply phase: the bulk data flows target -> initiator.  A
         # weighted pull serializes the whole class's data back to back
@@ -456,32 +414,9 @@ class PortalsEndpoint:
 
     def _get_stream_inner(self, md, target_nid, pt_index, match_bits, length,
                           wire_weight, extra_shares, n_msgs):
-        req = Message(
-            src=self.node.node_id,
-            dst=target_nid,
-            size=self.HEADER_BYTES,
-            tag=f"ptl_get_req:{pt_index}:{match_bits:#x}",
+        target, me, nbytes = yield from self._get_request(
+            target_nid, pt_index, match_bits, length, "ptl_get_stream"
         )
-        yield from self.fabric.transfer_inline(req)
-
-        target = self.fabric.node(target_nid)
-        endpoint = _endpoint_of(target)
-        me = endpoint.tables[pt_index].match(match_bits)
-        if me is None:
-            raise NetworkError(
-                f"ptl_get_stream: no match entry at node {target_nid} portal "
-                f"{pt_index} for bits {match_bits:#x}"
-            )
-        nbytes = me.md.length if length is None else min(length, me.md.length)
-        if me.md.eq is not None:
-            me.md.eq.try_put(
-                PtlEvent(
-                    kind=PtlEventKind.GET_END,
-                    initiator=self.node.node_id,
-                    match_bits=match_bits,
-                    length=nbytes,
-                )
-            )
 
         # The whole bulk reply as one fluid flow.  Per-share bytes are one
         # class member's; the representative's own tx pipe carries its

@@ -230,7 +230,7 @@ class RpcService:
             return
         md = MemoryDescriptor(length=reply.size, payload=reply)
         try:
-            yield from self.endpoint.put_inline(md, request.reply_node, REPLY_PORTAL, request.req_id)
+            yield from self.endpoint.put(md, request.reply_node, REPLY_PORTAL, request.req_id)
         except (NodeFailure, NetworkError):
             pass  # caller gone or no longer waiting; drop it
 
@@ -286,7 +286,7 @@ class RpcService:
             return  # died before replying; client times out
         md = MemoryDescriptor(length=reply.size, payload=reply)
         try:
-            yield from self.endpoint.put_inline(md, request.reply_node, REPLY_PORTAL, request.req_id)
+            yield from self.endpoint.put(md, request.reply_node, REPLY_PORTAL, request.req_id)
         except NodeFailure:
             pass  # caller died; drop the reply
         except NetworkError:
@@ -461,7 +461,7 @@ class RpcClient:
 
         send_md = MemoryDescriptor(length=request_size, payload=request)
         try:
-            yield from self.endpoint.put_inline(
+            yield from self.endpoint.put(
                 send_md, target_node, REQUEST_PORTAL, service_key(service)
             )
         except NodeFailure:

@@ -7,20 +7,22 @@ Implements the two checkpoint access styles of §4:
   non-overlapping region, and the file system's consistency machinery
   (extent locks, §4's "the file system's consistency and synchronization
   semantics get in the way") extracts its toll at the OSTs.
+
+Fragments move the way LWFS chunks do: through the LWFS client's
+:func:`~repro.sim.client.pipelined` window, with the OST pulling or
+pushing the bytes itself.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from ..lwfs.ids import TxnID  # noqa: F401 (symmetry with the LWFS client)
 from ..machine.node import Node
 from ..network.portals import MemoryDescriptor, install_portals
 from ..network.rpc import RpcClient
-from ..simkernel import Resource
 from ..storage.data import Piece, concat_pieces, piece_len, piece_slice
+from ..sim.client import pipelined
 from ..sim.cluster import SimCluster
 from ..sim.servers import DATA_PORTAL, next_data_bits
 from .file import Inode, OpenFlags
@@ -145,23 +147,18 @@ class SimPFSClient:
         # A representative keeps the whole class's fragments in flight
         # (the class collectively had weight * depth outstanding), so the
         # OSTs its classmates would have kept busy stay busy.
-        window = Resource(self.env, capacity=weight * self.config.pipeline_depth)
-        inflight = []
-        for frag in fh.layout.map_extent(offset, total):
-            piece = piece_slice(data, frag.file_offset - offset, frag.file_offset - offset + frag.length)
-            req = window.request()
-            yield req
-            proc = self.env.process(
-                self._write_fragment(fh, frag, piece, window, req, weight, shared),
-                name=f"pfswrite:{fh.inode.ino}:{frag.file_offset}",
-            )
-            inflight.append(proc)
-        if inflight:
-            yield self.env.all_of(inflight)
-        # Fragment writers trap their own failures; surface the first.
-        for proc in inflight:
-            if isinstance(proc.value, BaseException):
-                raise proc.value
+        yield from pipelined(
+            self.env, weight * self.config.pipeline_depth,
+            (
+                self._write_fragment(
+                    fh, frag,
+                    piece_slice(data, frag.file_offset - offset,
+                                frag.file_offset - offset + frag.length),
+                    weight, shared,
+                )
+                for frag in fh.layout.map_extent(offset, total)
+            ),
+        )
         end = offset + total
         if end > fh.inode.size:
             fh.inode.size = end
@@ -217,33 +214,28 @@ class SimPFSClient:
         self.bytes_written += total
         return total
 
-    def _write_fragment(self, fh, frag, piece, window, window_req, weight=1, shared=False):
+    def _write_fragment(self, fh, frag, piece, weight=1, shared=False):
+        yield from self._vfs()
+        ost = fh.layout.osts[frag.ost_index]
+        bits = next_data_bits()
+        md = MemoryDescriptor(length=frag.length, payload=piece)
+        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
         try:
-            yield from self._vfs()
-            ost = fh.layout.osts[frag.ost_index]
-            bits = next_data_bits()
-            md = MemoryDescriptor(length=frag.length, payload=piece)
-            me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-            try:
-                yield from self._ost(
-                    ost,
-                    "write",
-                    ino=fh.inode.ino,
-                    stripe_index=frag.ost_index,
-                    offset=frag.object_offset,
-                    length=frag.length,
-                    data_node=self.node.node_id,
-                    data_bits=bits,
-                    client_id=self.node.node_id,
-                    weight=weight,
-                    shared=shared,
-                )
-            finally:
-                self.portals.detach(DATA_PORTAL, me)
-        except BaseException as exc:  # noqa: BLE001 - reported to parent
-            return exc
+            yield from self._ost(
+                ost,
+                "write",
+                ino=fh.inode.ino,
+                stripe_index=frag.ost_index,
+                offset=frag.object_offset,
+                length=frag.length,
+                data_node=self.node.node_id,
+                data_bits=bits,
+                client_id=self.node.node_id,
+                weight=weight,
+                shared=shared,
+            )
         finally:
-            window.release(window_req)
+            self.portals.detach(DATA_PORTAL, me)
 
     def read(self, fh: PFSFileHandle, offset: int, length: int, weight: int = 1):
         """pread(2): gather fragments from the OSTs, pipelined.
@@ -251,53 +243,34 @@ class SimPFSClient:
         ``weight`` > 1 (symmetric-client collapsing): each fragment read
         stands for *weight* clients' identical reads.
         """
-        window = Resource(self.env, capacity=weight * self.config.pipeline_depth)
-        inflight = []
-        for frag in fh.layout.map_extent(offset, length):
-            req = window.request()
-            yield req
-            proc = self.env.process(
-                self._read_fragment(fh, frag, window, req, weight),
-                name=f"pfsread:{fh.inode.ino}:{frag.file_offset}",
-            )
-            inflight.append(proc)
-        if inflight:
-            yield self.env.all_of(inflight)
-        pieces: List[Piece] = []
-        for proc in inflight:
-            if isinstance(proc.value, BaseException):
-                raise proc.value
-            pieces.append(proc.value)
+        pieces = yield from pipelined(
+            self.env, weight * self.config.pipeline_depth,
+            (self._read_fragment(fh, frag, weight) for frag in fh.layout.map_extent(offset, length)),
+        )
         self.bytes_read += length
         return concat_pieces(pieces)
 
-    def _read_fragment(self, fh, frag, window, window_req, weight=1):
+    def _read_fragment(self, fh, frag, weight=1):
+        yield from self._vfs()
+        ost = fh.layout.osts[frag.ost_index]
+        bits = next_data_bits()
+        md = MemoryDescriptor(length=frag.length)
+        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
         try:
-            yield from self._vfs()
-            ost = fh.layout.osts[frag.ost_index]
-            bits = next_data_bits()
-            recv_q = self.portals.new_eq()
-            md = MemoryDescriptor(length=frag.length, eq=recv_q)
-            me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-            try:
-                yield from self._ost(
-                    ost,
-                    "read",
-                    ino=fh.inode.ino,
-                    stripe_index=frag.ost_index,
-                    offset=frag.object_offset,
-                    length=frag.length,
-                    data_node=self.node.node_id,
-                    data_bits=bits,
-                    weight=weight,
-                )
-            finally:
-                self.portals.detach(DATA_PORTAL, me)
-            return md.payload
-        except BaseException as exc:  # noqa: BLE001 - reported to parent
-            return exc
+            yield from self._ost(
+                ost,
+                "read",
+                ino=fh.inode.ino,
+                stripe_index=frag.ost_index,
+                offset=frag.object_offset,
+                length=frag.length,
+                data_node=self.node.node_id,
+                data_bits=bits,
+                weight=weight,
+            )
         finally:
-            window.release(window_req)
+            self.portals.detach(DATA_PORTAL, me)
+        return md.payload
 
     def fsync(self, fh: PFSFileHandle, weight: int = 1):
         """fsync(2): flush every OST the file stripes over.

@@ -1,8 +1,11 @@
 """Object storage targets (OSTs) with extent-lock consistency.
 
-Data movement matches LWFS (the OST pulls bulk data over portals — Lustre
-really is built on Portals too, §3.2), so the *difference* between the
-stacks is exactly what the paper says it is: the consistency machinery.
+Data movement is LWFS's: an OST is a :class:`~repro.sim.servers._DataServer`
+and runs the same server-directed movers as the LWFS storage server (it
+pulls bulk data over portals — Lustre really is built on Portals too,
+§3.2).  So the *difference* between the stacks is exactly what the paper
+says it is: the consistency machinery, here the guard each handler runs
+before it moves data.
 
 Each OST object has an extent-lock owner.  While one client streams to an
 object, writes take the fast path (pull + stream, fully pipelined).  When
@@ -22,10 +25,9 @@ from ..errors import NetworkError
 from ..lwfs.ids import ContainerID
 from ..machine.node import Node
 from ..network.portals import MemoryDescriptor
-from ..simkernel import Container, Resource
-from ..storage.data import piece_len
+from ..simkernel import Resource
 from ..storage.obd import ObjectStore
-from ..sim.servers import DATA_PORTAL, _SimServerBase
+from ..sim.servers import DATA_PORTAL, _DataServer
 
 __all__ = ["SimOST"]
 
@@ -39,19 +41,14 @@ RMW_FACTOR = 1.15
 REVOKE_LATENCY = 0.5e-3
 
 
-class SimOST(_SimServerBase):
+class SimOST(_DataServer):
     """One object storage target of the Lustre-like file system."""
 
     def __init__(self, cluster, node: Node, ost_id: int, raid_bandwidth: Optional[float] = None) -> None:
         self.ost_id = ost_id
         self.service_name = f"ost{ost_id}"
-        super().__init__(cluster, node)
+        super().__init__(cluster, node, f"ost{ost_id}-raid", raid_bandwidth)
         self.store = ObjectStore(name=f"ost{ost_id}")
-        self.device = cluster.make_raid(node, name=f"ost{ost_id}-raid", bandwidth=raid_bandwidth)
-        self.threads = Resource(cluster.env, capacity=self.config.server_threads)
-        self.buffers = Container(
-            cluster.env, capacity=self.config.buffer_pool_bytes, init=self.config.buffer_pool_bytes
-        )
         #: per-object extent-lock owner (client node id).
         self._owners: Dict[Hashable, int] = {}
         #: distinct writers ever seen per object: once an object has two,
@@ -75,6 +72,16 @@ class SimOST(_SimServerBase):
         if not self.store.exists(key):
             self.store.create(key, self._cid)
 
+    def _sole_writer(self, key: Hashable, client_id: int) -> bool:
+        """The extent-lock guard: record *client_id* as a writer of *key*
+        and say whether it is the object's only writer and owns (or can
+        take) its lock without a switch."""
+        self._ensure_object(key)
+        owner = self._owners.get(key)
+        writers = self._writers.setdefault(key, set())
+        writers.add(client_id)
+        return len(writers) == 1 and (owner is None or owner == client_id)
+
     def _register_ops(self) -> None:
         costs = self.config.pfs
         reg = self.rpc.register
@@ -90,37 +97,16 @@ class SimOST(_SimServerBase):
             (file-per-process: sole-writer streaming, scaled bytes)."""
             yield from self.cpu("req", weight * costs.ost_request_cpu)
             key = (ino, stripe_index)
-            self._ensure_object(key)
-            owner = self._owners.get(key)
-            writers = self._writers.setdefault(key, set())
-            writers.add(client_id)
-
-            sole = len(writers) == 1 and (owner is None or owner == client_id)
+            sole = self._sole_writer(key, client_id)
             if sole and not (shared and weight > 1):
-                # Sole-writer fast path: identical to the LWFS discipline.
+                # Sole-writer fast path: the LWFS discipline.
                 self._owners[key] = client_id
-                tracer = self.env.tracer
-                t_wait = self.env._now if tracer is not None else 0.0
+                t_wait = self.env._now
                 with self.threads.request() as thread:
                     yield thread
-                    yield self.buffers.get(length)
-                    if tracer is not None and self.env._now > t_wait:
-                        tracer.record(
-                            "wait:threads", start=t_wait, kind="wait",
-                            node=self.node_id, service=self.service_name,
-                            resource="threads",
-                        )
-                    md = MemoryDescriptor(length=length)
-                    try:
-                        data = yield self.node.portals.get(
-                            md, data_node, DATA_PORTAL, data_bits, wire_weight=weight
-                        )
-                    except BaseException:
-                        self.buffers.put(length)
-                        raise
-                    yield from self.device.write(weight * length)
+                    self._waited(t_wait, "threads")
+                    data = yield from self._pull(length, data_node, data_bits, weight)
                     self.store.write(key, offset, data)
-                    self.buffers.put(length)
                 return {"status": "ok", "written": length}
 
             # Contended path: extent-lock ownership must change hands.
@@ -130,26 +116,20 @@ class SimOST(_SimServerBase):
             # starts, exactly as the first writer does in an exact run.
             switches = weight - 1 if sole else weight
             self.lock_switches += switches
-            tracer = self.env.tracer
-            t_wait = self.env._now if tracer is not None else 0.0
+            t_wait = self.env._now
             with self._object_lock(key).request() as obj_lock:
                 yield obj_lock
                 # Revocation callback to the previous owner + their flush.
                 yield self.env.timeout(switches * REVOKE_LATENCY)
-                if tracer is not None:
-                    # Queueing for the extent lock plus the revocation round
-                    # trip — the serialization the shared-file figure shows.
-                    tracer.record(
-                        "wait:extent-lock", start=t_wait, kind="wait",
-                        node=self.node_id, service=self.service_name,
-                        resource="extent-lock",
-                    )
+                # Queueing for the extent lock plus the revocation round
+                # trip — the serialization the shared-file figure shows.
+                self._waited(t_wait, "extent-lock")
                 yield from self.device.sync(ops=switches)
                 self._owners[key] = client_id
                 yield self.buffers.get(length)
                 md = MemoryDescriptor(length=length)
                 try:
-                    data = yield self.node.portals.get(
+                    data = yield from self.node.portals.get(
                         md, data_node, DATA_PORTAL, data_bits, wire_weight=weight
                     )
                 except BaseException:
@@ -175,43 +155,18 @@ class SimOST(_SimServerBase):
             the gating broke; fail loudly rather than mis-model it."""
             yield from self.cpu("req", weight * n_chunks * costs.ost_request_cpu)
             key = (ino, stripe_index)
-            self._ensure_object(key)
-            owner = self._owners.get(key)
-            writers = self._writers.setdefault(key, set())
-            writers.add(client_id)
-            if len(writers) > 1 or (owner is not None and owner != client_id):
+            if not self._sole_writer(key, client_id):
                 raise NetworkError(
-                    f"write_stream on contended object {key} (owner {owner})"
+                    f"write_stream on contended object {key} (owner {self._owners.get(key)})"
                 )
             self._owners[key] = client_id
-            tracer = self.env.tracer
-            t_wait = self.env._now if tracer is not None else 0.0
+            t_wait = self.env._now
             with self.threads.request() as thread:
                 yield thread
-                if tracer is not None and self.env._now > t_wait:
-                    tracer.record(
-                        "wait:threads", start=t_wait, kind="wait",
-                        node=self.node_id, service=self.service_name,
-                        resource="threads",
-                    )
-                reserve = min(length, self.config.chunk_bytes)
-                yield self.buffers.get(reserve)
-                stream = None
-                try:
-                    stream = yield from self.device.begin_stream(
-                        weight * length, ops=weight * n_chunks
-                    )
-                    md = MemoryDescriptor(length=length)
-                    data = yield from self.node.portals.get_stream(
-                        md, data_node, DATA_PORTAL, data_bits,
-                        wire_weight=weight,
-                        extra_shares=((self.device.fluid, weight * stream.scale),),
-                        n_msgs=n_chunks,
-                    )
-                finally:
-                    if stream is not None:
-                        stream.close()
-                    self.buffers.put(reserve)
+                self._waited(t_wait, "threads")
+                data = yield from self._pull_stream(
+                    length, n_chunks, data_node, data_bits, weight
+                )
                 self.store.write(key, offset, data)
             return {"status": "ok", "written": length}
 
@@ -222,20 +177,13 @@ class SimOST(_SimServerBase):
             yield from self.cpu("req", weight * costs.ost_request_cpu)
             key = (ino, stripe_index)
             self._ensure_object(key)
+            t_wait = self.env._now
             with self.threads.request() as thread:
                 yield thread
-                yield self.buffers.get(length)
-                try:
-                    data = self.store.read(key, offset, length)
-                    yield from self.device.read(
-                        weight * (piece_len(data) or length), ops=weight
-                    )
-                    md = MemoryDescriptor(length=length, payload=data)
-                    yield self.node.portals.put(
-                        md, data_node, DATA_PORTAL, data_bits, wire_weight=weight
-                    )
-                finally:
-                    self.buffers.put(length)
+                self._waited(t_wait, "threads")
+                yield from self._push(
+                    length, data_node, data_bits, weight, self.store.read, key, offset, length
+                )
             return {"status": "ok"}
 
         def sync(ctx, ino=None, weight=1):

@@ -4,13 +4,14 @@ All methods are generators (simulation processes ``yield from`` them).
 Bulk writes follow the server-directed discipline: the client exposes each
 chunk through a portals match entry and sends a *small* request; the
 server pulls when ready.  A configurable pipeline depth keeps a couple of
-chunks in flight so network and disk overlap.
+chunks in flight so network and disk overlap; :func:`pipelined` runs that
+window for this client and for the Lustre-like client
+(:class:`repro.pfs.client.SimPFSClient`) alike.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TransactionAborted
 from ..lwfs.capabilities import Capability, OpMask
@@ -19,11 +20,47 @@ from ..machine.node import Node
 from ..network.portals import MemoryDescriptor, install_portals
 from ..network.rpc import RpcClient
 from ..simkernel import Resource
-from ..storage.data import Piece, piece_len, piece_slice
+from ..storage.data import Piece, concat_pieces, piece_len, piece_slice
 from .cluster import SimCluster
 from .servers import DATA_PORTAL, next_data_bits
 
-__all__ = ["SimLWFSClient"]
+__all__ = ["SimLWFSClient", "pipelined"]
+
+
+def pipelined(env, depth: int, jobs):
+    """Run the generators *jobs* with at most *depth* in flight.
+
+    A generator: ``values = yield from pipelined(env, depth, jobs)``.
+    Each job starts as its own process once a window slot frees, in input
+    order.  A failing job does not stop the others: every job runs to
+    completion and frees its slot, then the first failure in input order
+    is raised.  Otherwise the jobs' values come back in input order.
+    """
+    window = Resource(env, capacity=depth)
+    procs = []
+    for job in jobs:
+        req = window.request()
+        yield req
+        procs.append(env.process(_windowed(job, window, req)))
+    if procs:
+        yield env.all_of(procs)
+    values = []
+    for proc in procs:
+        if isinstance(proc.value, BaseException):
+            raise proc.value
+        values.append(proc.value)
+    return values
+
+
+def _windowed(job, window, req):
+    """One :func:`pipelined` job: trap its failure (so a burst of failing
+    jobs cannot crash the event loop) and free its window slot."""
+    try:
+        return (yield from job)
+    except BaseException as exc:  # noqa: BLE001 - raised by pipelined
+        return exc
+    finally:
+        window.release(req)
 
 
 class SimLWFSClient:
@@ -176,30 +213,16 @@ class SimLWFSClient:
             )
         # A representative keeps the whole class's chunks in flight: the
         # class collectively had weight * depth outstanding requests.
-        window = Resource(self.env, capacity=weight * self.config.pipeline_depth)
-        inflight = []
-        pos = 0
-        while pos < total:
-            n = min(chunk, total - pos)
-            piece = piece_slice(data, pos, pos + n)
-            req = window.request()
-            yield req
-            proc = self.env.process(
+        yield from pipelined(
+            self.env, weight * self.config.pipeline_depth,
+            (
                 self._write_chunk(
-                    cap, oid, offset + pos, piece, txnid, window, req, weight, defer,
-                    cap_weight,
-                ),
-                name=f"wchunk:{oid.value}:{pos}",
-            )
-            inflight.append(proc)
-            pos += n
-        if inflight:
-            yield self.env.all_of(inflight)
-        # Chunk writers trap their own failures (so a burst of failing
-        # chunks cannot crash the event loop); surface the first here.
-        for proc in inflight:
-            if isinstance(proc.value, BaseException):
-                raise proc.value
+                    cap, oid, offset + pos, piece_slice(data, pos, min(pos + chunk, total)),
+                    txnid, weight, defer, cap_weight,
+                )
+                for pos in range(0, total, chunk)
+            ),
+        )
         self.bytes_written += total
         return total
 
@@ -213,7 +236,7 @@ class SimLWFSClient:
         fluid flow at the server.
         """
         first = piece_slice(data, 0, chunk)
-        yield from self._write_chunk_inner(
+        yield from self._write_chunk(
             cap, oid, offset, first, txnid, weight, cap_weight=cap_weight
         )
 
@@ -236,20 +259,8 @@ class SimLWFSClient:
         self.bytes_written += total
         return total
 
-    def _write_chunk(self, cap, oid, offset, piece, txnid, window, window_req, weight=1,
-                     defer=False, cap_weight=None):
-        try:
-            result = yield from self._write_chunk_inner(
-                cap, oid, offset, piece, txnid, weight, defer, cap_weight
-            )
-            return result
-        except BaseException as exc:  # noqa: BLE001 - reported to parent
-            return exc
-        finally:
-            window.release(window_req)
-
-    def _write_chunk_inner(self, cap, oid, offset, piece, txnid, weight=1, defer=False,
-                           cap_weight=None):
+    def _write_chunk(self, cap, oid, offset, piece, txnid, weight=1, defer=False,
+                     cap_weight=None):
         node_id, svc = self._storage(oid.server_hint)
         length = piece_len(piece)
         if self.deployment.server_directed:
@@ -294,55 +305,33 @@ class SimLWFSClient:
         variant (see the server's ``read`` handler).
         """
         chunk = self.config.chunk_bytes
-        window = Resource(self.env, capacity=weight * self.config.pipeline_depth)
-        inflight = []
-        pos = 0
-        while pos < length:
-            n = min(chunk, length - pos)
-            req = window.request()
-            yield req
-            proc = self.env.process(
+        pieces = yield from pipelined(
+            self.env, weight * self.config.pipeline_depth,
+            (
                 self._read_chunk(
-                    cap, oid, offset + pos, n, window, req, weight, defer, cap_weight
-                ),
-                name=f"rchunk:{oid.value}:{pos}",
-            )
-            inflight.append(proc)
-            pos += n
-        if inflight:
-            yield self.env.all_of(inflight)
-        pieces: List[Piece] = []
-        for proc in inflight:
-            if isinstance(proc.value, BaseException):
-                raise proc.value
-            pieces.append(proc.value)
+                    cap, oid, offset + pos, min(chunk, length - pos), weight, defer, cap_weight
+                )
+                for pos in range(0, length, chunk)
+            ),
+        )
         self.bytes_read += length
-        from ..storage.data import concat_pieces
-
         return concat_pieces(pieces)
 
-    def _read_chunk(self, cap, oid, offset, n, window, window_req, weight=1,
-                    defer=False, cap_weight=None):
+    def _read_chunk(self, cap, oid, offset, n, weight=1, defer=False, cap_weight=None):
+        bits = next_data_bits()
+        md = MemoryDescriptor(length=n)
+        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
+        node_id, svc = self._storage(oid.server_hint)
         try:
-            bits = next_data_bits()
-            recv_q = self.portals.new_eq()
-            md = MemoryDescriptor(length=n, eq=recv_q)
-            me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-            node_id, svc = self._storage(oid.server_hint)
-            try:
-                yield from self._call(
-                    node_id, svc, "read",
-                    cap=cap, oid=oid, offset=offset, length=n,
-                    data_node=self.node.node_id, data_bits=bits,
-                    weight=weight, defer=defer, cap_weight=cap_weight,
-                )
-            finally:
-                self.portals.detach(DATA_PORTAL, me)
-            return md.payload
-        except BaseException as exc:  # noqa: BLE001 - reported to parent
-            return exc
+            yield from self._call(
+                node_id, svc, "read",
+                cap=cap, oid=oid, offset=offset, length=n,
+                data_node=self.node.node_id, data_bits=bits,
+                weight=weight, defer=defer, cap_weight=cap_weight,
+            )
         finally:
-            window.release(window_req)
+            self.portals.detach(DATA_PORTAL, me)
+        return md.payload
 
     # -- naming -----------------------------------------------------------------------
     def bind(self, path: str, oid: ObjectID, txnid: Optional[TxnID] = None):

@@ -6,6 +6,12 @@ charging — host CPU per operation, RAID time for device operations,
 pinned-buffer and thread limits, and server-directed bulk movement over
 portals (Fig. 6): for writes the server *pulls* data from the client when
 it has a thread, a buffer, and the disk; for reads it *pushes*.
+
+That bulk movement lives in one place, :class:`_DataServer`, shared by
+the LWFS storage server and the Lustre-like OST
+(:class:`repro.pfs.ost.SimOST`): both stacks move data the same way
+(PAPER §3.2) and differ only in the guard each handler runs first —
+capability checks for LWFS, extent-lock ownership for the OST.
 """
 
 from __future__ import annotations
@@ -222,7 +228,107 @@ class SimAuthzServer(_SimServerBase):
             yield self.env.all_of(pending)
 
 
-class SimStorageServer(_SimServerBase):
+class _DataServer(_SimServerBase):
+    """A server that moves bulk data itself (Fig. 6): RAID, threads, buffers.
+
+    A handler holds one of ``server_threads`` I/O threads (recording
+    its wait with :meth:`_waited`), then runs one mover: :meth:`_pull`
+    and :meth:`_pull_stream` reserve a pinned buffer, pull the client's
+    bytes over portals and charge the RAID, returning the data for the
+    handler to land; :meth:`_push` reserves a buffer, reads, charges the
+    RAID and pushes into the client's posted buffer.  The movers start
+    only after the thread grant, so a request queued for a thread keeps
+    no mover frame alive.
+    """
+
+    def __init__(self, cluster: SimCluster, node: Node, raid_name: str,
+                 raid_bandwidth: Optional[float] = None) -> None:
+        super().__init__(cluster, node)
+        self.device = cluster.make_raid(node, name=raid_name, bandwidth=raid_bandwidth)
+        self.threads = Resource(cluster.env, capacity=self.config.server_threads)
+        self.buffers = Container(
+            cluster.env, capacity=self.config.buffer_pool_bytes, init=self.config.buffer_pool_bytes
+        )
+
+    def _waited(self, t_wait: float, resource: str) -> None:
+        """Trace a ``wait:<resource>`` span if the grant came after *t_wait*."""
+        tracer = self.env.tracer
+        if tracer is not None and self.env._now > t_wait:
+            tracer.record(
+                f"wait:{resource}", start=t_wait, kind="wait",
+                node=self.node_id, service=self.service_name, resource=resource,
+            )
+
+    def _pull(self, length: int, data_node: int, data_bits: int, weight: int):
+        """Pull one chunk from the client's match entry, then write it to
+        the RAID; returns the data.  ``weight`` > 1: the pull and the disk
+        carry the whole collapsed class's bytes, while the buffer stays
+        per-chunk (real clients' pulls recycle it back to back)."""
+        t_wait = self.env._now
+        yield self.buffers.get(length)
+        self._waited(t_wait, "buffers")
+        try:
+            data = yield from self.node.portals.get(
+                MemoryDescriptor(length=length), data_node, DATA_PORTAL, data_bits,
+                wire_weight=weight,
+            )
+        except BaseException:
+            self.buffers.put(length)
+            raise
+        yield from self.device.write(weight * length)
+        self.buffers.put(length)
+        return data
+
+    def _pull_stream(self, length: int, n_chunks: int, data_node: int, data_bits: int,
+                     weight: int):
+        """The steady-state middle of a bulk write as ONE fluid flow.
+
+        One chunk-sized pinned buffer is recycled as the stream lands
+        (the exact path's pulls did the same back to back), the disk
+        grants a single batched admission (one controller queue entry),
+        and the portals stream pull drains at the max-min fair share of
+        the client's tx pipe, this node's rx pipe and the device.
+        Returns the data."""
+        reserve = min(length, self.config.chunk_bytes)
+        t_wait = self.env._now
+        yield self.buffers.get(reserve)
+        self._waited(t_wait, "buffers")
+        stream = None
+        try:
+            stream = yield from self.device.begin_stream(
+                weight * length, ops=weight * n_chunks
+            )
+            data = yield from self.node.portals.get_stream(
+                MemoryDescriptor(length=length), data_node, DATA_PORTAL, data_bits,
+                wire_weight=weight,
+                extra_shares=((self.device.fluid, weight * stream.scale),),
+                n_msgs=n_chunks,
+            )
+        finally:
+            if stream is not None:
+                stream.close()
+            self.buffers.put(reserve)
+        return data
+
+    def _push(self, length: int, data_node: int, data_bits: int, weight: int, read, *where):
+        """Serve one read chunk: ``read(*where)`` once a buffer is
+        reserved, charge the RAID, push into the client's posted buffer.
+        ``weight`` > 1: seeks, disk bytes and the push all scale."""
+        t_wait = self.env._now
+        yield self.buffers.get(length)
+        self._waited(t_wait, "buffers")
+        try:
+            data = read(*where)
+            yield from self.device.read(weight * (piece_len(data) or length), ops=weight)
+            yield from self.node.portals.put(
+                MemoryDescriptor(length=length, payload=data), data_node, DATA_PORTAL,
+                data_bits, wire_weight=weight,
+            )
+        finally:
+            self.buffers.put(length)
+
+
+class SimStorageServer(_DataServer):
     """A storage server: OBD + RAID + server-directed data movement."""
 
     def __init__(
@@ -240,7 +346,7 @@ class SimStorageServer(_SimServerBase):
             raise ValueError("verify_mode must be 'cache' or 'shared-key'")
         self.server_id = server_id
         self.service_name = f"stor{server_id}"
-        super().__init__(cluster, node)
+        super().__init__(cluster, node, f"raid{server_id}", raid_bandwidth)
         self.authz = authz
         self.server_directed = server_directed
         self.verify_mode = verify_mode
@@ -260,17 +366,12 @@ class SimStorageServer(_SimServerBase):
                 server_id, on_rotate=_rotate
             )
             self.svc.epoch_hint = authz.svc.epoch
-        self.device = cluster.make_raid(node, name=f"raid{server_id}", bandwidth=raid_bandwidth)
         # The transaction journal is itself "a persistent object on the
         # storage system" (§3.4); reboot recovery replays it.
         from ..lwfs.journal import Journal
 
         self.journal = Journal(
             self.svc.store, oid=f"__journal{server_id}", cid=ContainerID(0)
-        )
-        self.threads = Resource(cluster.env, capacity=self.config.server_threads)
-        self.buffers = Container(
-            cluster.env, capacity=self.config.buffer_pool_bytes, init=self.config.buffer_pool_bytes
         )
         from ..network.rpc import RpcClient
 
@@ -419,26 +520,14 @@ class SimStorageServer(_SimServerBase):
         yield self.env.all_of(done)
 
     def _residual_chunk(self, kind: str, weight: int, length: int):
-        tracer = self.env.tracer
-        t_wait = self.env._now if tracer is not None else 0.0
+        t_wait = self.env._now
         with self.threads.request() as thread:
             yield thread
-            if tracer is not None and self.env._now > t_wait:
-                tracer.record(
-                    "wait:threads", start=t_wait, kind="wait",
-                    node=self.node_id, service=self.service_name,
-                    resource="threads",
-                )
+            self._waited(t_wait, "threads")
             if kind == "read":
                 yield from self.device.read(weight * length, ops=weight)
             else:
                 yield from self.device.write(weight * length)
-
-    def _read_residual(self, weight: int, length: int):
-        yield from self._data_residual("read", weight, length)
-
-    def _write_residual(self, weight: int, length: int):
-        yield from self._data_residual("write", weight, length)
 
     # -- op handlers ---------------------------------------------------------------
     def _register_ops(self) -> None:
@@ -497,7 +586,7 @@ class SimStorageServer(_SimServerBase):
             )
             if defer and weight > 1:
                 self.env.process(
-                    self._write_residual(weight - 1, length), name="write-residual"
+                    self._data_residual("write", weight - 1, length), name="write-residual"
                 )
                 weight = 1
             yield from self.cpu("write_req", weight * costs.request_cpu)
@@ -505,56 +594,30 @@ class SimStorageServer(_SimServerBase):
             if data is None and not self.server_directed:
                 raise NetworkError("push-mode server got no inline data")
 
-            tracer = self.env.tracer
-            t_wait = self.env._now if tracer is not None else 0.0
+            t_wait = self.env._now
             with self.threads.request() as thread:
                 yield thread
-                if tracer is not None and self.env._now > t_wait:
-                    tracer.record(
-                        "wait:threads", start=t_wait, kind="wait",
-                        node=self.node_id, service=self.service_name,
-                        resource="threads",
-                    )
+                self._waited(t_wait, "threads")
                 if self.server_directed:
-                    # Reserve a pinned buffer, then pull (Fig. 6 steps 2-3).
-                    t_wait = self.env._now if tracer is not None else 0.0
-                    yield self.buffers.get(length)
-                    if tracer is not None and self.env._now > t_wait:
-                        tracer.record(
-                            "wait:buffers", start=t_wait, kind="wait",
-                            node=self.node_id, service=self.service_name,
-                            resource="buffers",
-                        )
-                    md = MemoryDescriptor(length=length)
-                    try:
-                        data = yield from self.node.portals.get_inline(
-                            md, data_node, DATA_PORTAL, data_bits, wire_weight=weight
-                        )
-                    except BaseException:
-                        self.buffers.put(length)
-                        raise
+                    data = yield from self._pull(length, data_node, data_bits, weight)
                 else:
                     # Push mode: the data already burned wire + buffer space.
-                    ok = _try_reserve(self.buffers, length)
-                    if not ok:
+                    if not _try_reserve(self.buffers, length):
                         # Buffer exhaustion: reject; client must resend.
                         self.rejected_requests += 1
                         return {"status": "again"}
-                yield from self.device.write(weight * length)
+                    yield from self.device.write(weight * length)
+                    self.buffers.put(length)
                 self.svc.write(cap, oid, offset, data, txnid=txnid)
-                self.buffers.put(length)
             return {"status": "ok", "written": length}
 
         def write_stream(ctx, cap, oid, offset, length, n_chunks, data_node, data_bits,
                          txnid=None, weight=1, cap_weight=None):
             """The steady-state middle of a bulk write as ONE fluid flow
-            (flow-level data path).  Request CPU for all ``n_chunks`` is
-            charged up front, one thread and one recycled pinned buffer
-            cover the stream, the disk grants a single batched admission
-            (one controller queue entry), and the portals stream pull
-            drains at the max-min fair share of the client's tx pipe,
-            this node's rx pipe, and the device.  ``weight`` mirrors
-            :func:`write` (collapsed equivalence class)."""
+            (flow-level data path; see :meth:`_DataServer._pull_stream`).
+            Request CPU for all ``n_chunks`` is charged up front and one
+            thread covers the stream.  ``weight`` mirrors :func:`write`
+            (collapsed equivalence class)."""
             if not self.server_directed:
                 raise NetworkError("write_stream requires server-directed mode")
             yield from self._authorize(
@@ -562,43 +625,13 @@ class SimStorageServer(_SimServerBase):
             )
             yield from self.cpu("write_req", weight * n_chunks * costs.request_cpu)
 
-            tracer = self.env.tracer
-            t_wait = self.env._now if tracer is not None else 0.0
+            t_wait = self.env._now
             with self.threads.request() as thread:
                 yield thread
-                if tracer is not None and self.env._now > t_wait:
-                    tracer.record(
-                        "wait:threads", start=t_wait, kind="wait",
-                        node=self.node_id, service=self.service_name,
-                        resource="threads",
-                    )
-                # One chunk-sized pinned buffer, recycled as the stream
-                # lands — the exact path's pulls did the same back to back.
-                reserve = min(length, self.config.chunk_bytes)
-                t_wait = self.env._now if tracer is not None else 0.0
-                yield self.buffers.get(reserve)
-                if tracer is not None and self.env._now > t_wait:
-                    tracer.record(
-                        "wait:buffers", start=t_wait, kind="wait",
-                        node=self.node_id, service=self.service_name,
-                        resource="buffers",
-                    )
-                stream = None
-                try:
-                    stream = yield from self.device.begin_stream(
-                        weight * length, ops=weight * n_chunks
-                    )
-                    md = MemoryDescriptor(length=length)
-                    data = yield from self.node.portals.get_stream(
-                        md, data_node, DATA_PORTAL, data_bits,
-                        wire_weight=weight,
-                        extra_shares=((self.device.fluid, weight * stream.scale),),
-                        n_msgs=n_chunks,
-                    )
-                finally:
-                    if stream is not None:
-                        stream.close()
-                    self.buffers.put(reserve)
+                self._waited(t_wait, "threads")
+                data = yield from self._pull_stream(
+                    length, n_chunks, data_node, data_bits, weight
+                )
                 self.svc.write(cap, oid, offset, data, txnid=txnid)
             return {"status": "ok", "written": length}
 
@@ -619,33 +652,19 @@ class SimStorageServer(_SimServerBase):
             )
             if defer and weight > 1:
                 self.env.process(
-                    self._read_residual(weight - 1, length), name="read-residual"
+                    self._data_residual("read", weight - 1, length), name="read-residual"
                 )
                 weight = 1
             yield from self.cpu("read_req", weight * costs.request_cpu)
-            tracer = self.env.tracer
-            t_wait = self.env._now if tracer is not None else 0.0
+            t_wait = self.env._now
             with self.threads.request() as thread:
                 yield thread
-                yield self.buffers.get(length)
-                if tracer is not None and self.env._now > t_wait:
-                    tracer.record(
-                        "wait:threads", start=t_wait, kind="wait",
-                        node=self.node_id, service=self.service_name,
-                        resource="threads",
-                    )
-                try:
-                    data = self.svc.read(cap, oid, offset, length)
-                    yield from self.device.read(
-                        weight * (piece_len(data) or length), ops=weight
-                    )
-                    md = MemoryDescriptor(length=length, payload=data)
-                    # Push to the client's posted buffer (Fig. 6 reads).
-                    yield from self.node.portals.put_inline(
-                        md, data_node, DATA_PORTAL, data_bits, wire_weight=weight
-                    )
-                finally:
-                    self.buffers.put(length)
+                self._waited(t_wait, "threads")
+                # Push to the client's posted buffer (Fig. 6 reads).
+                yield from self._push(
+                    length, data_node, data_bits, weight,
+                    self.svc.read, cap, oid, offset, length,
+                )
             return {"status": "ok", "length": length}
 
         def sync(ctx, weight=1):

@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..errors import OutOfSpace
 from ..machine.spec import StorageSpec
-from ..simkernel import Environment, RandomStreams, Resource, Tally
+from ..simkernel import Environment, RandomStreams, Resource
 
 __all__ = ["RaidDevice", "DiskStream"]
 
@@ -43,7 +43,6 @@ class RaidDevice:
         self._meta_lane = Resource(env, capacity=1)
         self.used_bytes = 0
         self.busy_time = 0.0
-        self.op_stats = Tally(f"{name}.ops")
         # Flow-level stream state (batched admission): all concurrent
         # streams share ONE controller hold; see begin_stream.
         self._fluid = None
@@ -65,7 +64,6 @@ class RaidDevice:
             start = self.env.now
             yield self.env.timeout(duration)
             self.busy_time += self.env.now - start
-            self.op_stats.observe(duration)
             if tracer is not None:
                 # One span per device op, split into its queueing and
                 # service components — the raw material for the
@@ -145,7 +143,6 @@ class RaidDevice:
             start = self.env.now
             yield self.env.timeout(duration)
             self.busy_time += self.env.now - start
-            self.op_stats.observe(duration)
             if tracer is not None:
                 tracer.record(
                     f"disk:{self.name}", start=t_request, kind="disk",
@@ -281,7 +278,6 @@ class DiskStream:
         dev = self.device
         service = self.scale * self.nbytes / dev.spec.bandwidth
         dev.busy_time += service
-        dev.op_stats.observe(service)
         dev.used_bytes += self.nbytes
         tracer = dev.env.tracer
         if tracer is not None:

@@ -265,7 +265,7 @@ class TestPortalsEquivalence:
             eq = server.new_eq()
             server.attach(5, 0xC0, MemoryDescriptor(length=size, eq=eq))
             md = MemoryDescriptor(length=size, payload=b"x")
-            env.run(client.put(md, 0, 5, 0xC0))
+            env.run(env.process(client.put(md, 0, 5, 0xC0)))
             return env.now
 
         assert_equivalent(run_both(workload))
@@ -278,7 +278,7 @@ class TestPortalsEquivalence:
             client = install_portals(env, fabric, nodes[1])
             client.attach(9, 0x11, MemoryDescriptor(length=size, payload=b"d"))
             md = MemoryDescriptor(length=size)
-            env.run(server.get(md, 2, 9, 0x11))
+            env.run(env.process(server.get(md, 2, 9, 0x11)))
             return env.now
 
         assert_equivalent(run_both(workload))

@@ -18,7 +18,7 @@ class TestMatching:
         eq = server.new_eq()
         server.attach(5, 0xAB, MemoryDescriptor(length=64, eq=eq))
         md = MemoryDescriptor(length=64, payload=b"ping")
-        env.run(client.put(md, 0, 5, 0xAB))
+        env.run(env.process(client.put(md, 0, 5, 0xAB)))
         ok, event = eq.try_get()
         assert ok
         assert event.kind is PtlEventKind.PUT_END
@@ -29,30 +29,30 @@ class TestMatching:
         client = endpoints[2]
         md = MemoryDescriptor(length=64, payload=b"x")
         with pytest.raises(NetworkError, match="no match entry"):
-            env.run(client.put(md, 0, 5, 0xDEAD))
+            env.run(env.process(client.put(md, 0, 5, 0xDEAD)))
 
     def test_ignore_bits(self, env, endpoints):
         server, client = endpoints[0], endpoints[2]
         eq = server.new_eq()
         # Accept any low byte.
         server.attach(5, 0x100, MemoryDescriptor(length=64, eq=eq), ignore_bits=0xFF)
-        env.run(client.put(MemoryDescriptor(length=8, payload=b"a"), 0, 5, 0x1AB))
+        env.run(env.process(client.put(MemoryDescriptor(length=8, payload=b"a"), 0, 5, 0x1AB)))
         assert len(eq) == 1
 
     def test_use_once_unlinks(self, env, endpoints):
         server, client = endpoints[0], endpoints[2]
         eq = server.new_eq()
         server.attach(5, 1, MemoryDescriptor(length=8, eq=eq), use_once=True)
-        env.run(client.put(MemoryDescriptor(length=8, payload=b"1"), 0, 5, 1))
+        env.run(env.process(client.put(MemoryDescriptor(length=8, payload=b"1"), 0, 5, 1)))
         with pytest.raises(NetworkError):
-            env.run(client.put(MemoryDescriptor(length=8, payload=b"2"), 0, 5, 1))
+            env.run(env.process(client.put(MemoryDescriptor(length=8, payload=b"2"), 0, 5, 1)))
 
     def test_first_matching_entry_wins(self, env, endpoints):
         server, client = endpoints[0], endpoints[2]
         eq1, eq2 = server.new_eq(), server.new_eq()
         server.attach(5, 7, MemoryDescriptor(length=8, eq=eq1))
         server.attach(5, 7, MemoryDescriptor(length=8, eq=eq2))
-        env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 7))
+        env.run(env.process(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 7)))
         assert len(eq1) == 1 and len(eq2) == 0
 
     def test_detach(self, env, endpoints):
@@ -60,7 +60,7 @@ class TestMatching:
         me = server.attach(5, 9, MemoryDescriptor(length=8))
         server.detach(5, me)
         with pytest.raises(NetworkError):
-            env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 9))
+            env.run(env.process(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 9)))
 
     def test_detach_leaves_an_equal_twin_attached(self, env, endpoints):
         """Entries are compared by identity: detaching one of two entries
@@ -74,7 +74,7 @@ class TestMatching:
         server.detach(5, second)
         assert len(server.tables[5].entries) == 1
         assert server.tables[5].entries[0] is first
-        env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 9))
+        env.run(env.process(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 9)))
         assert len(eq) == 1
 
 
@@ -86,7 +86,7 @@ class TestGet:
         client.attach(3, 0x77, MemoryDescriptor(length=1 * MiB, payload=b"bulk-data"))
         eq = server.new_eq()
         md = MemoryDescriptor(length=1 * MiB, eq=eq)
-        result = env.run(server.get(md, 2, 3, 0x77))
+        result = env.run(env.process(server.get(md, 2, 3, 0x77)))
         assert result == b"bulk-data"
         assert md.payload == b"bulk-data"
         ok, event = eq.try_get()
@@ -96,7 +96,7 @@ class TestGet:
         server, client = endpoints[0], endpoints[2]
         client_eq = client.new_eq()
         client.attach(3, 1, MemoryDescriptor(length=64, payload=b"d", eq=client_eq))
-        env.run(server.get(MemoryDescriptor(length=64), 2, 3, 1))
+        env.run(env.process(server.get(MemoryDescriptor(length=64), 2, 3, 1)))
         ok, event = client_eq.try_get()
         assert ok and event.kind is PtlEventKind.GET_END
         assert event.initiator == 0
@@ -104,14 +104,14 @@ class TestGet:
     def test_get_timing_includes_bulk_transfer(self, env, endpoints):
         server, client = endpoints[0], endpoints[2]
         client.attach(3, 1, MemoryDescriptor(length=16 * MiB, payload=b""))
-        env.run(server.get(MemoryDescriptor(length=16 * MiB), 2, 3, 1))
+        env.run(env.process(server.get(MemoryDescriptor(length=16 * MiB), 2, 3, 1)))
         # 16 MiB at 230 MB/s is ~70ms; request phase is microseconds.
         assert env.now > 0.05
 
     def test_get_missing_entry_is_error(self, env, endpoints):
         server = endpoints[0]
         with pytest.raises(NetworkError):
-            env.run(server.get(MemoryDescriptor(length=8), 2, 3, 0xBEEF))
+            env.run(env.process(server.get(MemoryDescriptor(length=8), 2, 3, 0xBEEF)))
 
 
 class TestPortalTables:
@@ -119,7 +119,7 @@ class TestPortalTables:
         server, client = endpoints[0], endpoints[2]
         assert len(server.tables) == 0
         server.attach(5, 0xAB, MemoryDescriptor(length=64))
-        env.run(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 0xAB))
+        env.run(env.process(client.put(MemoryDescriptor(length=8, payload=b"x"), 0, 5, 0xAB)))
         assert sorted(server.tables) == [5]
 
     def test_out_of_range_index_raises_key_error(self, endpoints):
@@ -146,4 +146,4 @@ class TestValidation:
         fabric.attach(sender)
         ep = install_portals(env, fabric, sender)
         with pytest.raises(NetworkError, match="no portals endpoint"):
-            env.run(ep.put(MemoryDescriptor(length=8, payload=b"x"), 50, 0, 1))
+            env.run(env.process(ep.put(MemoryDescriptor(length=8, payload=b"x"), 50, 0, 1)))

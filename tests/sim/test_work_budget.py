@@ -1,4 +1,4 @@
-"""Exact work budgets: what three small fixed trials cost the kernel.
+"""Exact work budgets: what five small fixed trials cost the kernel.
 
 Work counts, unlike wall time, are exact and host independent: a trial
 dispatches the same events on every machine and in every process.  One
@@ -10,11 +10,13 @@ trial per workload shape pins the kernel counters its record carries:
 * ``peak_event_queue`` — the deepest live schedule;
 * ``events_fast_forwarded`` — flow-engine steps retired in closed form.
 
-The pins catch what a wall-clock floor could only guess at: a disabled
-fabric fast path raises every event count, a kernel that stops
-compacting cancelled timers loses its skips, and tenant arrivals issued
-one by one instead of in batches raise the traffic trial's events.  A
-change that adds or removes work re-pins here, in its own diff.
+The exact checkpoint runs on both stacks: LWFS, and the Lustre-like
+baseline in its file-per-process and shared-file patterns.  The pins
+catch what a wall-clock floor could only guess at: a disabled fabric
+fast path raises every event count, a kernel that stops compacting
+cancelled timers loses its skips, and tenant arrivals issued one by one
+instead of in batches raise the traffic trial's events.  A change that
+adds or removes work re-pins here, in its own diff.
 """
 
 import pytest
@@ -30,8 +32,8 @@ COUNTERS = (
 )
 
 
-def _exact_checkpoint():
-    return run_checkpoint_trial("lwfs", 16, 4, state_bytes=16 * MiB, seed=3)
+def _exact_checkpoint(impl="lwfs"):
+    return run_checkpoint_trial(impl, 16, 4, state_bytes=16 * MiB, seed=3)
 
 
 def _collapse_flow_checkpoint():
@@ -51,6 +53,10 @@ def _tenant_traffic():
 #: Trial -> pinned (events, skipped-cancelled, peak queue, fast-forwarded).
 BUDGETS = {
     "exact-checkpoint": (_exact_checkpoint, (4505, 128, 44, 0)),
+    # The Lustre stack moves data through the same server movers; its
+    # sole-writer and extent-lock paths each get their own budget.
+    "exact-lustre-fpp": (lambda: _exact_checkpoint("lustre-fpp"), (4306, 128, 43, 0)),
+    "exact-lustre-shared": (lambda: _exact_checkpoint("lustre-shared"), (5322, 128, 39, 0)),
     "collapse-flow-checkpoint": (_collapse_flow_checkpoint, (2232, 65, 21, 18)),
     "tenant-traffic": (_tenant_traffic, (10501, 329, 97, 0)),
 }

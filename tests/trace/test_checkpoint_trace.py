@@ -8,11 +8,12 @@ resource.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.bench import run_checkpoint_trial
-from repro.sim.config import RunOptions
+from repro.sim.config import RunOptions, SimConfig
 from repro.trace import (
     PhaseReport,
     chrome_trace,
@@ -27,12 +28,16 @@ N_CLIENTS = 4
 N_SERVERS = 2
 
 
-@pytest.fixture(scope="module")
-def traced_trial():
+def _traced(impl):
     return run_checkpoint_trial(
-        "lwfs", N_CLIENTS, N_SERVERS, state_bytes=4 * MiB, seed=5,
+        impl, N_CLIENTS, N_SERVERS, state_bytes=4 * MiB, seed=5,
         options=RunOptions(trace=True),
     )
+
+
+@pytest.fixture(scope="module")
+def traced_trial():
+    return _traced("lwfs")
 
 
 def _descendant_kinds(spans, root_id):
@@ -82,17 +87,35 @@ def test_all_four_phases_present(traced_trial):
     assert {"create", "write", "sync", "close"} <= ops
 
 
-def test_chrome_export_is_schema_valid(traced_trial, tmp_path):
+@pytest.mark.parametrize("impl", ("lwfs", "lustre-fpp", "lustre-shared"))
+def test_chrome_export_is_schema_valid(impl, traced_trial, tmp_path):
+    trial = traced_trial if impl == "lwfs" else _traced(impl)
     path = tmp_path / "trace.json"
-    write_chrome_trace(traced_trial.trace, str(path), meta={"impl": "lwfs"})
+    write_chrome_trace(trial.trace, str(path), meta={"impl": impl})
     doc = json.loads(path.read_text())
     assert validate_chrome_trace(doc) == []
-    assert doc["otherData"] == {"impl": "lwfs"}
+    assert doc["otherData"] == {"impl": impl}
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert len(xs) == len(traced_trial.trace)
+    assert len(xs) == len(trial.trace)
     # Metadata names every pid/tid used by the body events.
     named = {(e["pid"], e["tid"]) for e in doc["traceEvents"] if e["ph"] == "M"}
     assert all((e["pid"], e["tid"]) in named for e in xs)
+
+
+def test_ost_buffer_waits_are_attributed_to_buffers():
+    # A pool of one chunk: pulls queue for the pinned buffer, not for a
+    # thread.  The OSTs share the LWFS movers, so they trace that wait as
+    # ``wait:buffers`` (and not inside a ``wait:threads`` span).
+    config = SimConfig(chunk_bytes=1 * MiB, buffer_pool_bytes=1 * MiB)
+    trial = run_checkpoint_trial(
+        "lustre-fpp", 8, 2, state_bytes=4 * MiB, seed=3, config=config,
+        options=RunOptions(trace=True),
+    )
+    waits = Counter(
+        s.name for s in trial.trace
+        if s.kind == "wait" and (s.service or "").startswith("ost")
+    )
+    assert waits["wait:buffers"] > 0, waits
 
 
 def test_validator_flags_bad_documents():

@@ -20,6 +20,7 @@ from repro.units import MiB
 from ..reference import queued_transfers
 
 POINT = dict(impl="lwfs", n_clients=4, n_servers=2, state_bytes=2 * MiB, seed=9)
+IMPLS = ("lwfs", "lustre-fpp", "lustre-shared")
 TRACED = RunOptions(trace=True)
 
 
@@ -27,11 +28,13 @@ def _keys(trial):
     return [span.key() for span in trial.trace]
 
 
-def test_trace_identical_across_reruns():
+@pytest.mark.parametrize("impl", IMPLS)
+def test_trace_identical_across_reruns(impl):
     # Second run starts with shifted process-global counters (request ids,
     # portals match bits); the trace must not see them.
-    a = run_checkpoint_trial(**POINT, options=TRACED)
-    b = run_checkpoint_trial(**POINT, options=TRACED)
+    point = {**POINT, "impl": impl}
+    a = run_checkpoint_trial(**point, options=TRACED)
+    b = run_checkpoint_trial(**point, options=TRACED)
     assert _keys(a) == _keys(b)
 
 
@@ -62,9 +65,11 @@ def test_trace_identical_serial_vs_parallel_sweep():
         assert s.sim_seconds == p.sim_seconds
 
 
-def test_tracing_does_not_perturb_the_simulation():
-    plain = run_checkpoint_trial(**POINT)
-    traced = run_checkpoint_trial(**POINT, options=TRACED)
+@pytest.mark.parametrize("impl", IMPLS)
+def test_tracing_does_not_perturb_the_simulation(impl):
+    point = {**POINT, "impl": impl}
+    plain = run_checkpoint_trial(**point)
+    traced = run_checkpoint_trial(**point, options=TRACED)
     # Recording spans schedules no events and reads the clock only.
     assert plain.extra["events_processed"] == traced.extra["events_processed"]
     assert plain.extra["peak_event_queue"] == traced.extra["peak_event_queue"]
