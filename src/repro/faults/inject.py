@@ -246,9 +246,7 @@ class FaultInjector:
         self._fault_begin()
         # Occupy the RAID controller: queued ops (and new stream
         # admissions) wait out the stall behind this FIFO hold.
-        with device._controller.request() as req:
-            yield req
-            yield self.env.timeout(ev.duration)
+        yield from device._controller.hold(ev.duration)
         self._record("disk_stall", ev.target, "recover")
         self._fault_end()
 

@@ -78,17 +78,18 @@ class Node:
         self.alive = True
 
     def compute(self, duration: float):
-        """Occupy one CPU core for *duration* seconds (a generator).
+        """Occupy one CPU core for *duration* seconds.
 
         Usage inside a process::
 
             yield from node.compute(cost)
+
+        This is :meth:`Resource.hold` on the CPU; a non-positive
+        *duration* returns an empty iterable and holds nothing.
         """
         if duration <= 0:
-            return
-        with self.cpu.request() as req:
-            yield req
-            yield self.env.timeout(duration)
+            return ()
+        return self.cpu.hold(duration)
 
     def msg_overhead_time(self) -> float:
         """Host CPU time to process one message send/receive."""

@@ -8,10 +8,9 @@ A transfer from node A to node B:
 3. experiences wire latency (base + per-hop for mesh topologies),
 4. pays B's per-message host overhead, then delivers.
 
-When both pipes are free the slots are claimed synchronously
-(``Resource.try_acquire``), which leaves only the two timing events;
-under contention the transfer queues for them instead.  Both paths
-produce bit-identical timestamps.
+The pipe hold is one :meth:`~repro.simkernel.Resource.hold`: free pipes
+are claimed at once, busy ones are queued for, and an interrupted
+transfer gives both back.
 
 Transfers to a dead node fail with :class:`~repro.errors.NodeFailure`,
 which is how failure-injection experiments observe lost servers.
@@ -138,8 +137,7 @@ class Fabric:
         dst = self.node(msg.dst)
         src.check_alive()
 
-        # The span covers the whole transfer and sits OUTSIDE the
-        # uncontended/queued branch, so both paths record the same trace.
+        # The span covers the whole transfer, queueing included.
         tracer = env.tracer
         t0 = env._now if tracer is not None else 0.0
 
@@ -197,51 +195,19 @@ class Fabric:
                 with full_pipe._slot.request() as full_req:
                     yield full_req
                     start = env.now
-                    with part_pipe._slot.request() as part_req:
-                        yield part_req
-                        part_start = env.now
-                        yield env.timeout(share)
-                        part_pipe.bytes_moved += wire_bytes // mult
-                        part_pipe.busy_time += env.now - part_start
+                    part_start = yield from part_pipe._slot.hold(share)
+                    part_pipe.bytes_moved += wire_bytes // mult
+                    part_pipe.busy_time += env.now - part_start
                     yield env.timeout(duration - share)
                     full_pipe.bytes_moved += wire_bytes
                     full_pipe.busy_time += env.now - start
             else:
-                tx_tok = tx_pipe._slot.try_acquire()
-                rx_tok = None
-                if tx_tok is not None:
-                    rx_tok = rx_pipe._slot.try_acquire()
-                    if rx_tok is None:
-                        # Receiver is busy: fall back to the queued path
-                        # below, which claims tx first.
-                        tx_pipe._slot.release(tx_tok)
-                        tx_tok = None
-
-                if rx_tok is not None:
-                    # Uncontended fast path: both pipes claimed
-                    # synchronously, so the request/release event churn of
-                    # the queued path disappears and only the two timing
-                    # events remain.  The timeout split (serialization,
-                    # then wire latency) mirrors the queued path exactly so
-                    # timestamps stay bit-identical.
-                    yield env.timeout(duration)
-                    for pipe in (tx_pipe, rx_pipe):
-                        pipe.bytes_moved += wire_bytes
-                        pipe.busy_time += duration
-                    rx_pipe._slot.release(rx_tok)
-                    tx_pipe._slot.release(tx_tok)
-                else:
-                    # Hold both endpoint pipes for the serialization time so
-                    # that contention at either end throttles the transfer.
-                    with tx_pipe._slot.request() as tx_req:
-                        yield tx_req
-                        with rx_pipe._slot.request() as rx_req:
-                            yield rx_req
-                            start = env.now
-                            yield env.timeout(duration)
-                            for pipe in (tx_pipe, rx_pipe):
-                                pipe.bytes_moved += wire_bytes
-                                pipe.busy_time += env.now - start
+                # Hold both endpoint pipes for the serialization time so
+                # that contention at either end throttles the transfer.
+                start = yield from tx_pipe._slot.hold(duration, rx_pipe._slot)
+                for pipe in (tx_pipe, rx_pipe):
+                    pipe.bytes_moved += wire_bytes
+                    pipe.busy_time += env.now - start
 
             yield env.timeout(self.wire_latency(msg.src, msg.dst))
         else:

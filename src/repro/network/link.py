@@ -31,25 +31,14 @@ class Pipe:
         """Seconds the pipe is busy moving *nbytes*."""
         return nbytes / self.bandwidth
 
-    def acquire(self):
-        """Claim the pipe (request event). Pair with :meth:`release`."""
-        return self._slot.request()
-
-    def release(self, request) -> None:
-        self._slot.release(request)
-
     def hold(self, nbytes: int):
         """Generator: claim the pipe, hold it for the transfer time, release.
 
         Usage: ``yield from pipe.hold(nbytes)``.
         """
-        with self._slot.request() as req:
-            yield req
-            duration = self.occupancy(nbytes)
-            start = self.env.now
-            yield self.env.timeout(duration)
-            self.bytes_moved += nbytes
-            self.busy_time += self.env.now - start
+        start = yield from self._slot.hold(self.occupancy(nbytes))
+        self.bytes_moved += nbytes
+        self.busy_time += self.env.now - start
 
     @property
     def queue_len(self) -> int:

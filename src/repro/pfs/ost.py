@@ -132,18 +132,16 @@ class SimOST(_DataServer):
                     data = yield from self.node.portals.get(
                         md, data_node, DATA_PORTAL, data_bits, wire_weight=weight
                     )
-                except BaseException:
+                    if sole:
+                        # The class's first writer: sequential stream, no RMW.
+                        yield from self.device.write(length)
+                    # Interleaved partial-stripe extents: seek + RMW on media.
+                    yield from self.device.write(
+                        int(switches * length * RMW_FACTOR), seek=True, ops=switches
+                    )
+                finally:
                     self.buffers.put(length)
-                    raise
-                if sole:
-                    # The class's first writer: sequential stream, no RMW.
-                    yield from self.device.write(length)
-                # Interleaved partial-stripe extents: seek + RMW on media.
-                yield from self.device.write(
-                    int(switches * length * RMW_FACTOR), seek=True, ops=switches
-                )
                 self.store.write(key, offset, data)
-                self.buffers.put(length)
             return {"status": "ok", "written": length}
 
         def write_stream(ctx, ino, stripe_index, offset, length, n_chunks, data_node,

@@ -272,11 +272,9 @@ class _DataServer(_SimServerBase):
                 MemoryDescriptor(length=length), data_node, DATA_PORTAL, data_bits,
                 wire_weight=weight,
             )
-        except BaseException:
+            yield from self.device.write(weight * length)
+        finally:
             self.buffers.put(length)
-            raise
-        yield from self.device.write(weight * length)
-        self.buffers.put(length)
         return data
 
     def _pull_stream(self, length: int, n_chunks: int, data_node: int, data_bits: int,

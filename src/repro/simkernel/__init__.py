@@ -21,10 +21,10 @@ Quick tour::
 
 from .core import EmptySchedule, Environment, StopSimulation
 from .events import NORMAL, PENDING, URGENT, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .monitor import Counter, Monitor, Tally
+from .monitor import Counter, Tally
 from .process import Interrupt, InterruptException, Process
 from .rand import RandomStreams
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import Container, Request, Resource, Store
 
 __all__ = [
     "Environment",
@@ -40,12 +40,10 @@ __all__ = [
     "Interrupt",
     "InterruptException",
     "Resource",
-    "PriorityResource",
     "Request",
     "Store",
     "Container",
     "Tally",
-    "Monitor",
     "Counter",
     "RandomStreams",
     "PENDING",

@@ -1,9 +1,8 @@
 """Lightweight instrumentation for simulation runs.
 
-A :class:`Monitor` accumulates scalar samples tagged with the simulated time
-they were taken at; :class:`Tally` is the unweighted variant used for
-per-operation latencies.  Both compute summary statistics without retaining
-huge sample arrays unless asked to.
+A :class:`Tally` accumulates per-operation samples (latencies) and computes
+summary statistics without retaining huge sample arrays unless asked to;
+a :class:`Counter` keeps named event counts.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import math
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Tally", "Monitor", "Counter"]
+__all__ = ["Tally", "Counter"]
 
 
 class Tally:
@@ -156,52 +155,6 @@ class Tally:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Tally {self.name!r} n={self.count} mean={self.mean:.6g}>"
-
-
-class Monitor:
-    """Time-weighted level tracker (e.g. queue depth, buffer occupancy)."""
-
-    def __init__(self, env, name: str = "") -> None:
-        self.env = env
-        self.name = name
-        self._level = 0.0
-        self._last_time = env.now
-        self._area = 0.0
-        self.max_level = 0.0
-        self._start = env.now
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def set(self, level: float) -> None:
-        now = self.env.now
-        # Identical timestamps (several set() calls in one event) add a
-        # zero-width rectangle; a clock that appears to run backwards
-        # (a monitor wired to a stale environment) must not subtract
-        # area, so the width is clamped at zero.
-        dt = now - self._last_time
-        if dt > 0.0:
-            self._area += self._level * dt
-        self._last_time = now
-        self._level = level
-        if level > self.max_level:
-            self.max_level = level
-
-    def add(self, delta: float) -> None:
-        self.set(self._level + delta)
-
-    def time_average(self) -> float:
-        now = self.env.now
-        elapsed = now - self._start
-        if elapsed <= 0:
-            # No observation window yet.  Returning the instantaneous level
-            # here misreported monitors constructed before the run started
-            # and queried at t == start; NaN says "no data", matching
-            # Tally.mean's empty-sample convention.
-            return math.nan
-        area = self._area + self._level * max(0.0, now - self._last_time)
-        return area / elapsed
 
 
 class Counter:

@@ -7,9 +7,8 @@ pinned I/O buffers, and mailbox-style message queues.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .core import Environment
 from .events import Event
@@ -17,8 +16,6 @@ from .events import Event
 __all__ = [
     "Request",
     "Resource",
-    "PriorityRequest",
-    "PriorityResource",
     "Store",
     "Container",
 ]
@@ -100,9 +97,8 @@ class Resource:
 
         Returns an already-granted :class:`Request` (pair with
         :meth:`release`) without putting any event on the queue, or
-        ``None`` if the claim would have to wait.  This is the contention
-        check behind the network fast paths: an uncontended pipe can be
-        held and released without paying event-loop turns.
+        ``None`` if the claim would have to wait.  This is the claim step
+        of :meth:`hold`.
         """
         if len(self._users) >= self.capacity or self._waiting:
             return None
@@ -116,6 +112,44 @@ class Resource:
         request.resource = self
         self._users.add(request)
         return request
+
+    def hold(self, duration: float, also: Optional["Resource"] = None):
+        """Hold a slot (and one slot of *also*) for *duration* seconds.
+
+        Usage inside a process: ``start = yield from resource.hold(d)``;
+        the value is the time the hold began.  When the slots are free
+        and nobody waits, they are claimed at once and the hold costs one
+        timeout; otherwise it queues for this slot, then *also*'s, as
+        nested ``with r.request() as req: yield req`` blocks do.  The
+        slots go back, *also*'s first, in a ``finally``, so an
+        interrupted holder never keeps them.
+
+        Only a holder that does nothing but wait may skip the grant's
+        event turn: one that runs on after its grant (a server thread, a
+        lock) keeps :meth:`request`, or it would overtake work scheduled
+        for the same instant.
+        """
+        mine = self.try_acquire()
+        theirs = None
+        if mine is not None and also is not None:
+            theirs = also.try_acquire()
+            if theirs is None:
+                self.release(mine)
+                mine = None
+        try:
+            if mine is None:
+                mine = Request(self)
+                yield mine
+                if also is not None:
+                    theirs = Request(also)
+                    yield theirs
+            start = self.env._now
+            yield self.env.timeout(duration)
+            return start
+        finally:
+            if theirs is not None:
+                theirs.__exit__(None, None, None)
+            mine.__exit__(None, None, None)
 
     def release(self, request: Request) -> None:
         """Return a slot previously granted to *request*."""
@@ -155,60 +189,6 @@ class Resource:
             f"<{type(self).__name__} capacity={self.capacity} "
             f"held={self.count} queued={self.queue_len}>"
         )
-
-
-class PriorityRequest(Request):
-    """Request with a priority (lower value = granted earlier)."""
-
-    __slots__ = ("priority", "_order")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0) -> None:
-        self.priority = priority
-        self._order = resource._next_order()
-        super().__init__(resource)
-
-    def __lt__(self, other: "PriorityRequest") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are granted in priority order (FIFO per tier)."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._waiting: list = []  # heap of PriorityRequest
-        self._order_counter = 0
-
-    def _next_order(self) -> int:
-        self._order_counter += 1
-        return self._order_counter
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        if len(self._users) < self.capacity and not self._waiting:
-            self._users.add(request)
-            request.succeed()
-        else:
-            heapq.heappush(self._waiting, request)
-
-    def _cancel(self, request: Request) -> None:
-        if request in self._users:
-            return
-        try:
-            self._waiting.remove(request)
-            heapq.heapify(self._waiting)
-        except ValueError:
-            pass
-
-    def _grant_next(self) -> None:
-        while self._waiting and len(self._users) < self.capacity:
-            nxt = heapq.heappop(self._waiting)
-            if nxt.triggered:
-                continue
-            self._users.add(nxt)
-            nxt.succeed()
 
 
 class Store:

@@ -56,24 +56,23 @@ class RaidDevice:
             return base
         return self.rng.jitter(f"{self.name}.{stream}", base, self.jitter)
 
-    def _busy(self, duration: float, op: str = "io", nbytes: int = 0):
+    def _busy(self, duration: float, op: str = "io", nbytes: int = 0,
+              lane: Optional[Resource] = None):
+        """Hold *lane* (the controller by default) for *duration*."""
         tracer = self.env.tracer
         t_request = self.env._now if tracer is not None else 0.0
-        with self._controller.request() as req:
-            yield req
-            start = self.env.now
-            yield self.env.timeout(duration)
-            self.busy_time += self.env.now - start
-            if tracer is not None:
-                # One span per device op, split into its queueing and
-                # service components — the raw material for the
-                # PhaseReport's disk-queue vs disk-service attribution.
-                tracer.record(
-                    f"disk:{self.name}", start=t_request, kind="disk",
-                    node=self.node_id, op=op,
-                    queue=start - t_request, service=self.env.now - start,
-                    bytes=nbytes,
-                )
+        start = yield from (lane or self._controller).hold(duration)
+        self.busy_time += self.env.now - start
+        if tracer is not None:
+            # One span per device op, split into its queueing and
+            # service components — the raw material for the
+            # PhaseReport's disk-queue vs disk-service attribution.
+            tracer.record(
+                f"disk:{self.name}", start=t_request, kind="disk",
+                node=self.node_id, op=op,
+                queue=start - t_request, service=self.env.now - start,
+                bytes=nbytes,
+            )
 
     # -- operations (generators) -------------------------------------------------
     def write(self, nbytes: int, seek: bool = False, ops: int = 1):
@@ -135,21 +134,9 @@ class RaidDevice:
         against bulk data transfers.  ``ops`` scales the cost for
         collapsed equivalence classes, like :meth:`sync`.
         """
-        tracer = self.env.tracer
-        t_request = self.env._now if tracer is not None else 0.0
-        with self._meta_lane.request() as req:
-            yield req
-            duration = ops * self._cost(self.spec.meta_op_time, "meta")
-            start = self.env.now
-            yield self.env.timeout(duration)
-            self.busy_time += self.env.now - start
-            if tracer is not None:
-                tracer.record(
-                    f"disk:{self.name}", start=t_request, kind="disk",
-                    node=self.node_id, op="meta",
-                    queue=start - t_request, service=self.env.now - start,
-                    bytes=0,
-                )
+        yield from self._busy(
+            ops * self._cost(self.spec.meta_op_time, "meta"), op="meta", lane=self._meta_lane
+        )
 
     # -- flow-level stream path (batched disk admission) ---------------------
     @property

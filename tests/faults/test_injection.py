@@ -13,13 +13,18 @@ Contract under test:
   capabilities.
 """
 
+import os
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import run_checkpoint_trial
-from repro.bench.harness import _build
-from repro.faults import FaultEvent, FaultPlan, RetryPolicy
+from repro.bench.harness import CKPT_ATTEMPTS, _build, checkpoint_main
+from repro.faults import FaultEvent, FaultPlan, RetryPolicy, load_plan
 from repro.sim.config import RunOptions
 from repro.units import MiB
+
+from ..reference import queued_holds
 
 N, M, SEED = 8, 4, 42
 STATE = 8 * MiB
@@ -39,6 +44,11 @@ PRE_FAULT_SUBSYSTEM_PINS = {
     ("lwfs", "flow"): 0.7328158255740085,
     ("lustre-fpp", "flow"): 0.7312024620488791,
 }
+
+
+#: The storage-crash plan CI runs at the N x M x STATE size.
+CRASH_PLAN = os.path.join(os.path.dirname(__file__), "..", "..",
+                          "examples", "faults", "storage_crash.json")
 
 
 def _run(impl, plan, seed=SEED, **kw):
@@ -233,3 +243,46 @@ class TestRevocationStormUnderLoad:
         storm = [ent for ent in injector.log if ent["kind"] == "revoke_storm"]
         assert [ent["action"] for ent in storm] == ["inject", "recover"]
         assert storm[1]["victims"] >= 1
+
+
+class TestNothingHeldAfterACrash:
+    """A crash interrupt can land anywhere in a server handler; what the
+    handler held (NIC pipes, a CPU core, the RAID controller, a pinned
+    buffer) must come back, or the rebooted server runs short."""
+
+    def test_early_crash_matches_queued_holds(self):
+        # At 5 ms stor0 is still pulling its first chunks: the crash
+        # interrupts transfers in the middle of their pipe holds.
+        plan = load_plan(CRASH_PLAN)
+        plan = replace(plan, events=(replace(plan.events[0], at=0.005),))
+
+        def throughput():
+            return run_checkpoint_trial(
+                "lwfs", 4, 4, state_bytes=STATE, seed=1, options=RunOptions(faults=plan)
+            ).value
+
+        with queued_holds():
+            reference = throughput()
+        assert throughput() == reference
+
+    def test_quiescent_after_the_crash_trial(self):
+        opts = RunOptions(faults=CRASH_PLAN).resolved()
+        cluster, deployment, ck, app, injector = _build("lwfs", N, M, seed=SEED, opts=opts)
+        app.run(checkpoint_main(ck, STATE, CKPT_ATTEMPTS, injector))
+        cluster.env.run()
+        for server in deployment.storage:
+            assert server.buffers.level == server.buffers.capacity, server.rpc.name
+        held = []
+        for nid in range(cluster.n_nodes):
+            node = cluster.node(nid)
+            nic = node.nic
+            for name, slot in (("cpu", node.cpu), ("tx", nic.tx._slot), ("rx", nic.rx._slot),
+                               ("ctl_tx", nic.ctl_tx._slot), ("ctl_rx", nic.ctl_rx._slot)):
+                if slot.count:
+                    held.append((node.name, name))
+        for server in deployment.storage:
+            for name, slot in (("controller", server.device._controller),
+                               ("meta", server.device._meta_lane)):
+                if slot.count:
+                    held.append((server.rpc.name, name))
+        assert held == []

@@ -1,22 +1,24 @@
-"""Fast-path equivalence: batched-timeout transfers match the reference loop.
+"""Hold equivalence: holds that claim free slots at once match the queued path.
 
-Every scenario runs the same workload twice — once on the shipping
-fabric (pipes claimed synchronously when uncontended) and once forced
-onto the reference request/hold path by
-:func:`tests.reference.queued_transfers` — and asserts identical
-simulated completion times and pipe accounting.
+Every scenario runs the same workload twice — once on the shipping code
+(:meth:`Resource.hold` claims free slots without a grant event) and once
+forced onto the reference request path by
+:func:`tests.reference.queued_holds` — and asserts identical simulated
+completion times and pipe accounting.
 """
 
 import contextlib
+from dataclasses import replace
 
 import pytest
 
 from repro.machine import Node, dev_cluster
 from repro.network import Fabric, MemoryDescriptor, install_portals
 from repro.simkernel import Environment
+from repro.storage import RaidDevice
 from repro.units import KiB, MiB
 
-from ..reference import queued_transfers
+from ..reference import queued_holds
 
 SIZES = (0, 2 * KiB, 64 * KiB, 1 * MiB, 8 * MiB)
 
@@ -41,7 +43,7 @@ def build():
 def run_both(workload):
     """Run *workload(env, fabric)* on the queued path, then the shipping one."""
     results = []
-    for mode in (queued_transfers, contextlib.nullcontext):
+    for mode in (queued_holds, contextlib.nullcontext):
         with mode():
             env, fabric, nodes = build()
             value = workload(env, fabric)
@@ -253,6 +255,59 @@ class TestFailureEquivalence:
         results = run_both(workload)
         (_, _, t_ref), (_, _, t_fast) = results
         assert t_fast == t_ref > 1e-4
+
+    def test_interrupted_transfer_gives_both_pipes_back(self):
+        # A crash interrupt that lands mid-serialization must release the
+        # sender's tx and the receiver's rx pipe, or every later transfer
+        # between the pair waits forever.
+        def workload(env, fabric):
+            doomed = fabric.send(2, 0, 32 * MiB, tag="doomed")
+            doomed.defuse()
+            done = []
+
+            def crash_then_resend():
+                yield env.timeout(1e-3)
+                doomed.interrupt("crash")
+                yield fabric.send(2, 0, 1 * MiB, tag="after")
+                done.append(env.now)
+
+            env.process(crash_then_resend())
+            env.run()
+            assert fabric.node(2).nic.tx._slot.count == 0
+            assert fabric.node(0).nic.rx._slot.count == 0
+            return done
+
+        results = run_both(workload)
+        assert_equivalent(results)
+        (_, _, done), _ = results
+        assert len(done) == 1
+
+
+class TestCpuAndRaidHolds:
+    def test_contended_cores_and_controller(self):
+        # Three jobs on a one-core CPU and three back-to-back RAID writes:
+        # the first of each claims its slot at once, the rest queue.
+        def workload(env, fabric):
+            spec = dev_cluster().io_spec
+            node = Node(env, 9, replace(spec, cpu=replace(spec.cpu, cores=1)))
+            raid = RaidDevice(env, spec.storage)
+            done = []
+
+            def job(tag, hold):
+                yield from hold
+                done.append((env.now, tag))
+
+            for i in range(3):
+                env.process(job(f"cpu{i}", node.compute(1e-3)))
+                env.process(job(f"raid{i}", raid.write(1 * MiB)))
+            env.run()
+            assert node.cpu.count == raid._controller.count == 0
+            return sorted(done), raid.busy_time
+
+        results = run_both(workload)
+        assert_equivalent(results)
+        (_, _, (done, _)), _ = results
+        assert [tag for _, tag in done if tag.startswith("cpu")] == ["cpu0", "cpu1", "cpu2"]
 
 
 class TestPortalsEquivalence:

@@ -7,8 +7,10 @@ paths they must match bit for bit live here, in the test suite:
   through the heap, no :class:`~repro.simkernel.events.Timeout` is ever
   reused, and cancelled entries are never compacted away (they are
   skipped when they reach the front, as in the shipping kernel).
-* :func:`queued_transfers` — every fabric transfer queues for its pipes
-  through the request/hold path instead of claiming them synchronously.
+* :func:`queued_holds` — every :meth:`~repro.simkernel.Resource.hold`
+  (fabric pipes, CPU cores, RAID controllers, disk stalls) queues for
+  its slots through the request path instead of claiming free ones at
+  once.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import pytest
 
 from repro.simkernel import NORMAL, Environment, Resource, Timeout
 
-__all__ = ["HeapEnvironment", "queued_transfers"]
+__all__ = ["HeapEnvironment", "queued_holds"]
 
 
 class HeapEnvironment(Environment):
@@ -40,11 +42,12 @@ class HeapEnvironment(Environment):
 
 
 @contextlib.contextmanager
-def queued_transfers():
-    """Force every transfer onto the fabric's queued path.
+def queued_holds():
+    """Force every :meth:`Resource.hold` onto its queued path.
 
-    The fabric is the only caller of :meth:`Resource.try_acquire`, so a
-    refused claim there leaves the request/hold path for every pipe.
+    :meth:`Resource.hold` is the only caller of
+    :meth:`Resource.try_acquire`, so a refused claim there makes every
+    hold queue for its slots as nested ``with r.request()`` blocks do.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Resource, "try_acquire", lambda self: None)

@@ -1,10 +1,10 @@
-"""Tally, Monitor, and Counter instrumentation."""
+"""Tally and Counter instrumentation."""
 
 import math
 
 import pytest
 
-from repro.simkernel import Counter, Environment, Monitor, Tally
+from repro.simkernel import Counter, Tally
 
 
 class TestTally:
@@ -98,69 +98,6 @@ class TestTally:
         for v in range(1, 101):
             t.observe(float(v))
         assert t.summary()["p999"] == pytest.approx(99.901)
-
-
-class TestMonitor:
-    def test_time_average(self):
-        env = Environment()
-        mon = Monitor(env, "queue")
-
-        def driver(env):
-            mon.set(2)
-            yield env.timeout(10)
-            mon.set(4)
-            yield env.timeout(10)
-            mon.set(0)
-
-        env.process(driver(env))
-        env.run()
-        # 2 for 10s + 4 for 10s over 20s => 3.0
-        assert mon.time_average() == pytest.approx(3.0)
-        assert mon.max_level == 4
-
-    def test_add_delta(self):
-        env = Environment()
-        mon = Monitor(env)
-        mon.add(5)
-        mon.add(-2)
-        assert mon.level == 3
-
-    def test_time_average_is_nan_before_time_advances(self):
-        # A monitor queried at t == start has no observation window; the
-        # old code returned the instantaneous level, misreporting e.g. a
-        # queue that was set to 7 and immediately inspected as "average 7".
-        env = Environment()
-        mon = Monitor(env, "queue")
-        mon.set(7)
-        assert math.isnan(mon.time_average())
-        assert mon.level == 7
-
-    def test_same_timestamp_sets_add_zero_width_rectangles(self):
-        # Several set() calls inside one event must not accumulate area:
-        # only the level that persists across simulated time counts.
-        env = Environment()
-        mon = Monitor(env, "queue")
-
-        def driver(env):
-            mon.set(100)
-            mon.set(2)  # same timestamp: the 100 never existed for any dt
-            yield env.timeout(10)
-            mon.set(0)
-
-        env.process(driver(env))
-        env.run()
-        assert mon.time_average() == pytest.approx(2.0)
-
-    def test_stale_clock_never_subtracts_area(self):
-        # A monitor wired to an environment whose clock it saw "later"
-        # (manual _last_time manipulation stands in for a stale env)
-        # clamps negative widths at zero instead of eating area.
-        env = Environment()
-        mon = Monitor(env, "queue")
-        mon.set(5)
-        mon._last_time = 100.0  # clock now appears to run backwards
-        mon.set(3)
-        assert mon._area == 0.0
 
 
 class TestCounter:

@@ -1,8 +1,8 @@
-"""Resource, PriorityResource, Store, and Container semantics."""
+"""Resource, Store, and Container semantics."""
 
 import pytest
 
-from repro.simkernel import Container, Environment, PriorityResource, Resource, Store
+from repro.simkernel import Container, Environment, Interrupt, Resource, Store
 
 
 @pytest.fixture
@@ -82,41 +82,59 @@ class TestResource:
         assert res.count == 0
 
 
-class TestPriorityResource:
-    def test_priority_order_beats_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
+class TestHold:
+    def test_free_hold_schedules_one_event(self, env):
+        res, other = Resource(env), Resource(env)
 
-        def worker(env, name, priority):
-            with res.request(priority=priority) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(1)
+        def holder(env):
+            start = yield from res.hold(2.0, other)
+            return start, res.count, other.count
 
-        def submit(env):
-            env.process(worker(env, "low", 5))
-            yield env.timeout(0)
-            env.process(worker(env, "high", 0))
-            env.process(worker(env, "mid", 3))
-
-        env.process(submit(env))
+        proc = env.process(holder(env))
+        before = env.events_processed
         env.run()
-        assert order == ["low", "high", "mid"]
+        # Process start, the hold's one timeout, process finish: the
+        # slots are claimed without a grant event.
+        assert env.events_processed - before == 3
+        assert proc.value == (0.0, 0, 0)
+        assert env.now == 2.0
 
-    def test_equal_priority_is_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
+    def test_held_slot_queues_later_holds_fifo(self, env):
+        res = Resource(env, capacity=1)
+        starts = {}
 
-        def worker(env, i):
-            with res.request(priority=1) as req:
-                yield req
-                order.append(i)
-                yield env.timeout(1)
+        def holder(env, name):
+            starts[name] = yield from res.hold(1.0)
 
-        for i in range(3):
-            env.process(worker(env, i))
+        for name in "abc":
+            env.process(holder(env, name))
+        env.run(until=0.5)
+        assert res.count == 1 and res.queue_len == 2
         env.run()
-        assert order == [0, 1, 2]
+        assert starts == {"a": 0.0, "b": 1.0, "c": 2.0}
+        assert res.count == 0
+
+    def test_interrupt_while_queued_for_also_gives_back_both(self, env):
+        res, other = Resource(env), Resource(env)
+        blocker = other.request()
+
+        def holder(env):
+            yield from res.hold(1.0, other)
+
+        proc = env.process(holder(env))
+
+        def interrupter(env):
+            yield env.timeout(0.5)
+            proc.interrupt("crash")
+
+        env.process(interrupter(env))
+        env.run(until=0.25)
+        assert res.count == 1 and other.queue_len == 1
+        with pytest.raises(Interrupt):
+            env.run()
+        assert res.count == 0 and other.queue_len == 0
+        other.release(blocker)
+        assert other.count == 0
 
 
 class TestStore:

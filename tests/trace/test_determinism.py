@@ -2,10 +2,10 @@
 
 Traces must be bit-identical across (a) repeated runs in one process —
 process-global counters like RPC request ids must not leak into span
-identity, (b) the fabric fast path and the queued reference path
-(:func:`tests.reference.queued_transfers`), and (c) serial vs parallel
-sweep execution.  And with no tracer installed the instrumentation must
-not change the simulation at all.
+identity, (b) holds that claim free slots at once and the queued
+reference path (:func:`tests.reference.queued_holds`), and (c) serial
+vs parallel sweep execution.  And with no tracer installed the
+instrumentation must not change the simulation at all.
 """
 
 import time
@@ -17,7 +17,7 @@ from repro.bench.executor import checkpoint_spec, run_trials
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
-from ..reference import queued_transfers
+from ..reference import queued_holds
 
 POINT = dict(impl="lwfs", n_clients=4, n_servers=2, state_bytes=2 * MiB, seed=9)
 IMPLS = ("lwfs", "lustre-fpp", "lustre-shared")
@@ -39,14 +39,13 @@ def test_trace_identical_across_reruns(impl):
 
 
 def test_trace_identical_fastpath_on_and_off():
-    with queued_transfers():
+    with queued_holds():
         results = {False: run_checkpoint_trial(**POINT, options=TRACED)}
     results[True] = run_checkpoint_trial(**POINT, options=TRACED)
     assert _keys(results[False]) == _keys(results[True])
     assert results[False].max_elapsed == results[True].max_elapsed
-    # The queued reference path spends extra kernel events on pipe
-    # request/release turns; equal counts would mean both legs ran the
-    # fast path.
+    # The queued reference path spends an extra kernel event on every
+    # grant; equal counts would mean both legs claimed slots at once.
     events = {k: r.extra["events_processed"] for k, r in results.items()}
     assert events[False] != events[True], events
 
