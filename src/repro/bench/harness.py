@@ -126,8 +126,8 @@ class TrialResult:
 
     @property
     def events_fast_forwarded(self) -> int:
-        """Flow completions the analytic fast-forward engine retired
-        without per-chunk event scheduling (0 when off or unused)."""
+        """Flow arrivals and completions the flow engine resolved in
+        closed form (0 on a trial that opened no flow)."""
         return int(self.extra.get("events_fast_forwarded", 0))
 
     @property
@@ -259,8 +259,6 @@ def _deploy(
     """
     spec = spec or dev_cluster()
     config = replace(config or SimConfig(), seed=seed)
-    if opts.flow:
-        config = replace(config, flow=True)
     cluster = SimCluster(
         spec,
         config,

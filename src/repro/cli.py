@@ -93,14 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpoint through the burst-buffer tier described "
                             "by this JSON spec (see repro.storage.buffer and "
                             "examples/tiers/) and print the absorb/drain summary")
-    point.add_argument("--fast-forward", dest="fastforward", default=None,
-                       action="store_true",
-                       help="analytic steady-state fast-forward for flow-mode "
-                            "transfers (default: on unless --faults is given; "
-                            "with --faults it is an error)")
-    point.add_argument("--no-fast-forward", dest="fastforward",
-                       action="store_false",
-                       help="force the reference per-event flow arithmetic")
     point.add_argument("--metrics", nargs="?", const="-", default=None,
                        metavar="EXPORT.json",
                        help="sample time-series metrics during the run and "
@@ -292,7 +284,6 @@ def _run(args: argparse.Namespace) -> int:
             flow=args.flow,
             faults=args.faults,
             tiers=args.tiers,
-            fastforward=args.fastforward,
             metrics=args.metrics is not None,
             metrics_period=args.metrics_period,
         )

@@ -26,8 +26,9 @@ Four instrument kinds cover the paper's time-resolved signals:
 Every instrument carries a ``scope``:
 
 * ``"model"`` — a physical quantity (bytes, requests, cache hits) that
-  must agree across interchangeable engines (fast-forward on/off within
-  1e-9, collapse exact at multiplicity 1);
+  must agree across interchangeable engines (the flow engine and its
+  global-refill test oracle within 1e-9, collapse exact at multiplicity
+  1);
 * ``"kernel"`` — simulator machinery (event counts, live queue depth)
   that legitimately differs between engines and is reported but never
   compared across them.

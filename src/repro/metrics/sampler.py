@@ -24,8 +24,8 @@ closed form:
 * :class:`~repro.metrics.registry.LinearGauge` instruments (fluid flow
   byte totals) drain at a constant rate within the stretch (rates change
   only at events), so ``value(t) = value(now) - slope * (now - t)``
-  reconstructs each boundary analytically — within 1e-9 of what a
-  non-fast-forwarded reference run samples at the same boundary.
+  reconstructs each boundary analytically — within 1e-9 of what a run on
+  the global-refill flow oracle samples at the same boundary.
 
 ``peek()`` counts tombstoned (cancelled-but-pending) timers, so a stale
 timer can only shorten a stride, never corrupt one.

@@ -14,8 +14,9 @@ same way).
 :class:`FluidResource` capacities (sender tx pipe, receiver rx pipe,
 disk bandwidth) fractionally, rates are the progressive-filling max-min
 fair allocation, and the only scheduled event is the earliest flow
-completion — recomputed (with a cheap lazy-cancelled timer) at every
-arrival/departure.  ``O(chunks × events)`` collapses to
+completion — re-armed (with a cheap lazy-cancelled timer) at every
+arrival/departure, which re-fair-shares only the connected component it
+touches.  ``O(chunks × events)`` collapses to
 ``O(flows × rate-changes)``.
 
 A flow may weight each resource with a coefficient: a collapsed
@@ -25,9 +26,9 @@ disk serve the whole equivalence class (coefficient ``mult``), mirroring
 the fabric's asymmetric weighted holds.
 
 The engine is strictly opt-in: clients take the flow path only when
-``SimConfig.flow`` is set, which the harness does from
-``RunOptions.flow`` (``--flow`` on the CLI).  Otherwise the exact
-chunked path runs, and it stays the bit-identical reference.
+``SimConfig.flow`` is set, which :class:`~repro.sim.cluster.SimCluster`
+does from ``RunOptions.flow`` (``--flow`` on the CLI).  Otherwise the
+exact chunked path runs, and it stays the bit-identical reference.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ class Flow:
         self.wire_bytes = wire_bytes
         self.t_open = env._now
         #: Deterministic identity (flows_opened at open time) — used to
-        #: order component members so fast-forward float sums are
-        #: reproducible across runs.
+        #: order component members so float sums are reproducible
+        #: across runs.
         self.seq = 0
-        #: Last time this flow's ``remaining`` was drained (fast-forward
-        #: advances lazily, per component, instead of globally).
+        #: Last time this flow's ``remaining`` was drained (draining is
+        #: lazy and per component, not global).
         self.t_last = env._now
         #: Bumped whenever the flow's rate changes; stale completion-heap
         #: entries carry an older gen and are skipped on pop.
@@ -121,47 +122,41 @@ class Flow:
 class FlowNetwork:
     """Max-min fair fluid flows over shared resources, one env-wide.
 
-    Two interchangeable engines compute the same max-min allocation:
+    Max-min fairness decomposes exactly over connected components of the
+    flow↔resource bipartite graph: a resource's fair share depends only
+    on the flows crossing it, transitively.  An arrival or departure
+    therefore re-fair-shares the touched component only; every other
+    flow keeps its rate, its lazily drained remaining bytes and its
+    closed-form completion time on the heap — ``O(component)`` per
+    event.  Completions due at the armed instant retire together in one
+    step, counted in ``env.events_fast_forwarded``.
 
-    * the **reference** engine re-runs global progressive filling over
-      every active flow at each arrival/departure — ``O(flows²)`` per
-      event once per-device jitter makes every saturation level
-      distinct, the pre-fast-forward arithmetic, kept bit-identical;
-    * the **fast-forward** engine exploits the fact that max-min
-      fairness decomposes exactly over connected components of the
-      flow↔resource bipartite graph: an event only re-fair-shares the
-      touched component, per-flow completion times are kept in closed
-      form on a lazily-invalidated heap, and untouched components keep
-      their rates — ``O(component)`` per event.
-
-    Fast-forward is the default when the environment opts in
-    (``env.fastforward``, wired from ``RunOptions.fastforward``); it
-    disengages automatically whenever a fault injector is installed,
-    because capacity perturbations (crash/stall/degrade) invalidate the
-    steady-state assumption — chaos timelines therefore ride the
-    reference arithmetic bit-identically.
+    Fault injection never changes a fluid capacity: link degradation and
+    partitions act on the fabric's discrete transfers, and a crash
+    interrupts the processes waiting on a flow, not the flow.  So
+    fault-injected trials run this same engine.  The global
+    progressive-filling arithmetic it must agree with (every active flow
+    re-shared at every arrival and departure) is the test suite's oracle,
+    ``tests/reference.py::reference_flows``.
     """
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self._flows: List[Flow] = []
-        self._last = env._now
         self._timer = None
         # Counters surfaced through repro.trace.stats.kernel_stats.
         self.flows_opened = 0
         self.flows_active = 0
         self.flows_peak = 0
         self.rate_recomputes = 0
-        #: Wire bytes of every completed flow (both engines); the moving
-        #: half of :meth:`bytes_moved`.
+        #: Wire bytes of every completed flow; the moving half of
+        #: :meth:`bytes_moved`.
         self.bytes_completed = 0.0
-        #: Fast-forward engine state: resource -> insertion-ordered dict
-        #: of active flows (dict-as-ordered-set keeps component walks
-        #: deterministic), plus the closed-form completion heap.
+        #: Resource -> insertion-ordered dict of active flows
+        #: (dict-as-ordered-set keeps component walks deterministic),
+        #: plus the closed-form completion heap.
         self._res_flows: Dict[FluidResource, Dict[Flow, None]] = {}
-        self._ff_heap: list = []  # (t_done, flow.seq, gen, flow)
+        self._heap: list = []  # (t_done, flow.seq, gen, flow)
         self._armed_at = float("inf")
-        self._ff = env.fastforward and env.faults is None
         env._flow_network = self  # type: ignore[attr-defined]
 
     @classmethod
@@ -182,7 +177,7 @@ class FlowNetwork:
     ) -> Flow:
         """Start a flow; ``yield flow.done`` to wait for its completion.
 
-        All active rates are re-fair-shared immediately; the flow
+        The flow's component is re-fair-shared immediately; the flow
         completes (its ``done`` event fires) once its per-share bytes
         have drained at whatever rates the fair share gave it over time.
         """
@@ -194,23 +189,12 @@ class FlowNetwork:
             self.env, nbytes, shares, tag, src, dst,
             nbytes if wire_bytes is None else wire_bytes,
         )
-        if self._ff and self.env.faults is not None:
-            # A fault injector appeared after the network was created:
-            # leave fast-forward at a rate-change boundary, where both
-            # engines agree on every flow's remaining bytes.
-            self._leave_fastforward()
         self.flows_opened += 1
         flow.seq = self.flows_opened
         self.flows_active += 1
         if self.flows_active > self.flows_peak:
             self.flows_peak = self.flows_active
-        if self._ff:
-            self._ff_open(flow)
-        else:
-            self._advance()
-            self._flows.append(flow)
-            self._recompute()
-            self._reschedule()
+        self._admit(flow)
         return flow
 
     def bytes_moved(self) -> Tuple[float, float]:
@@ -219,68 +203,38 @@ class FlowNetwork:
         The metrics probe behind the ``flow.bytes``
         :class:`~repro.metrics.registry.LinearGauge`: completed flows
         contribute their full ``wire_bytes``; live flows contribute
-        their drained fraction of it, extrapolated from the engine's
-        last drain point to *now* (rates are exactly constant between
-        events, so the extrapolation is closed-form, not an estimate).
-        Both engines agree to float-association noise — far inside the
-        1e-9 fast-forward equivalence tolerance.  Read-only: draining
-        stays lazy.
+        their drained fraction of it, extrapolated from their last drain
+        point to *now* (rates are exactly constant between events, so
+        the extrapolation is closed-form, not an estimate).  Read-only:
+        draining stays lazy.
         """
         now = self.env._now
         moved = self.bytes_completed
         slope = 0.0
-        if self._ff:
-            live: Dict[Flow, None] = {}
-            for members in self._res_flows.values():
-                live.update(members)
-            flows = sorted(live, key=_flow_seq)
-            for f in flows:
-                remaining = f.remaining - f.rate * (now - f.t_last)
-                if remaining < 0.0:
-                    remaining = 0.0
-                moved += (f.nbytes - remaining) / f.nbytes * f.wire_bytes
-                slope += f.rate / f.nbytes * f.wire_bytes
-        else:
-            dt = now - self._last
-            for f in self._flows:
-                remaining = f.remaining - f.rate * dt
-                if remaining < 0.0:
-                    remaining = 0.0
-                moved += (f.nbytes - remaining) / f.nbytes * f.wire_bytes
-                slope += f.rate / f.nbytes * f.wire_bytes
+        for f in self._live():
+            remaining = f.remaining - f.rate * (now - f.t_last)
+            if remaining < 0.0:
+                remaining = 0.0
+            moved += (f.nbytes - remaining) / f.nbytes * f.wire_bytes
+            slope += f.rate / f.nbytes * f.wire_bytes
         return moved, slope
 
     # -- internals ----------------------------------------------------------
-    def _advance(self) -> None:
-        """Drain bytes through every active flow up to the current time."""
-        now = self.env._now
-        dt = now - self._last
-        if dt > 0.0:
-            for f in self._flows:
-                f.remaining -= f.rate * dt
-        self._last = now
-
-    def _recompute(self) -> None:
-        """Progressive-filling max-min fair shares with coefficients.
-
-        Raise every unfrozen flow's rate uniformly until some resource
-        saturates; freeze the flows crossing it; repeat.  Each round
-        freezes at least one flow, so this is ``O(flows × resources)``
-        per arrival/departure — independent of chunk count.
-        """
-        self.rate_recomputes += 1
-        flows = self._flows
-        if not flows:
-            return
-        self._fill(flows)
+    def _live(self) -> List[Flow]:
+        """Every active flow, in open order."""
+        live: Dict[Flow, None] = {}
+        for members in self._res_flows.values():
+            live.update(members)
+        return sorted(live, key=_flow_seq)
 
     def _fill(self, flows: Sequence[Flow]) -> None:
         """One progressive-filling pass over *flows*.
 
-        The flow set must be closed over its resources (the whole network
-        on the reference path, one connected component under
-        fast-forward); given that, the arithmetic — and therefore the
-        floats — is identical for both callers.
+        Raise every unfrozen flow's rate uniformly until some resource
+        saturates; freeze the flows crossing it; repeat.  Each round
+        freezes at least one flow, so a pass is ``O(flows × resources)``,
+        independent of chunk count.  The flow set must be closed over
+        its resources (one connected component).
         """
         cap = {}
         load = {}
@@ -323,54 +277,8 @@ class FlowNetwork:
             dead = set(frozen)
             unfrozen = [f for f in unfrozen if f not in dead]
 
-    def _reschedule(self) -> None:
-        """Re-arm the single completion timer at the earliest finish."""
-        timer = self._timer
-        if timer is not None:
-            timer.cancel()
-            self._timer = None
-        if not self._flows:
-            return
-        dt = min(f.remaining / f.rate for f in self._flows)
-        if dt < 0.0:
-            dt = 0.0
-        timer = self.env.timeout(dt)
-        timer.callbacks.append(self._on_timer)
-        self._timer = timer
-
-    def _on_timer(self, event) -> None:
-        if event is not self._timer:  # pragma: no cover - stale-timer guard
-            return
-        self._timer = None
-        self._advance()
-        finished = [f for f in self._flows if f.remaining <= _DONE_TOL]
-        if finished:
-            self._flows = [f for f in self._flows if f.remaining > _DONE_TOL]
-            self.flows_active -= len(finished)
-            tracer = self.env.tracer
-            for f in finished:
-                f.remaining = 0.0
-                self.bytes_completed += f.wire_bytes
-                if tracer is not None:
-                    tracer.record(
-                        f"xfer-flow:{f.tag}" if f.tag else "xfer-flow",
-                        start=f.t_open, kind="xfer",
-                        node=f.src, op=f.tag or None, dst=f.dst,
-                        bytes=int(f.wire_bytes),
-                    )
-                f.done.succeed(f)
-        self._recompute()
-        self._reschedule()
-
-    # -- fast-forward engine -------------------------------------------------
-    # Max-min fairness decomposes exactly over connected components of
-    # the flow↔resource bipartite graph: a resource's fair share depends
-    # only on the flows crossing it, transitively.  Arrivals and
-    # departures therefore re-fair-share one component; everything else
-    # keeps its rate, its (lazily drained) remaining bytes, and its
-    # closed-form completion time on the heap.
-
-    def _ff_open(self, flow: Flow) -> None:
+    def _admit(self, flow: Flow) -> None:
+        """Join *flow* to its resources and re-fair-share its component."""
         for res, _ in flow.shares:
             members = self._res_flows.get(res)
             if members is None:
@@ -414,14 +322,14 @@ class FlowNetwork:
         self.rate_recomputes += 1
         self._fill(comp)
         now = self.env._now
-        heap = self._ff_heap
+        heap = self._heap
         for f in comp:
             f.gen += 1
             heapq.heappush(heap, (now + f.remaining / f.rate, f.seq, f.gen, f))
 
     def _arm(self) -> None:
         """Point the single completion timer at the earliest live entry."""
-        heap = self._ff_heap
+        heap = self._heap
         while heap and heap[0][2] != heap[0][3].gen:
             heapq.heappop(heap)
         timer = self._timer
@@ -440,18 +348,18 @@ class FlowNetwork:
         if dt < 0.0:
             dt = 0.0
         timer = self.env.timeout(dt)
-        timer.callbacks.append(self._on_ff_timer)
+        timer.callbacks.append(self._on_timer)
         self._timer = timer
         self._armed_at = t
 
-    def _on_ff_timer(self, event) -> None:
+    def _on_timer(self, event) -> None:
         if event is not self._timer:  # pragma: no cover - stale-timer guard
             return
         self._timer = None
         armed, self._armed_at = self._armed_at, float("inf")
         env = self.env
         now = env._now
-        heap = self._ff_heap
+        heap = self._heap
         slop = _T_SLOP * (1.0 if now < 1.0 else now)
         due: List[Flow] = []
         while heap:
@@ -508,42 +416,22 @@ class FlowNetwork:
             seen.update(comp)
             self._advance_component(comp)
             self._refresh_component(comp)
-        tracer = env.tracer
         for f in finished:
-            self.bytes_completed += f.wire_bytes
-            if tracer is not None:
-                tracer.record(
-                    f"xfer-flow:{f.tag}" if f.tag else "xfer-flow",
-                    start=f.t_open, kind="xfer",
-                    node=f.src, op=f.tag or None, dst=f.dst,
-                    bytes=int(f.wire_bytes),
-                )
-            f.done.succeed(f)
+            self._retire(f)
         self._arm()
 
-    def _leave_fastforward(self) -> None:
-        """Migrate live fast-forward state onto the reference engine.
-
-        Only happens at a rate-change boundary (an ``open``), where both
-        engines agree on every flow's rate and remaining bytes, so the
-        hand-off is exact.
-        """
-        self._ff = False
-        live = sorted(
-            {f for members in self._res_flows.values() for f in members},
-            key=_flow_seq,
-        )
-        now = self.env._now
-        for f in live:
-            dt = now - f.t_last
-            if dt > 0.0:
-                f.remaining -= f.rate * dt
-            f.t_last = now
-        self._flows = live
-        self._last = now
-        self._res_flows.clear()
-        self._ff_heap.clear()
-        self._armed_at = float("inf")
+    def _retire(self, flow: Flow) -> None:
+        """Count a completed flow's bytes, trace it and fire its event."""
+        self.bytes_completed += flow.wire_bytes
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.record(
+                f"xfer-flow:{flow.tag}" if flow.tag else "xfer-flow",
+                start=flow.t_open, kind="xfer",
+                node=flow.src, op=flow.tag or None, dst=flow.dst,
+                bytes=int(flow.wire_bytes),
+            )
+        flow.done.succeed(flow)
 
 
 def _flow_seq(flow: Flow) -> int:

@@ -8,6 +8,7 @@ ranks on compute nodes.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..machine.node import Node
@@ -26,7 +27,8 @@ class SimCluster:
     Node ids are assigned contiguously: service nodes first, then I/O
     nodes, then compute nodes (so small experiments keep small id spaces
     and mesh coordinates put service/I/O nodes in one corner, as Red
-    Storm does).
+    Storm does).  ``options.flow`` turns on the config's flow-level data
+    path.
     """
 
     def __init__(
@@ -40,9 +42,9 @@ class SimCluster:
     ) -> None:
         self.spec = spec
         self.config = config or SimConfig()
+        if options is not None and options.flow:
+            self.config = replace(self.config, flow=True)
         self.env = Environment()
-        if options is not None and options.fastforward is not None:
-            self.env.fastforward = bool(options.fastforward)
         self.rng = RandomStreams(self.config.seed)
 
         n_service = service_nodes if service_nodes is not None else spec.service_nodes

@@ -101,8 +101,8 @@ class SimConfig:
     cost_jitter: float = 0.03  # relative sigma on service times
     #: Opt-in flow-level data path (repro.network.flow): the steady-state
     #: middle of a bulk write rides a fluid fair-share stream instead of
-    #: per-chunk RPCs.  The harness sets it from the resolved
-    #: ``RunOptions.flow``.
+    #: per-chunk RPCs.  :class:`~repro.sim.cluster.SimCluster` sets it
+    #: from ``RunOptions.flow``.
     flow: bool = False
     lwfs: LWFSCosts = field(default_factory=LWFSCosts)
     pfs: PFSCosts = field(default_factory=PFSCosts)
@@ -119,20 +119,12 @@ class RunOptions:
     """Typed run configuration: every knob a trial accepts, in one place.
 
     Fields hold concrete values; the defaults are the shipping
-    configuration.  :meth:`resolved` loads the specs given as JSON paths
-    and settles ``fastforward``'s automatic setting.
+    configuration.  :meth:`resolved` loads the specs given as JSON paths.
     """
 
     collapse: bool = False
     flow: bool = False
     trace: bool = False
-    #: Analytic steady-state fast-forward in the flow engine
-    #: (:mod:`repro.network.flow`); only observable on flow-mode runs.
-    #: ``None`` is "auto": :meth:`resolved` turns it on exactly when no
-    #: fault plan is given, because capacity perturbations break the
-    #: steady-state assumption.  An explicit ``True`` together with
-    #: ``faults`` makes :meth:`resolved` raise :class:`ConfigError`.
-    fastforward: Optional[bool] = None
     #: Time-series metrics sampling (:mod:`repro.metrics`): install the
     #: standard instrument pack and a simulated-time sampler, attach the
     #: exported document to the trial result.
@@ -167,11 +159,10 @@ class RunOptions:
     tiers: Optional[object] = None
 
     def resolved(self) -> "RunOptions":
-        """Specs loaded from their JSON paths, ``fastforward`` concrete.
+        """Specs loaded from their JSON paths.
 
         Raises :class:`~repro.errors.ConfigError` for a ``metrics_period``
-        that is not a positive, finite number and for an explicit
-        ``fastforward=True`` combined with a fault plan.
+        that is not a positive, finite number.
         """
         period = self.metrics_period
         if period is not None and not 0 < period < math.inf:
@@ -192,28 +183,14 @@ class RunOptions:
             from ..storage.buffer.tier import load_tiers
 
             tiers = load_tiers(tiers)
-        fastforward = self.fastforward
-        if fastforward is None:
-            fastforward = faults is None
-        elif fastforward and faults is not None:
-            raise ConfigError(
-                "RunOptions.fastforward=True cannot be combined with "
-                "RunOptions.faults: fault injection perturbs capacity, so the "
-                "steady-state fast-forward does not apply (leave fastforward "
-                "unset for the automatic setting)"
-            )
-        return replace(
-            self, fastforward=bool(fastforward), faults=faults,
-            workload=workload, tiers=tiers,
-        )
+        return replace(self, faults=faults, workload=workload, tiers=tiers)
 
     def describe(self) -> dict:
         """A JSON-stable identity of the *resolved* options.
 
         Part of the bench trial-cache key: includes the specs' content
         hashes, so a cached fault-free outcome can never answer for a
-        fault-injected spec, and the accelerator knob (``fastforward``),
-        so cached results never mix modes.
+        fault-injected spec.
         """
         opts = self.resolved()
         doc = {}

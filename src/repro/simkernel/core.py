@@ -71,14 +71,10 @@ class Environment:
         self.events_cancelled: int = 0
         #: Timeout objects served from the free list instead of allocated.
         self.timeouts_recycled: int = 0
-        #: Scheduler steps resolved analytically by a steady-state
-        #: fast-forward engine (see :mod:`repro.network.flow`) instead of
-        #: a full rate recompute over every active flow.
+        #: Flow arrivals and completions the flow engine (see
+        #: :mod:`repro.network.flow`) resolved in closed form, re-sharing
+        #: one connected component instead of every active flow.
         self.events_fast_forwarded: int = 0
-        #: Analytic steady-state fast-forward opt-in, set by
-        #: :class:`~repro.sim.cluster.SimCluster` from the resolved
-        #: ``RunOptions.fastforward`` and read by the flow engine.
-        self.fastforward: bool = True
         self._peak_queue: int = 0
         #: Optional :class:`repro.trace.Tracer`; ``None`` keeps every
         #: instrumentation site down to a single attribute check.
@@ -283,11 +279,13 @@ class Environment:
         is what you want for an unhandled error in a background process).
         """
         while True:
-            self._now, _prio, _seq, event = self._pop_entry()
+            now, _prio, _seq, event = self._pop_entry()
             if not event._cancelled:
                 break
             self.events_skipped_cancelled += 1
             self._retire(event, self._timeout_pool)
+        # A tombstone never moves the clock: only a live event sets it.
+        self._now = now
         self._live -= 1
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
@@ -351,11 +349,11 @@ class Environment:
                         entry = heappop(queue)
                     else:
                         pick.popleft()
-                    self._now, _prio, _seq, event = entry
+                    now, _prio, _seq, event = entry
                 else:
                     if not queue:
                         raise EmptySchedule()
-                    self._now, _prio, _seq, event = heappop(queue)
+                    now, _prio, _seq, event = heappop(queue)
                 if event._cancelled:
                     self.events_skipped_cancelled += 1
                     event.callbacks = None
@@ -363,6 +361,7 @@ class Environment:
                         event._value = None
                         pool.append(event)
                     continue
+                self._now = now
                 processed += 1
                 self._live -= 1
                 callbacks, event.callbacks = event.callbacks, None

@@ -5,7 +5,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Any, Generator, Optional
 
-from .events import PENDING, URGENT, Event
+from .events import PENDING, URGENT, Event, Timeout
 
 __all__ = ["Process", "Interrupt", "InterruptException"]
 
@@ -103,13 +103,19 @@ class Process(Event):
                 event._defused = True
             return
 
-        # Detach from the stale target if an interrupt preempted it.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
+        # Detach from the stale target if an interrupt preempted it.  A
+        # timeout nobody else waits on is cancelled, so it can neither
+        # stay live in the queue nor move the clock when it comes due.
+        target = self._target
+        if target is not None and target is not event:
+            callbacks = target.callbacks
+            if callbacks is not None:
                 try:
-                    self._target.callbacks.remove(self._resume)
+                    callbacks.remove(self._resume)
                 except ValueError:  # pragma: no cover - defensive
                     pass
+                if not callbacks and type(target) is Timeout:
+                    target.cancel()
 
         # Hot loop: hoist the attribute lookups that would otherwise be
         # repeated for every yield of every process.

@@ -64,11 +64,15 @@ class SyntheticData:
             )
         # Vectorized pattern: a cheap 8-bit mix of seed and absolute offset.
         # The seed is spread across the high bits so it survives the shift.
-        idx = np.arange(self.origin, self.origin + self.nbytes, dtype=np.uint64)
+        # One uint64 array is updated in place; the cast to uint8 keeps the
+        # low byte (the same as ``& 0xFF``).
+        vals = np.arange(self.origin, self.origin + self.nbytes, dtype=np.uint64)
         salt = np.uint64((self.seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
         with np.errstate(over="ignore"):
-            vals = ((idx + salt) * np.uint64(2654435761)) >> np.uint64(24)
-        return (vals & np.uint64(0xFF)).astype(np.uint8).tobytes()
+            vals += salt
+            vals *= np.uint64(2654435761)
+        vals >>= np.uint64(24)
+        return vals.astype(np.uint8).tobytes()
 
 
 @dataclass(frozen=True)

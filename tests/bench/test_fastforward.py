@@ -1,81 +1,80 @@
-"""Fast-forward contracts that hold outside flow-mode benchmarks.
+"""The flow engine against its global-refill oracle.
 
 Contract under test:
 
-* **fast-forward under chaos** — a fault plan resolves the automatic
-  ``fastforward`` setting to off, so every chaos scenario run with the
-  setting unset is bit-identical to ``fastforward=False`` and
-  fast-forwards nothing;
+* **chaos equivalence** — under every chaos scenario, flow-mode dumps big
+  enough to open flows log the same faults on the shipping engine and on
+  :func:`~tests.reference.reference_flows`, agree on the elapsed times to
+  1e-9, and the shipping engine retires flow steps in closed form
+  (except mds-failover, whose shared-file stack opens no flow);
 * **flow-grid equivalence** — on flow-mode dumps big enough to keep many
-  concurrent flows live, the engine on and off agree on the figure of
-  merit to 1e-9 (floating-point reassociation, not model error), and the
-  engine actually retires completions analytically;
-* **cache identity** — the ``fastforward`` option is part of the
-  trial-cache key, so a fast-forwarded outcome never answers for a
-  reference run.
+  concurrent flows live, the two engines agree on the figure of merit to
+  1e-9 (floating-point reassociation, not model error), and the shipping
+  engine actually retires completions analytically.
 """
 
 import pytest
 
 from repro.bench import run_checkpoint_trial
-from repro.bench.cache import trial_key
-from repro.bench.executor import checkpoint_spec
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
 from ..faults.test_injection import SCENARIOS
+from ..reference import reference_flows
 
-STATE = 8 * MiB
+#: Shipping vs reference flow arithmetic: floating-point noise only.
+FF_REL_TOL = 1e-9
+
+#: Above 2 x chunk_bytes (8 MiB), so every lwfs and file-per-process
+#: client writes its steady-state middle as a flow.
+FLOW_STATE = 32 * MiB
 
 
-class TestChaosFastForwardFallback:
-    """A fault plan turns the automatic epoch-skip setting off; the run
-    must reproduce the reference (``fastforward=False``) timeline
-    bit-exact on every chaos scenario."""
+def _rel(a, b):
+    return abs(a - b) / b
+
+
+class TestChaosFlowEquivalence:
+    """Fault injection never changes a fluid capacity, so every chaos
+    scenario runs the shipping engine and must match the oracle."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_bit_identical_with_and_without_fastforward(self, name):
+    def test_matches_reference_flows(self, name):
         impl, mk = SCENARIOS[name]
 
-        def run(fastforward):
+        def run():
             return run_checkpoint_trial(
-                impl, 8, 4, state_bytes=STATE, seed=42,
-                options=RunOptions(flow=True, faults=mk(),
-                                   fastforward=fastforward),
+                impl, 8, 4, state_bytes=FLOW_STATE, seed=42,
+                options=RunOptions(flow=True, faults=mk()),
             )
 
-        fast, ref = run(None), run(False)
-        assert fast.extra.get("events_fast_forwarded", 0) == 0
-        assert fast.max_elapsed == ref.max_elapsed
-        assert fast.mean_elapsed == ref.mean_elapsed
-        assert fast.extra == ref.extra
+        fast = run()
+        with reference_flows():
+            ref = run()
         assert fast.fault_log == ref.fault_log
-
-
-#: Fast-forward vs reference flow arithmetic: floating-point noise only.
-FF_REL_TOL = 1e-9
+        assert _rel(fast.max_elapsed, ref.max_elapsed) <= FF_REL_TOL
+        assert _rel(fast.mean_elapsed, ref.mean_elapsed) <= FF_REL_TOL
+        fast_forwarded = fast.extra.get("events_fast_forwarded", 0)
+        if name == "mds-failover":
+            assert fast_forwarded == 0
+        else:
+            assert fast_forwarded > 0
+        assert ref.extra.get("events_fast_forwarded", 0) == 0
 
 
 class TestFlowGridEquivalence:
     @pytest.mark.parametrize("n,m", [(8, 4), (16, 8)])
     @pytest.mark.parametrize("impl", ["lwfs", "lustre-fpp"])
     def test_within_1e9_and_fast_forwards(self, impl, n, m):
-        def run(fastforward):
+        def run():
             return run_checkpoint_trial(
-                impl, n, m, state_bytes=32 * MiB, seed=400,
-                options=RunOptions(flow=True, fastforward=fastforward),
+                impl, n, m, state_bytes=FLOW_STATE, seed=400,
+                options=RunOptions(flow=True),
             )
 
-        fast, ref = run(True), run(False)
+        fast = run()
+        with reference_flows():
+            ref = run()
         assert fast.extra["events_fast_forwarded"] > 0
-        rel = abs(fast.throughput_mb_s - ref.throughput_mb_s) / ref.throughput_mb_s
+        rel = _rel(fast.throughput_mb_s, ref.throughput_mb_s)
         assert rel <= FF_REL_TOL, (fast.throughput_mb_s, ref.throughput_mb_s)
-
-
-class TestCacheKeySensitivity:
-    def test_fastforward_kill_switch_folds_into_trial_key(self):
-        spec = checkpoint_spec("lwfs", 8, 4, seed=1, state_bytes=STATE)
-        killed = checkpoint_spec("lwfs", 8, 4, seed=1, state_bytes=STATE,
-                                 options=RunOptions(fastforward=False))
-        assert trial_key(killed) != trial_key(spec)
-        assert RunOptions(fastforward=False).describe() != RunOptions().describe()

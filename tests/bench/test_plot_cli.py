@@ -98,13 +98,25 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--metrics-period" in capsys.readouterr().err
 
-    def test_checkpoint_rejects_fast_forward_with_faults(self, capsys):
+    def test_checkpoint_flow_fast_forwards_under_faults(self, capsys, monkeypatch):
+        # A fault plan runs the same flow engine as a clean trial: the
+        # dump (above 2 x chunk_bytes, so clients open flows) retires
+        # flow steps in closed form.
+        import repro.cli as cli
+
+        results = []
+        run = cli.run_checkpoint_trial
+
+        def spy(*args, **kwargs):
+            results.append(run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_checkpoint_trial", spy)
         plan = os.path.join(EXAMPLES, "faults", "storage_crash.json")
-        with pytest.raises(SystemExit) as exc:
-            main(["checkpoint", *SMALL_DUMP, "--fast-forward", "--faults", plan])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "RunOptions.fastforward" in err and "RunOptions.faults" in err
+        assert main(["checkpoint", "--flow", "--faults", plan, "--clients", "8",
+                     "--servers", "4", "--state-mb", "32", "--seed", "42"]) == 0
+        assert "faults: 1 injected" in capsys.readouterr().out
+        assert results[0].events_fast_forwarded >= 1
 
     def test_traffic_workload_file(self, capsys, tmp_path):
         spec = WorkloadSpec(

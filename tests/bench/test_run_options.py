@@ -4,11 +4,8 @@ Contract under test:
 
 * a trial's configuration comes only from its ``RunOptions`` fields —
   the defaults are concrete and no environment variable changes them;
-* ``fastforward`` is automatic (on exactly when there is no fault plan),
-  and an explicit ``fastforward=True`` with a fault plan is a
-  :class:`~repro.errors.ConfigError`;
 * ``RunOptions`` is the only way to configure a trial: it has exactly
-  ten fields, and the old ``trace``/``collapse``/``flow``/``tiers``
+  nine fields, and the old ``trace``/``collapse``/``flow``/``tiers``
   harness kwargs are rejected;
 * the bench trial-cache key folds the resolved options in (a fault plan
   changes the key; fault-injected trials are never cached at all);
@@ -34,8 +31,8 @@ STATE = 8 * MiB
 
 #: Every field of RunOptions, in declaration order.
 FIELDS = [
-    "collapse", "flow", "trace", "fastforward", "metrics",
-    "tenant_collapse", "metrics_period", "faults", "workload", "tiers",
+    "collapse", "flow", "trace", "metrics", "tenant_collapse",
+    "metrics_period", "faults", "workload", "tiers",
 ]
 
 
@@ -55,7 +52,7 @@ class TestResolutionOrder:
     def test_defaults(self):
         opts = RunOptions().resolved()
         assert (opts.collapse, opts.flow, opts.trace) == (False, False, False)
-        assert (opts.fastforward, opts.tenant_collapse) == (True, True)
+        assert opts.tenant_collapse is True
         assert opts.metrics is False
         assert opts.faults is None
 
@@ -69,7 +66,7 @@ class TestResolutionOrder:
         assert opts.collapse is True
         assert opts.flow is False
         assert RunOptions(collapse=True, flow=False).describe() == clean
-        assert RunOptions().resolved() == RunOptions(fastforward=True)
+        assert RunOptions().resolved() == RunOptions()
 
     def test_faults_string_is_loaded_as_a_path(self, tmp_path):
         plan = FaultPlan(seed=4, rpc_drop_rate=0.01)
@@ -106,44 +103,18 @@ class TestMetricsPeriodRejected:
 
     @pytest.mark.parametrize("period", [0, -1])
     def test_nonpositive_field(self, period):
-        with pytest.raises(ConfigError, match="metrics_period"):
+        with pytest.raises(ConfigError, match="metrics_period") as exc:
             RunOptions(metrics_period=period).resolved()
+        # Existing ValueError handlers keep catching configuration errors.
+        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, ReproError)
 
     def test_valid_period_resolves(self):
         assert RunOptions(metrics_period=5e-4).resolved().metrics_period == 5e-4
 
 
-class TestFastForwardUnderFaults:
-    """``fastforward`` reports what the trial runs: the flow engine never
-    fast-forwards under a fault plan, so neither may the options."""
-
-    PLAN = FaultPlan(seed=3, rpc_drop_rate=0.01)
-
-    def test_auto_follows_the_fault_plan(self):
-        assert RunOptions().resolved().fastforward is True
-        assert RunOptions(faults=self.PLAN).resolved().fastforward is False
-        assert RunOptions(faults=self.PLAN).describe()["fastforward"] is False
-
-    def test_explicit_true_with_faults_raises(self):
-        with pytest.raises(ConfigError) as exc:
-            RunOptions(fastforward=True, faults=self.PLAN).resolved()
-        message = str(exc.value)
-        assert "RunOptions.fastforward" in message
-        assert "RunOptions.faults" in message
-        # Existing ValueError handlers keep catching configuration errors.
-        assert isinstance(exc.value, ValueError)
-        assert isinstance(exc.value, ReproError)
-
-    def test_trial_raises_before_building(self):
-        with pytest.raises(ConfigError, match="RunOptions.fastforward"):
-            run_checkpoint_trial(
-                "lwfs", 4, 2, seed=5, state_bytes=STATE,
-                options=RunOptions(flow=True, fastforward=True, faults=self.PLAN),
-            )
-
-
 class TestOneConfigurationSurface:
-    def test_run_options_has_exactly_ten_fields(self):
+    def test_run_options_has_exactly_nine_fields(self):
         assert [f.name for f in dataclasses.fields(RunOptions)] == FIELDS
 
     @pytest.mark.parametrize("trial", [run_checkpoint_trial, run_create_trial])
@@ -171,7 +142,7 @@ class TestCacheKeySeparation:
         base = trial_key(self._spec())
         assert trial_key(self._spec(options=RunOptions(collapse=True))) != base
         assert trial_key(self._spec(options=RunOptions(flow=True))) != base
-        assert trial_key(self._spec(options=RunOptions(fastforward=False))) != base
+        assert trial_key(self._spec(options=RunOptions(trace=True))) != base
 
     def test_fault_trials_are_never_cached(self):
         plan = FaultPlan(seed=3, rpc_drop_rate=0.01)

@@ -1,5 +1,7 @@
 """Tier plumbing through RunOptions, the cache key, and the kill switch."""
 
+import contextlib
+
 import pytest
 
 from repro.bench import run_checkpoint_trial
@@ -8,6 +10,8 @@ from repro.bench.executor import checkpoint_spec
 from repro.sim.config import RunOptions
 from repro.storage.buffer import TierSpec, save_tiers
 from repro.units import MiB
+
+from ..reference import reference_flows
 
 STATE = 4 * MiB
 
@@ -33,12 +37,15 @@ class TestKillSwitch:
         {"collapse": True},
         {"flow": True},
         {"collapse": True, "flow": True},
-        {"fastforward": False},
-        {"collapse": True, "flow": True, "fastforward": False},
+        {"flow": True, "reference_flows": True},
+        {"collapse": True, "flow": True, "reference_flows": True},
     ])
     def test_passthrough_is_bit_identical_to_unset(self, engines):
-        assert _merits(_run(None, **engines)) == \
-            _merits(_run(TierSpec(mode="passthrough"), **engines))
+        opts = dict(engines)
+        oracle = opts.pop("reference_flows", False)
+        with reference_flows() if oracle else contextlib.nullcontext():
+            assert _merits(_run(None, **opts)) == \
+                _merits(_run(TierSpec(mode="passthrough"), **opts))
 
     def test_passthrough_adds_no_buffer_stats(self):
         assert "buffer_nodes" not in _run(TierSpec(mode="passthrough")).extra

@@ -24,7 +24,7 @@ from repro.faults import FaultEvent, FaultPlan, RetryPolicy, load_plan
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
-from ..reference import queued_holds
+from ..reference import queued_holds, reference_flows
 
 N, M, SEED = 8, 4, 42
 STATE = 8 * MiB
@@ -43,6 +43,14 @@ PRE_FAULT_SUBSYSTEM_PINS = {
     ("lustre-fpp", "collapse"): 0.2920845109559286,
     ("lwfs", "flow"): 0.7328158255740085,
     ("lustre-fpp", "flow"): 0.7312024620488791,
+}
+
+#: The flow pins above were recorded on the global-refill engine, which
+#: is now the test oracle; the shipping component engine reassociates
+#: the same sums and lands within an ulp of them.
+SHIPPING_FLOW_PINS = {
+    "lwfs": 0.7328158255740085,
+    "lustre-fpp": 0.731202462048879,
 }
 
 
@@ -84,17 +92,25 @@ class TestFaultsOffBitIdentical:
 
     @pytest.mark.parametrize("impl", ["lwfs", "lustre-fpp"])
     def test_flow_path_pinned(self, impl):
-        # The pins were recorded on the per-chunk-epoch reference path;
-        # the analytic fast-forward (on by default with flow mode) can
-        # reassociate the same sums and drift the last ulp, so its
-        # equivalence is checked separately at 1e-9
+        # The pins were recorded on the global-refill flow engine, which
+        # lives on as the oracle; the shipping engine's equivalence to it
+        # is checked at 1e-9
         # (tests/bench/test_fastforward.py::TestFlowGridEquivalence)
-        # while this test pins the reference bit-exact.
+        # while this test pins the oracle bit-exact.
+        with reference_flows():
+            r = run_checkpoint_trial(
+                impl, N, M, state_bytes=32 * MiB, seed=SEED,
+                options=RunOptions(flow=True),
+            )
+        assert r.max_elapsed == PRE_FAULT_SUBSYSTEM_PINS[(impl, "flow")]
+
+    @pytest.mark.parametrize("impl", ["lwfs", "lustre-fpp"])
+    def test_flow_path_pinned_on_the_shipping_engine(self, impl):
         r = run_checkpoint_trial(
             impl, N, M, state_bytes=32 * MiB, seed=SEED,
-            options=RunOptions(flow=True, fastforward=False),
+            options=RunOptions(flow=True),
         )
-        assert r.max_elapsed == PRE_FAULT_SUBSYSTEM_PINS[(impl, "flow")]
+        assert r.max_elapsed == SHIPPING_FLOW_PINS[impl]
 
     def test_no_fault_counters_without_a_plan(self):
         r = run_checkpoint_trial("lwfs", N, M, state_bytes=STATE, seed=SEED)

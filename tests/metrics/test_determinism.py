@@ -13,9 +13,9 @@ Contract under test (the PR's cross-engine acceptance matrix):
 * **collapse** — at multiplicity 1 the weighted instruments reduce
   exactly to the unweighted code: model-scope series bit-identical;
 * **fast-forward** — a fluid-flow trial whose steady epochs are skipped
-  analytically samples the same model-scope series as the non-skipped
-  reference within 1e-9 (the synthesized samples are closed-form, not
-  interpolated).
+  analytically samples the same model-scope series as the global-refill
+  oracle (:func:`~tests.reference.reference_flows`) within 1e-9 (the
+  synthesized samples are closed-form, not interpolated).
 """
 
 import pytest
@@ -26,16 +26,18 @@ from repro.machine.presets import red_storm
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
+from ..reference import reference_flows
+
 #: The fluid-flow point where fast-forward demonstrably engages
 #: (state > 2 x chunk_bytes so the flow path kicks in; Red Storm's
 #: RAID-bound model keeps multiplicities real).
 FLOW_POINT = dict(state_bytes=64 * MiB, seed=11, spec=red_storm())
 
 
-def _flow_trial(**opts):
+def _flow_trial():
     return run_checkpoint_trial(
         "lwfs", 64, 8, **FLOW_POINT,
-        options=RunOptions(flow=True, collapse=True, metrics=True, **opts),
+        options=RunOptions(flow=True, collapse=True, metrics=True),
     )
 
 
@@ -123,8 +125,9 @@ class TestCollapse:
 
 class TestFastForward:
     def test_synthesized_samples_match_reference_within_1e9(self):
-        fast = _flow_trial(fastforward=True)
-        ref = _flow_trial(fastforward=False)
+        fast = _flow_trial()
+        with reference_flows():
+            ref = _flow_trial()
         # The point must actually exercise the skip engine, and both
         # runs must land on the same simulated timeline and grid.
         assert fast.extra["events_fast_forwarded"] > 0

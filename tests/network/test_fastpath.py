@@ -275,6 +275,9 @@ class TestFailureEquivalence:
             env.run()
             assert fabric.node(2).nic.tx._slot.count == 0
             assert fabric.node(0).nic.rx._slot.count == 0
+            # The interrupted serialization timeout is cancelled, so the
+            # run ends when the follow-up send completes.
+            assert env.now == done[0]
             return done
 
         results = run_both(workload)

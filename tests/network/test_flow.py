@@ -10,13 +10,15 @@ from repro.network.flow import (
 )
 from repro.simkernel import Environment
 
+from ..reference import ReferenceFlowNetwork
+
 
 @pytest.fixture(params=["fastforward", "reference"])
 def net(env, request):
-    """Every flow contract must hold under both interchangeable engines:
-    component-local fast-forward (the default) and global progressive
-    filling (the reference arithmetic)."""
-    env.fastforward = request.param == "fastforward"
+    """Every flow contract must hold on the shipping component engine and
+    on its oracle, global progressive filling over every active flow."""
+    if request.param == "reference":
+        return ReferenceFlowNetwork(env)
     return FlowNetwork.of(env)
 
 
@@ -152,9 +154,10 @@ class TestEngineBookkeeping:
         assert net.flows_active == 0
         # No per-byte or per-chunk work in either engine.  The reference
         # engine recomputes on both opens and both completions (even the
-        # final one, over an empty network); fast-forward has no component
-        # left to re-share after the last departure.
-        assert net.rate_recomputes == (3 if net._ff else 4)
+        # final one, over an empty network); the shipping engine has no
+        # component left to re-share after the last departure.
+        reference = isinstance(net, ReferenceFlowNetwork)
+        assert net.rate_recomputes == (4 if reference else 3)
 
     def test_of_returns_the_env_singleton(self, env):
         net = FlowNetwork.of(env)

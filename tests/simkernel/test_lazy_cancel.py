@@ -13,7 +13,7 @@ import pytest
 import repro.sim.cluster as cluster_mod
 from repro.bench import run_checkpoint_trial, run_create_trial
 from repro.sim.config import RunOptions
-from repro.simkernel import Environment
+from repro.simkernel import EmptySchedule, Environment, Interrupt
 from repro.trace import kernel_stats
 
 from ..reference import HeapEnvironment
@@ -85,6 +85,46 @@ class TestKernelSemantics:
         env.run()
         assert not t.cancel()
         assert env.now == 1.0
+
+
+class TestTombstonesNeverMoveTheClock:
+    """Only a live event sets ``env.now``; a cancelled entry popped off the
+    queue leaves the clock where the last live event put it."""
+
+    def test_run_over_a_tombstone(self, both_modes):
+        env = _env(both_modes)
+        env.timeout(5).cancel()
+        env.run()
+        assert env.now == 0
+
+    def test_step_over_a_tombstone(self, both_modes):
+        env = _env(both_modes)
+        env.timeout(5).cancel()
+        with pytest.raises(EmptySchedule):
+            env.step()
+        assert env.now == 0
+
+    def test_interrupted_sleeper_leaves_no_live_timeout(self, both_modes):
+        # The interrupt detaches the sleeper from its timeout, which nobody
+        # else waits on: it is cancelled, so the run ends at the interrupt.
+        env = _env(both_modes)
+
+        def sleeper():
+            try:
+                yield env.timeout(10)
+            except Interrupt:
+                pass
+
+        proc = env.process(sleeper())
+
+        def interrupter():
+            yield env.timeout(1)
+            proc.interrupt()
+
+        env.process(interrupter())
+        env.run()
+        assert env.now == 1.0
+        assert env.events_skipped_cancelled == 1
 
 
 def _with_lazy(flag, fn, *args, **kwargs):

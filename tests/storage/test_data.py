@@ -1,5 +1,7 @@
 """SyntheticData, ZeroData, CompositeData, and the piece helpers."""
 
+import tracemalloc
+
 import pytest
 
 from repro.storage import (
@@ -50,6 +52,35 @@ class TestSyntheticData:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             SyntheticData(-1)
+
+    @pytest.mark.parametrize("n,seed,origin", [
+        (1, 0, 0),
+        (4096, 3, 0),
+        (1000, 12345, 777),
+        (2048, 2**63 + 5, 0),
+        (512, 2**64 - 1, 2**40 + 3),
+        (300, 9, 2**48),
+    ])
+    def test_bytes_follow_the_pattern_formula(self, n, seed, origin):
+        # content[i] = low byte of ((origin + i + salt) * K mod 2^64) >> 24,
+        # written out in plain integers.
+        mask = 2**64 - 1
+        salt = (seed * 0x9E3779B97F4A7C15) & mask
+        expected = bytes(
+            ((((origin + i + salt) & mask) * 2654435761) & mask) >> 24 & 0xFF
+            for i in range(n)
+        )
+        assert SyntheticData(n, seed=seed, origin=origin).to_bytes() == expected
+
+    def test_materializing_needs_at_most_12_bytes_per_byte(self):
+        data = SyntheticData(4 * MiB, seed=7, origin=3)
+        tracemalloc.start()
+        try:
+            data.to_bytes()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * data.nbytes, peak / data.nbytes
 
 
 class TestZeroData:

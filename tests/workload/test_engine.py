@@ -13,9 +13,10 @@ Contract under test:
 * **scale invariance** — 100x the tenants at constant offered rate keeps
   the session count and stays within 5% of the event count: simulated
   users are free, traffic is what costs;
-* **fast-forward** — the analytic epoch-skip engine on/off leaves every
-  traffic statistic within 1e-9 (open-loop trials never enter the
-  flow steady state it accelerates, so it must be inert);
+* **fast-forward** — the shipping flow engine and its global-refill
+  oracle leave every traffic statistic within 1e-9 (open-loop trials
+  never enter the flow steady state it accelerates, so it must be
+  inert);
 * **recovery** — a revocation storm under open-loop load fails closed,
   re-acquires capabilities, and completes every operation;
 * **run options** — a workload trial honours ``trace`` and ``flow`` and
@@ -37,6 +38,8 @@ from repro.sim.deployment import LWFSDeployment
 from repro.storage.buffer import TierSpec
 from repro.units import KiB
 from repro.workload import TenantClass, WorkloadEngine, WorkloadSpec, run_workload_trial
+
+from ..reference import reference_flows
 
 SEED = 11
 
@@ -200,13 +203,14 @@ class TestFastForwardInert:
     def test_traffic_stats_within_1e9(self):
         spec = _small_spec(tenants=200, reps=8)
 
-        def run(ff):
-            opts = RunOptions(tenant_collapse=True, fastforward=ff,
-                              trace=False, metrics=False)
+        def run():
+            opts = RunOptions(tenant_collapse=True, trace=False, metrics=False)
             return _rows(run_workload_trial(workload=spec, n_servers=4,
                                             seed=SEED, options=opts))
 
-        on, off = run(True), run(False)
+        on = run()
+        with reference_flows():
+            off = run()
         assert on.keys() == off.keys()
         for key in on:
             assert abs(on[key] - off[key]) <= 1e-9, key
