@@ -22,6 +22,7 @@ import pytest
 
 from repro.bench import run_create_trial, save_json
 from repro.machine.presets import dev_cluster
+from repro.network import Message
 from repro.sim.cluster import SimCluster
 from repro.sim.config import SimConfig
 from repro.trace import kernel_stats
@@ -49,7 +50,9 @@ def _run_uncontended():
 
     def lane(a, b):
         for _ in range(MSGS_PER_LANE):
-            yield fabric.send(a.node_id, b.node_id, 1 * MiB, tag="bench")
+            yield from fabric.transfer(
+                Message(src=a.node_id, dst=b.node_id, size=1 * MiB, tag="bench")
+            )
 
     for i in range(0, N_CLIENTS, 2):
         env.process(lane(nodes[i], nodes[i + 1]))

@@ -8,6 +8,7 @@ each to the paper's published specification.
 
 from repro.bench import format_rows, save_json
 from repro.machine import Mesh3D, TABLE2_PAPER, red_storm
+from repro.network import Message
 from repro.sim import SimCluster, SimConfig
 from repro.units import GiB, MiB
 
@@ -32,7 +33,8 @@ def _measure():
 
     def ping(src, dst, nbytes):
         start = env.now
-        env.run(fabric.send(src, dst, nbytes, tag="ping"))
+        msg = Message(src=src, dst=dst, size=nbytes, tag="ping")
+        env.run(env.process(fabric.transfer(msg)))
         return env.now - start
 
     lat_1hop = ping(near_a, near_b, 0)

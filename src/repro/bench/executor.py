@@ -99,18 +99,16 @@ def workload_spec(workload, n_servers: int, seed: int, **params) -> TrialSpec:
     """An open-loop multi-tenant traffic trial (figure of merit: ops/s).
 
     ``workload`` is a :class:`~repro.workload.WorkloadSpec`, a JSON path,
-    or a spec document; its content signature joins the trial-cache key
-    through ``RunOptions.describe``/``params``, so cached outcomes never
-    answer for a different mix.  ``n_clients`` records the simulated
-    tenant population, not a session count.
+    or a spec document.  A path or a document is loaded here, so the
+    trial-cache key holds the mix's content, never a file name, and a
+    cached outcome never answers for a different mix.  ``n_clients``
+    records the simulated tenant population, not a session count.
     """
-    from ..workload.spec import WorkloadSpec
+    from ..workload.spec import as_workload
 
-    n_clients = 0
-    if isinstance(workload, WorkloadSpec):
-        n_clients = workload.total_tenants
+    workload = as_workload(workload)
     return TrialSpec(
-        "workload", "lwfs", n_clients, n_servers, seed,
+        "workload", "lwfs", workload.total_tenants, n_servers, seed,
         dict(params, workload=workload),
     )
 

@@ -217,19 +217,17 @@ def _attach_tier(cluster, deployment, opts: RunOptions, impl: str, n_clients: in
     """Interpose the burst-buffer tier between checkpointer and servers.
 
     Returns the replacement checkpointer, or ``None`` for the direct
-    path (``tiers`` unset or ``mode: passthrough`` — the kill switch,
-    bit-identical to the pre-tier event sequence).  Must run before the
-    fault injector is created (so ``buf{i}`` targets resolve) and before
-    the collapse plan is computed (so the buffered collapse key is
-    used).
+    path (``tiers`` unset).  Must run before the fault injector is
+    created (so ``buf{i}`` targets resolve) and before the collapse plan
+    is computed (so the buffered collapse key is used).
     """
     tier = opts.tiers
-    if tier is None or not tier.enabled:
+    if tier is None:
         return None
     if impl != "lwfs":
         raise ValueError(
             f"the burst-buffer tier fronts LWFS storage servers; impl {impl!r} "
-            "does not support tiers (use mode: passthrough or impl='lwfs')"
+            "does not support tiers (use tiers=None or impl='lwfs')"
         )
     from ..iolib.buffered import BufferedLWFSCheckpointer, HostLogLWFSCheckpointer
     from ..storage.buffer import BufferTierRuntime
@@ -528,7 +526,7 @@ def run_create_trial(
 
 
 def run_workload_trial(
-    workload=None,
+    workload,
     n_servers: int = 4,
     seed: int = 0,
     spec: Optional[MachineSpec] = None,
@@ -538,19 +536,18 @@ def run_workload_trial(
     """One open-loop traffic trial (:mod:`repro.workload`, ``impl="lwfs"``).
 
     ``workload`` is a :class:`~repro.workload.WorkloadSpec`, a JSON path,
-    or a plain spec document (dict); ``options.workload`` supplies it
-    when the argument is None.  ``options.tenant_collapse`` selects the
-    collapsed or the uncollapsed reference population; the figure of
-    merit is completed operations/second over the measured window.  The
-    other options behave as in :func:`run_checkpoint_trial`, except two
-    that raise :class:`~repro.errors.ConfigError` before anything is
-    built: ``collapse`` (workload trials collapse tenants through
-    ``tenant_collapse``) and a ``tiers`` spec that interposes (the buffer
-    tier fronts checkpoint dumps).
+    or a plain spec document (dict).  ``options.tenant_collapse``
+    selects the collapsed or the uncollapsed reference population; the
+    figure of merit is completed operations/second over the measured
+    window.  The other options behave as in :func:`run_checkpoint_trial`,
+    except two that raise :class:`~repro.errors.ConfigError` before
+    anything is built: ``collapse`` (workload trials collapse tenants
+    through ``tenant_collapse``) and a ``tiers`` spec (the buffer tier
+    fronts checkpoint dumps).
     """
     # Imported here: repro.workload re-exports this function from this module.
     from ..workload.engine import WorkloadEngine, auto_representatives
-    from ..workload.spec import WorkloadSpec, load_workload
+    from ..workload.spec import as_workload
 
     opts = (options if options is not None else RunOptions()).resolved()
     if opts.collapse:
@@ -558,20 +555,12 @@ def run_workload_trial(
             "RunOptions.collapse does not apply to workload trials; "
             "tenants collapse through RunOptions.tenant_collapse"
         )
-    if opts.tiers is not None and opts.tiers.enabled:
+    if opts.tiers is not None:
         raise ConfigError(
             "RunOptions.tiers: the burst-buffer tier fronts checkpoint dumps, "
-            "not workload trials (use mode: passthrough)"
+            "not workload trials (use tiers=None)"
         )
-    if workload is None:
-        workload = opts.workload
-    if workload is None:
-        raise ConfigError("run_workload_trial needs a workload "
-                          "(argument or RunOptions(workload=...))")
-    if isinstance(workload, str):
-        workload = load_workload(workload)
-    elif isinstance(workload, dict):
-        workload = WorkloadSpec.from_doc(workload)
+    workload = as_workload(workload)
     collapse = bool(opts.tenant_collapse)
     n_sessions = sum(
         (auto_representatives(c, workload) if collapse else c.tenants)

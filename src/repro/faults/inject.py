@@ -57,7 +57,7 @@ class FaultInjector:
         self._fabric = cluster.fabric
         self._bytes_at_begin = 0
         self.degraded_bytes = 0
-        # Link state consulted by Fabric._transfer_proc.
+        # Link state consulted by Fabric.transfer.
         self._degraded_nodes: Dict[int, float] = {}
         self._partition: Optional[frozenset] = None
         self._servers = self._server_map()
@@ -193,7 +193,7 @@ class FaultInjector:
         """A whole checkpoint aborted (2PC rollback) and was re-driven."""
         self.counters["ckpt_restarts"] += 1
 
-    # -- link state (called from Fabric._transfer_proc) ----------------------
+    # -- link state (called from Fabric.transfer) ----------------------------
     def link_factor(self, src: int, dst: int) -> float:
         d = self._degraded_nodes
         if not d:

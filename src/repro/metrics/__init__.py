@@ -36,7 +36,7 @@ from .export import (
     write_csv,
     write_json,
 )
-from .health import GOODPUT_METRICS, HealthReport, SloConfig, evaluate_health, goodput_rates
+from .health import GOODPUT_METRICS, HealthReport, evaluate_health, goodput_rates
 from .instruments import PER_SERVER_CAP, install_standard_instruments, tenant_group
 from .registry import Gauge, Histogram, LinearGauge, MCounter, MetricsRegistry, Series
 from .sampler import MAX_STRIDE, MIN_PERIOD, TARGET_SAMPLES, Sampler, default_period
@@ -55,7 +55,6 @@ __all__ = [
     "PER_SERVER_CAP",
     "Sampler",
     "Series",
-    "SloConfig",
     "TARGET_SAMPLES",
     "build_doc",
     "default_period",

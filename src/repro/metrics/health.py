@@ -9,7 +9,7 @@ from the sampled time series instead, with two complementary detectors:
 * **Aggregate rolling-rate windows** — the summed goodput signal
   (:data:`GOODPUT_METRICS`) is smoothed over a rolling window sized
   from the signal's own healthy progress cadence, and maximal runs
-  below ``floor_frac × baseline`` become degraded intervals.  The
+  below ``FLOOR_FRAC × baseline`` become degraded intervals.  The
   adaptive width matters: under the chunked fast path bytes land in
   whole-transfer lumps, so a fixed-width window either drowns in
   sampling noise or misses short outages.
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..simkernel.monitor import Tally
 
-__all__ = ["SloConfig", "HealthReport", "evaluate_health", "goodput_rates"]
+__all__ = ["HealthReport", "evaluate_health", "goodput_rates"]
 
 #: Instruments summed into the goodput signal, in priority order; a
 #: series that is absent or flat contributes nothing.  ``flow.bytes``
@@ -44,40 +44,38 @@ __all__ = ["SloConfig", "HealthReport", "evaluate_health", "goodput_rates"]
 GOODPUT_METRICS = ("fabric.bytes", "flow.bytes")
 
 
-@dataclass(frozen=True)
-class SloConfig:
-    """The service-level objective evaluated over the sampled series."""
+# The service-level objective evaluated over the sampled series.
 
-    #: A rolling window is degraded when its goodput falls below this
-    #: fraction of the healthy baseline rate.
-    floor_frac: float = 0.5
-    #: Baseline = this quantile of the positive rolling rates inside the
-    #: transfer envelope (median by default: robust to the degraded
-    #: windows themselves and to pipeline ramp-up/drain).
-    baseline_q: float = 0.5
-    #: Degraded runs shorter than this many consecutive windows are
-    #: ignored (single-window dips are sampling noise at fine periods).
-    min_windows: int = 1
-    #: The transfer envelope: the SLO judges only the interval in which
-    #: the cumulative goodput climbs from ``envelope_lo`` to
-    #: ``envelope_hi`` of its final total.  A checkpoint's control-plane
-    #: phases (create, sync, 2PC commit) move almost no bytes by design;
-    #: without the envelope they read as "degraded" on every clean run.
-    #: A mid-transfer outage stays inside the envelope — the remaining
-    #: bytes arrive after recovery, so the envelope spans the stall.
-    envelope_lo: float = 0.005
-    envelope_hi: float = 0.995
-    #: A sample window counts as a *progress event* when it moves at
-    #: least ``total_bytes / progress_div`` — control-plane trickle
-    #: (requests, acks, retries) must not read as goodput.
-    progress_div: float = 512.0
-    #: Rolling smoothing width = ``smooth_gaps`` × the median gap
-    #: between progress events.  Lumpy signals (whole transfers landing
-    #: at completion) get wide windows; smooth signals stay sharp.
-    smooth_gaps: float = 4.0
-    #: A gap between consecutive progress events longer than
-    #: ``stall_gaps`` × the median gap is a stall (per-target detector).
-    stall_gaps: float = 8.0
+#: A rolling window is degraded when its goodput falls below this
+#: fraction of the healthy baseline rate.
+FLOOR_FRAC = 0.5
+#: Baseline = this quantile of the positive rolling rates inside the
+#: transfer envelope (median by default: robust to the degraded
+#: windows themselves and to pipeline ramp-up/drain).
+BASELINE_Q = 0.5
+#: Degraded runs shorter than this many consecutive windows are
+#: ignored (single-window dips are sampling noise at fine periods).
+MIN_WINDOWS = 1
+#: The transfer envelope: the SLO judges only the interval in which
+#: the cumulative goodput climbs from ``ENVELOPE_LO`` to
+#: ``ENVELOPE_HI`` of its final total.  A checkpoint's control-plane
+#: phases (create, sync, 2PC commit) move almost no bytes by design;
+#: without the envelope they read as "degraded" on every clean run.
+#: A mid-transfer outage stays inside the envelope — the remaining
+#: bytes arrive after recovery, so the envelope spans the stall.
+ENVELOPE_LO = 0.005
+ENVELOPE_HI = 0.995
+#: A sample window counts as a *progress event* when it moves at
+#: least ``total_bytes / PROGRESS_DIV`` — control-plane trickle
+#: (requests, acks, retries) must not read as goodput.
+PROGRESS_DIV = 512.0
+#: Rolling smoothing width = ``SMOOTH_GAPS`` × the median gap
+#: between progress events.  Lumpy signals (whole transfers landing
+#: at completion) get wide windows; smooth signals stay sharp.
+SMOOTH_GAPS = 4.0
+#: A gap between consecutive progress events longer than
+#: ``STALL_GAPS`` × the median gap is a stall (per-target detector).
+STALL_GAPS = 8.0
 
 
 @dataclass
@@ -171,28 +169,25 @@ def _progress_times(
 
 
 def _stalls(
-    times: Sequence[float],
-    deltas: Sequence[float],
-    slo: SloConfig,
-    period: float,
+    times: Sequence[float], deltas: Sequence[float], period: float
 ) -> List[Tuple[float, float]]:
     """Maximal gaps between progress events long enough to be outages.
 
     Ramp-up before the first progress event and drain after the last are
     not stalls — only interior gaps count.  The stall threshold adapts
-    to the series' own cadence: ``stall_gaps`` × the median inter-event
+    to the series' own cadence: ``STALL_GAPS`` × the median inter-event
     gap (floored at a few sample periods so a fine grid cannot turn the
     healthy cadence itself into "stalls").
     """
     total = sum(deltas)
     if total <= 0.0:
         return []
-    progress = _progress_times(times, deltas, total / slo.progress_div)
+    progress = _progress_times(times, deltas, total / PROGRESS_DIV)
     if len(progress) < 2:
         return []
     gaps = [b - a for a, b in zip(progress, progress[1:])]
     g = max(_median(gaps), period)
-    limit = max(slo.stall_gaps * g, 3.0 * period)
+    limit = max(STALL_GAPS * g, 3.0 * period)
     return [
         (a, b)
         for a, b in zip(progress, progress[1:])
@@ -244,9 +239,7 @@ _TARGET_SERIES = (
 )
 
 
-def _target_recovery(
-    doc: dict, fault: Dict[str, object], slo: SloConfig
-) -> Optional[float]:
+def _target_recovery(doc: dict, fault: Dict[str, object]) -> Optional[float]:
     """When the fault target's own series resumed progress, or ``None``."""
     period = float(doc["period"])
     names = {inst["name"] for inst in doc["instruments"]}
@@ -261,7 +254,7 @@ def _target_recovery(
             continue
         candidates = [
             b
-            for a, b in _stalls(times, deltas, slo, period)
+            for a, b in _stalls(times, deltas, period)
             if b >= t_inject and a <= t_clear
         ]
         if candidates:
@@ -269,13 +262,8 @@ def _target_recovery(
     return None
 
 
-def evaluate_health(
-    doc: dict,
-    fault_log: Optional[List[dict]] = None,
-    slo: Optional[SloConfig] = None,
-) -> HealthReport:
+def evaluate_health(doc: dict, fault_log: Optional[List[dict]] = None) -> HealthReport:
     """Evaluate the SLO over one trial's exported metrics document."""
-    slo = slo or SloConfig()
     period = float(doc["period"])
     times, rates, deltas = _goodput(doc)
     total = sum(deltas)
@@ -284,15 +272,15 @@ def evaluate_health(
             verdict="no-data", baseline_rate=math.nan,
             floor_rate=math.nan, p999_rate=math.nan,
         )
-    # The transfer envelope (see SloConfig): scan only the interval in
+    # The transfer envelope (see ENVELOPE_LO): scan only the interval in
     # which the payload is actually moving.
     lo = hi = None
     running = 0.0
     for i, delta in enumerate(deltas):
         running += delta
-        if lo is None and running >= total * slo.envelope_lo:
+        if lo is None and running >= total * ENVELOPE_LO:
             lo = i
-        if running >= total * slo.envelope_hi:
+        if running >= total * ENVELOPE_HI:
             hi = i
             break
     if lo is None:  # pragma: no cover - total > 0 guarantees an lo
@@ -303,11 +291,11 @@ def evaluate_health(
     # Rolling smoothing width from the signal's own cadence: the median
     # gap between progress events inside the envelope.
     progress = _progress_times(
-        times[lo:hi + 1], deltas[lo:hi + 1], total / slo.progress_div
+        times[lo:hi + 1], deltas[lo:hi + 1], total / PROGRESS_DIV
     )
     gaps = [b - a for a, b in zip(progress, progress[1:])]
     g = max(_median(gaps), period)
-    k = max(1, int(round(slo.smooth_gaps * g / period)))
+    k = max(1, int(round(SMOOTH_GAPS * g / period)))
 
     # Trailing rolling rate per window.  Inside the envelope the
     # lookback is clamped at the envelope start: the windows just after
@@ -329,9 +317,9 @@ def evaluate_health(
     for r in rolling[lo:hi + 1]:
         if r > 0.0:
             tally.observe(r)
-    baseline = tally.percentile(slo.baseline_q)
+    baseline = tally.percentile(BASELINE_Q)
     p999 = tally.percentile(0.999)
-    floor = slo.floor_frac * baseline
+    floor = FLOOR_FRAC * baseline
 
     windows: List[Dict[str, float]] = []
     run_start: Optional[int] = None
@@ -340,7 +328,7 @@ def evaluate_health(
         if degraded and run_start is None:
             run_start = i
         elif not degraded and run_start is not None:
-            if i - run_start >= slo.min_windows:
+            if i - run_start >= MIN_WINDOWS:
                 seconds = (i - run_start) * period
                 mean_rate = sum(rates[run_start:i]) / (i - run_start)
                 windows.append(
@@ -360,7 +348,7 @@ def evaluate_health(
     for fault in _fault_windows(fault_log or ()):
         t_inject = float(fault["t_inject"])  # type: ignore[arg-type]
         t_clear = float(fault["t_clear"])  # type: ignore[arg-type]
-        t_recover = _target_recovery(doc, fault, slo)
+        t_recover = _target_recovery(doc, fault)
         source = "target"
         if t_recover is None:
             # No per-target series (aggregate-only export, or the fault

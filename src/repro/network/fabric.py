@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional
 from ..errors import LinkDown, NetworkError, NodeFailure
 from ..machine.node import Node
 from ..machine.topology import Topology, make_topology
-from ..simkernel import Counter, Environment, Event
+from ..simkernel import Counter, Environment
 
 __all__ = ["Message", "Fabric"]
 
@@ -114,24 +114,14 @@ class Fabric:
         return base + self.hop_latency * max(0, hops - 1)
 
     # -- transfer ---------------------------------------------------------------
-    def transfer(self, msg: Message) -> Event:
-        """Move *msg* across the fabric; the event fires at delivery.
+    def transfer(self, msg: Message):
+        """Move *msg* across the fabric (``yield from``; returns *msg*).
 
-        The event's value is the message itself; it fails with
-        :class:`NodeFailure` if either endpoint dies before delivery.
+        The transfer runs inside the caller's process, so an interrupt of
+        that process reaches it directly and gives its pipes back.  It
+        raises :class:`NodeFailure` if either endpoint dies before
+        delivery.
         """
-        return self.env.process(self._transfer_proc(msg), name=f"xfer:{msg.tag}")
-
-    def transfer_inline(self, msg: Message):
-        """The transfer as a plain generator, for ``yield from`` callers.
-
-        Skips the :class:`~repro.simkernel.process.Process` wrapper (and
-        its start/finish events) when the caller immediately waits on the
-        transfer anyway — the common case for portals and RPC traffic.
-        """
-        return self._transfer_proc(msg)
-
-    def _transfer_proc(self, msg: Message):
         env = self.env
         src = self.node(msg.src)
         dst = self.node(msg.dst)
@@ -251,15 +241,3 @@ class Fabric:
                 node=msg.src, op=op or None, dst=msg.dst, bytes=wire_bytes,
             )
         return msg
-
-    # -- convenience ----------------------------------------------------------
-    def send(
-        self,
-        src: int,
-        dst: int,
-        size: int,
-        tag: str = "",
-        payload: Any = None,
-    ) -> Event:
-        """Shorthand for :meth:`transfer` with a fresh :class:`Message`."""
-        return self.transfer(Message(src=src, dst=dst, size=size, tag=tag, payload=payload))

@@ -178,9 +178,10 @@ class PortalsEndpoint:
         return Store(self.env, capacity=capacity)
 
     # -- one-sided operations ---------------------------------------------------
-    # Both are generators for ``yield from`` callers: the caller's process
-    # runs the transfer itself, so a crash interrupt of that process
-    # reaches the transfer directly and no orphaned transfer outlives it.
+    # Each is one generator for ``yield from`` callers: the caller's
+    # process runs the transfer itself, so a crash interrupt of that
+    # process reaches the transfer directly and no orphaned transfer
+    # outlives it.  A traced operation opens its span inline.
     def put(
         self,
         md: MemoryDescriptor,
@@ -201,62 +202,47 @@ class PortalsEndpoint:
         the push serializes ``wire_weight * length`` bytes and counts as
         that many messages.  At 1, exactly the unweighted transfer.
         """
-        # Not itself a generator: picks the worker generator so the
-        # tracing-disabled path keeps its exact pre-trace frame count.
-        if self.env.tracer is None:
-            return self._put_inner(md, target_nid, pt_index, match_bits, hdr_data, offset,
-                                   wire_weight)
-        return self._put_traced(md, target_nid, pt_index, match_bits, hdr_data, offset,
-                                wire_weight)
-
-    def _put_traced(self, md, target_nid, pt_index, match_bits, hdr_data, offset, wire_weight):
         tracer = self.env.tracer
-        span, prev = tracer.push(
-            "ptl_put", kind="bulk", node=self.node.node_id, op="put",
-            dst=target_nid, bytes=md.length,
-        )
+        if tracer is not None:
+            span, prev = tracer.push(
+                "ptl_put", kind="bulk", node=self.node.node_id, op="put",
+                dst=target_nid, bytes=md.length,
+            )
         try:
-            return (yield from self._put_inner(
-                md, target_nid, pt_index, match_bits, hdr_data, offset, wire_weight
-            ))
-        finally:
-            tracer.pop(span, prev)
-
-    def _put_inner(self, md, target_nid, pt_index, match_bits, hdr_data, offset, wire_weight):
-        size = wire_weight * md.length + self.HEADER_BYTES
-        msg = Message(
-            src=self.node.node_id,
-            dst=target_nid,
-            size=size,
-            tag=f"ptl_put:{pt_index}:{match_bits:#x}",
-            payload=md.payload,
-        )
-        if wire_weight != 1:
-            msg.meta["mult"] = wire_weight
-            msg.meta["fanout"] = True  # one pusher serves the whole class
-        yield from self.fabric.transfer_inline(msg)
-        target = self.fabric.node(target_nid)
-        endpoint = _endpoint_of(target)
-        me = endpoint.tables[pt_index].match(match_bits)
-        if me is None:
-            raise NetworkError(
-                f"ptl_put: no match entry at node {target_nid} portal {pt_index} "
-                f"for bits {match_bits:#x}"
+            msg = Message(
+                src=self.node.node_id,
+                dst=target_nid,
+                size=wire_weight * md.length + self.HEADER_BYTES,
+                tag=f"ptl_put:{pt_index}:{match_bits:#x}",
+                payload=md.payload,
             )
-        me.md.payload = md.payload
-        if me.md.eq is not None:
-            me.md.eq.try_put(
-                PtlEvent(
-                    kind=PtlEventKind.PUT_END,
-                    initiator=self.node.node_id,
-                    match_bits=match_bits,
-                    length=md.length,
-                    payload=md.payload,
-                    hdr_data=hdr_data,
-                    offset=offset,
+            if wire_weight != 1:
+                msg.meta["mult"] = wire_weight
+                msg.meta["fanout"] = True  # one pusher serves the whole class
+            yield from self.fabric.transfer(msg)
+            me = _endpoint_of(self.fabric.node(target_nid)).tables[pt_index].match(match_bits)
+            if me is None:
+                raise NetworkError(
+                    f"ptl_put: no match entry at node {target_nid} portal {pt_index} "
+                    f"for bits {match_bits:#x}"
                 )
-            )
-        return md.length
+            me.md.payload = md.payload
+            if me.md.eq is not None:
+                me.md.eq.try_put(
+                    PtlEvent(
+                        kind=PtlEventKind.PUT_END,
+                        initiator=self.node.node_id,
+                        match_bits=match_bits,
+                        length=md.length,
+                        payload=md.payload,
+                        hdr_data=hdr_data,
+                        offset=offset,
+                    )
+                )
+            return md.length
+        finally:
+            if tracer is not None:
+                tracer.pop(span, prev)
 
     def get(
         self,
@@ -278,23 +264,44 @@ class PortalsEndpoint:
         ``wire_weight * nbytes`` on the wire and the fabric counts it as
         that many messages.  At 1, exactly the unweighted transfer.
         """
-        # Dispatcher, mirroring put.
-        if self.env.tracer is None:
-            return self._get_inner(md, target_nid, pt_index, match_bits, length, wire_weight)
-        return self._get_traced(md, target_nid, pt_index, match_bits, length, wire_weight)
-
-    def _get_traced(self, md, target_nid, pt_index, match_bits, length, wire_weight):
         tracer = self.env.tracer
-        span, prev = tracer.push(
-            "ptl_get", kind="bulk", node=self.node.node_id, op="get",
-            src=target_nid,
-        )
+        if tracer is not None:
+            span, prev = tracer.push(
+                "ptl_get", kind="bulk", node=self.node.node_id, op="get",
+                src=target_nid,
+            )
         try:
-            return (yield from self._get_inner(
-                md, target_nid, pt_index, match_bits, length, wire_weight
-            ))
+            _, me, nbytes = yield from self._get_request(
+                target_nid, pt_index, match_bits, length, "ptl_get"
+            )
+            # Reply phase: the bulk data flows target -> initiator.  A
+            # weighted pull serializes the whole class's data back to back
+            # (the server drains the classmates' buffers sequentially).
+            reply = Message(
+                src=target_nid,
+                dst=self.node.node_id,
+                size=wire_weight * nbytes + self.HEADER_BYTES,
+                tag=f"ptl_get_reply:{pt_index}:{match_bits:#x}",
+                payload=me.md.payload,
+            )
+            if wire_weight != 1:
+                reply.meta["mult"] = wire_weight
+            yield from self.fabric.transfer(reply)
+            md.payload = me.md.payload
+            if md.eq is not None:
+                md.eq.try_put(
+                    PtlEvent(
+                        kind=PtlEventKind.REPLY_END,
+                        initiator=target_nid,
+                        match_bits=match_bits,
+                        length=nbytes,
+                        payload=me.md.payload,
+                    )
+                )
+            return me.md.payload
         finally:
-            tracer.pop(span, prev)
+            if tracer is not None:
+                tracer.pop(span, prev)
 
     def _get_request(self, target_nid, pt_index, match_bits, length, op):
         """The request phase every pull shares (``yield from``).
@@ -309,7 +316,7 @@ class PortalsEndpoint:
             size=self.HEADER_BYTES,
             tag=f"ptl_get_req:{pt_index}:{match_bits:#x}",
         )
-        yield from self.fabric.transfer_inline(req)
+        yield from self.fabric.transfer(req)
 
         target = self.fabric.node(target_nid)
         me = _endpoint_of(target).tables[pt_index].match(match_bits)
@@ -329,38 +336,6 @@ class PortalsEndpoint:
                 )
             )
         return target, me, nbytes
-
-    def _get_inner(self, md, target_nid, pt_index, match_bits, length, wire_weight):
-        _, me, nbytes = yield from self._get_request(
-            target_nid, pt_index, match_bits, length, "ptl_get"
-        )
-
-        # Reply phase: the bulk data flows target -> initiator.  A
-        # weighted pull serializes the whole class's data back to back
-        # (the server drains the classmates' buffers sequentially).
-        reply = Message(
-            src=target_nid,
-            dst=self.node.node_id,
-            size=wire_weight * nbytes + self.HEADER_BYTES,
-            tag=f"ptl_get_reply:{pt_index}:{match_bits:#x}",
-            payload=me.md.payload,
-        )
-        if wire_weight != 1:
-            reply.meta["mult"] = wire_weight
-        yield from self.fabric.transfer_inline(reply)
-        md.payload = me.md.payload
-        if md.eq is not None:
-            md.eq.try_put(
-                PtlEvent(
-                    kind=PtlEventKind.REPLY_END,
-                    initiator=target_nid,
-                    match_bits=match_bits,
-                    length=nbytes,
-                    payload=me.md.payload,
-                )
-            )
-        return me.md.payload
-
 
     # -- flow-level stream pull ---------------------------------------------
     def get_stream(
@@ -387,75 +362,57 @@ class PortalsEndpoint:
         ``n_msgs`` is the chunk count the stream stands for, used only
         for message accounting.
         """
-        if self.env.tracer is None:
-            return self._get_stream_inner(
-                md, target_nid, pt_index, match_bits, length, wire_weight,
-                extra_shares, n_msgs,
-            )
-        return self._get_stream_traced(
-            md, target_nid, pt_index, match_bits, length, wire_weight,
-            extra_shares, n_msgs,
-        )
-
-    def _get_stream_traced(self, md, target_nid, pt_index, match_bits, length,
-                           wire_weight, extra_shares, n_msgs):
         tracer = self.env.tracer
-        span, prev = tracer.push(
-            "ptl_get_stream", kind="bulk", node=self.node.node_id, op="get",
-            src=target_nid,
-        )
-        try:
-            return (yield from self._get_stream_inner(
-                md, target_nid, pt_index, match_bits, length, wire_weight,
-                extra_shares, n_msgs,
-            ))
-        finally:
-            tracer.pop(span, prev)
-
-    def _get_stream_inner(self, md, target_nid, pt_index, match_bits, length,
-                          wire_weight, extra_shares, n_msgs):
-        target, me, nbytes = yield from self._get_request(
-            target_nid, pt_index, match_bits, length, "ptl_get_stream"
-        )
-
-        # The whole bulk reply as one fluid flow.  Per-share bytes are one
-        # class member's; the representative's own tx pipe carries its
-        # share (coefficient 1) while the local rx pipe serves the whole
-        # class (coefficient wire_weight), mirroring the fabric's
-        # asymmetric weighted holds.
-        shares = [
-            (fluid_of(target.nic.tx), 1.0),
-            (fluid_of(self.node.nic.rx), float(wire_weight)),
-        ]
-        shares.extend(extra_shares)
-        flow = self.fabric.flows.open(
-            float(nbytes), shares, tag="ptl_get_stream",
-            src=target_nid, dst=self.node.node_id,
-            wire_bytes=wire_weight * nbytes,
-        )
-        yield flow.done
-
-        # Utilization bookkeeping at completion (the fluid model has no
-        # per-chunk holds to account incrementally).
-        tx_pipe, rx_pipe = target.nic.tx, self.node.nic.rx
-        tx_pipe.bytes_moved += nbytes
-        tx_pipe.busy_time += nbytes / tx_pipe.bandwidth
-        rx_pipe.bytes_moved += wire_weight * nbytes
-        rx_pipe.busy_time += wire_weight * nbytes / rx_pipe.bandwidth
-        self.fabric.counters.incr("messages", wire_weight * n_msgs)
-        self.fabric.counters.incr("bytes", wire_weight * nbytes)
-
-        md.payload = me.md.payload
-        if md.eq is not None:
-            md.eq.try_put(
-                PtlEvent(
-                    kind=PtlEventKind.REPLY_END,
-                    initiator=target_nid,
-                    match_bits=match_bits,
-                    length=nbytes,
-                )
+        if tracer is not None:
+            span, prev = tracer.push(
+                "ptl_get_stream", kind="bulk", node=self.node.node_id, op="get",
+                src=target_nid,
             )
-        return me.md.payload
+        try:
+            target, me, nbytes = yield from self._get_request(
+                target_nid, pt_index, match_bits, length, "ptl_get_stream"
+            )
+            # The whole bulk reply as one fluid flow.  Per-share bytes are
+            # one class member's; the representative's own tx pipe carries
+            # its share (coefficient 1) while the local rx pipe serves the
+            # whole class (coefficient wire_weight), mirroring the
+            # fabric's asymmetric weighted holds.
+            shares = [
+                (fluid_of(target.nic.tx), 1.0),
+                (fluid_of(self.node.nic.rx), float(wire_weight)),
+            ]
+            shares.extend(extra_shares)
+            flow = self.fabric.flows.open(
+                float(nbytes), shares, tag="ptl_get_stream",
+                src=target_nid, dst=self.node.node_id,
+                wire_bytes=wire_weight * nbytes,
+            )
+            yield flow.done
+
+            # Utilization bookkeeping at completion (the fluid model has
+            # no per-chunk holds to account incrementally).
+            tx_pipe, rx_pipe = target.nic.tx, self.node.nic.rx
+            tx_pipe.bytes_moved += nbytes
+            tx_pipe.busy_time += nbytes / tx_pipe.bandwidth
+            rx_pipe.bytes_moved += wire_weight * nbytes
+            rx_pipe.busy_time += wire_weight * nbytes / rx_pipe.bandwidth
+            self.fabric.counters.incr("messages", wire_weight * n_msgs)
+            self.fabric.counters.incr("bytes", wire_weight * nbytes)
+
+            md.payload = me.md.payload
+            if md.eq is not None:
+                md.eq.try_put(
+                    PtlEvent(
+                        kind=PtlEventKind.REPLY_END,
+                        initiator=target_nid,
+                        match_bits=match_bits,
+                        length=nbytes,
+                    )
+                )
+            return me.md.payload
+        finally:
+            if tracer is not None:
+                tracer.pop(span, prev)
 
 
 def _endpoint_of(node: Node) -> PortalsEndpoint:

@@ -122,25 +122,11 @@ class RpcService:
         self._executing: dict = {}
         self._replied: dict = {}
 
-    @property
-    def addr(self) -> int:
-        """Node id clients direct requests to."""
-        return self.node.node_id
-
     def register(self, op: str, handler: Callable[..., Generator]) -> None:
         """Install *handler* for operation *op* (generator function)."""
         if op in self.handlers:
             raise ValueError(f"handler for {op!r} already registered on {self.name!r}")
         self.handlers[op] = handler
-
-    def handler(self, op: str):
-        """Decorator form of :meth:`register`."""
-
-        def deco(fn):
-            self.register(op, fn)
-            return fn
-
-        return deco
 
     def start(self) -> None:
         """Begin dispatching requests (idempotent; restarts after reboot)."""
@@ -235,65 +221,59 @@ class RpcService:
             pass  # caller gone or no longer waiting; drop it
 
     def _handle(self, request: RpcRequest):
-        # Not itself a generator: picks the handler generator so the
-        # tracing-disabled path keeps its exact pre-trace frame count.
-        tracer = self.env.tracer
-        if tracer is None:
-            return self._handle_inner(request)
-        return self._handle_traced(tracer, request)
-
-    def _handle_traced(self, tracer, request: RpcRequest):
         # Adopt the caller's span id (carried in the request) as parent and
         # make this the handler process's ambient span, so disk,
         # verify-cache, and bulk-pull spans all nest under it.
-        span, prev = tracer.push(
-            f"serve:{self.name}.{request.op}", kind="server",
-            node=self.node.node_id, service=self.name, op=request.op,
-            parent=request.trace_parent,
-        )
+        tracer = self.env.tracer
+        if tracer is not None:
+            span, prev = tracer.push(
+                f"serve:{self.name}.{request.op}", kind="server",
+                node=self.node.node_id, service=self.name, op=request.op,
+                parent=request.trace_parent,
+            )
         try:
-            yield from self._handle_inner(request)
+            ctx = RpcContext(
+                env=self.env, service=self, request=request, initiator=request.reply_node
+            )
+            reply: RpcReply
+            try:
+                handler = self.handlers.get(request.op)
+                if handler is None:
+                    raise NetworkError(f"service {self.name!r} has no op {request.op!r}")
+                value = yield from handler(ctx, **request.args)
+                reply = RpcReply(ok=True, value=value)
+            except NodeFailure:
+                # Our node (or a dependency) died: no reply will be sent;
+                # the client's timeout surfaces the failure.
+                return
+            except Interrupt:
+                # Crash-interrupted by the fault injector: this execution
+                # evaporates with the machine — no reply, no reply-cache
+                # entry.  The client's timeout drives the retransmission.
+                return
+            except GeneratorExit:  # environment teardown, not a handler error
+                raise
+            except BaseException as exc:  # noqa: BLE001 - marshalled to caller
+                reply = RpcReply(ok=False, error=exc)
+
+            self.requests_served += 1
+            if self.env.faults is not None:
+                self._replied[(request.reply_node, request.req_id)] = reply
+            if not self.node.alive:
+                return  # died before replying; client times out
+            md = MemoryDescriptor(length=reply.size, payload=reply)
+            try:
+                yield from self.endpoint.put(md, request.reply_node, REPLY_PORTAL, request.req_id)
+            except NodeFailure:
+                pass  # caller died; drop the reply
+            except NetworkError:
+                # No match entry: the caller gave up (timeout detach, retry
+                # in flight) before this reply landed.  Portals semantics
+                # drop an unmatched put at the target; so do we.
+                pass
         finally:
-            tracer.pop(span, prev)
-
-    def _handle_inner(self, request: RpcRequest):
-        ctx = RpcContext(env=self.env, service=self, request=request, initiator=request.reply_node)
-        reply: RpcReply
-        try:
-            handler = self.handlers.get(request.op)
-            if handler is None:
-                raise NetworkError(f"service {self.name!r} has no op {request.op!r}")
-            value = yield from handler(ctx, **request.args)
-            reply = RpcReply(ok=True, value=value)
-        except NodeFailure:
-            # Our node (or a dependency) died: no reply will be sent; the
-            # client's timeout surfaces the failure.
-            return
-        except Interrupt:
-            # Crash-interrupted by the fault injector: this execution
-            # evaporates with the machine — no reply, no reply-cache
-            # entry.  The client's timeout drives the retransmission.
-            return
-        except GeneratorExit:  # environment teardown, not a handler error
-            raise
-        except BaseException as exc:  # noqa: BLE001 - marshalled to caller
-            reply = RpcReply(ok=False, error=exc)
-
-        self.requests_served += 1
-        if self.env.faults is not None:
-            self._replied[(request.reply_node, request.req_id)] = reply
-        if not self.node.alive:
-            return  # died before replying; client times out
-        md = MemoryDescriptor(length=reply.size, payload=reply)
-        try:
-            yield from self.endpoint.put(md, request.reply_node, REPLY_PORTAL, request.req_id)
-        except NodeFailure:
-            pass  # caller died; drop the reply
-        except NetworkError:
-            # No match entry: the caller gave up (timeout detach, retry in
-            # flight) before this reply landed.  Portals semantics drop an
-            # unmatched put at the target; so do we.
-            pass
+            if tracer is not None:
+                tracer.pop(span, prev)
 
 
 class RpcClient:
@@ -324,14 +304,10 @@ class RpcClient:
         reply arrives within *timeout*, and :class:`NodeFailure` if the
         target is already dead.
         """
-        # Returns (not yields) the generator so the tracing-disabled path
-        # keeps its exact pre-trace frame count.
         faults = self.env.faults
         if faults is not None and faults.retry is not None:
             return self._call_retry(faults, target_node, service, op, timeout, request_size, args)
-        if self.env.tracer is None:
-            return self._call_inner(target_node, service, op, timeout, request_size, None, args)
-        return self._call_traced(target_node, service, op, timeout, request_size, args)
+        return self._call(target_node, service, op, timeout, request_size, args)
 
     #: Failures worth retrying: local timeouts and transport-level faults.
     #: Errors marshalled back from a *running* handler are not — the
@@ -364,16 +340,9 @@ class RpcClient:
         req_id = next(self._req_ids)
         for attempt in range(1, policy.attempts + 1):
             try:
-                if self.env.tracer is None:
-                    value = yield from self._call_inner(
-                        target_node, service, op, timeout, request_size, None, args,
-                        req_id=req_id,
-                    )
-                else:
-                    value = yield from self._call_traced(
-                        target_node, service, op, timeout, request_size, args,
-                        req_id=req_id,
-                    )
+                value = yield from self._call(
+                    target_node, service, op, timeout, request_size, args, req_id=req_id
+                )
             except self.RETRYABLE as exc:
                 if attempt >= policy.attempts:
                     raise RetryExhausted(
@@ -398,7 +367,7 @@ class RpcClient:
                 faults.note_recovered()
             return value
 
-    def _call_traced(
+    def _call(
         self,
         target_node: int,
         service: str,
@@ -409,88 +378,76 @@ class RpcClient:
         req_id: Optional[int] = None,
     ) -> Generator:
         tracer = self.env.tracer
-        span, prev = tracer.push(
-            f"rpc:{service}.{op}", kind="rpc",
-            node=self.node.node_id, service=service, op=op, target=target_node,
-        )
+        trace_parent = None
+        if tracer is not None:
+            span, prev = tracer.push(
+                f"rpc:{service}.{op}", kind="rpc",
+                node=self.node.node_id, service=service, op=op, target=target_node,
+            )
+            trace_parent = span.span_id
         try:
-            return (yield from self._call_inner(
-                target_node, service, op, timeout, request_size, span.span_id, args,
+            if req_id is None:
+                req_id = next(self._req_ids)
+            reply_q: Store = self.endpoint.new_eq()
+            reply_md = MemoryDescriptor(length=REPLY_BYTES, eq=reply_q)
+            me = self.endpoint.attach(REPLY_PORTAL, req_id, reply_md, use_once=True)
+
+            request = RpcRequest(
+                op=op,
+                args=args,
+                reply_node=self.node.node_id,
                 req_id=req_id,
-            ))
-        finally:
-            tracer.pop(span, prev)
-
-    def _call_inner(
-        self,
-        target_node: int,
-        service: str,
-        op: str,
-        timeout: Optional[float],
-        request_size: int,
-        trace_parent: Optional[int],
-        args: Dict[str, Any],
-        req_id: Optional[int] = None,
-    ) -> Generator:
-        if req_id is None:
-            req_id = next(self._req_ids)
-        reply_q: Store = self.endpoint.new_eq()
-        reply_md = MemoryDescriptor(length=REPLY_BYTES, eq=reply_q)
-        me = self.endpoint.attach(REPLY_PORTAL, req_id, reply_md, use_once=True)
-
-        request = RpcRequest(
-            op=op,
-            args=args,
-            reply_node=self.node.node_id,
-            req_id=req_id,
-            size=request_size,
-            trace_parent=trace_parent,
-        )
-        faults = self.env.faults
-        if faults is not None and timeout is not None and faults.drop_request(service, op):
-            # The request is lost on the wire: the client burns its full
-            # timeout waiting for a reply that never comes.
-            yield self.env.timeout(timeout)
-            self.endpoint.detach(REPLY_PORTAL, me)
-            m = self.env.metrics
-            if m is not None:
-                m.count("rpc.timeouts")
-            raise RPCTimeout(
-                f"{service}.{op} request to node {target_node} dropped (fault injection)"
+                size=request_size,
+                trace_parent=trace_parent,
             )
-
-        send_md = MemoryDescriptor(length=request_size, payload=request)
-        try:
-            yield from self.endpoint.put(
-                send_md, target_node, REQUEST_PORTAL, service_key(service)
-            )
-        except NodeFailure:
-            self.endpoint.detach(REPLY_PORTAL, me)
-            raise
-
-        self.calls_made += 1
-        get_ev = reply_q.get()
-        if timeout is None:
-            event = yield get_ev
-        else:
-            timer = self.env.timeout(timeout)
-            yield self.env.any_of([get_ev, timer])
-            if not get_ev.triggered:
+            faults = self.env.faults
+            if faults is not None and timeout is not None and faults.drop_request(service, op):
+                # The request is lost on the wire: the client burns its
+                # full timeout waiting for a reply that never comes.
+                yield self.env.timeout(timeout)
                 self.endpoint.detach(REPLY_PORTAL, me)
                 m = self.env.metrics
                 if m is not None:
                     m.count("rpc.timeouts")
                 raise RPCTimeout(
-                    f"{service}.{op} on node {target_node} timed out after {timeout}s"
+                    f"{service}.{op} request to node {target_node} dropped (fault injection)"
                 )
-            event = get_ev.value
-            # The reply won the race: retire the losing timer so it doesn't
-            # sit in the heap for the next `timeout` simulated seconds.  At
-            # scale these stale 30 s timers dominate the queue and tax
-            # every heap push.
-            timer.cancel()
 
-        reply: RpcReply = event.payload
-        if not reply.ok:
-            raise reply.error
-        return reply.value
+            send_md = MemoryDescriptor(length=request_size, payload=request)
+            try:
+                yield from self.endpoint.put(
+                    send_md, target_node, REQUEST_PORTAL, service_key(service)
+                )
+            except NodeFailure:
+                self.endpoint.detach(REPLY_PORTAL, me)
+                raise
+
+            self.calls_made += 1
+            get_ev = reply_q.get()
+            if timeout is None:
+                event = yield get_ev
+            else:
+                timer = self.env.timeout(timeout)
+                yield self.env.any_of([get_ev, timer])
+                if not get_ev.triggered:
+                    self.endpoint.detach(REPLY_PORTAL, me)
+                    m = self.env.metrics
+                    if m is not None:
+                        m.count("rpc.timeouts")
+                    raise RPCTimeout(
+                        f"{service}.{op} on node {target_node} timed out after {timeout}s"
+                    )
+                event = get_ev.value
+                # The reply won the race: retire the losing timer so it
+                # doesn't sit in the heap for the next `timeout` simulated
+                # seconds.  At scale these stale 30 s timers dominate the
+                # queue and tax every heap push.
+                timer.cancel()
+
+            reply: RpcReply = event.payload
+            if not reply.ok:
+                raise reply.error
+            return reply.value
+        finally:
+            if tracer is not None:
+                tracer.pop(span, prev)

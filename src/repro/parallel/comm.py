@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from ..machine.node import Node
-from ..network.fabric import Fabric
+from ..network.fabric import Fabric, Message
 from ..simkernel import Environment, Store
 
 __all__ = ["Communicator"]
@@ -40,9 +40,6 @@ class Communicator:
     def size(self) -> int:
         return len(self._ranks)
 
-    def node_of(self, rank: int) -> Node:
-        return self._ranks[rank]
-
     def _mailbox(self, dst: int, src: int, tag: str) -> Store:
         key = (dst, src, tag)
         box = self._mailboxes.get(key)
@@ -56,15 +53,17 @@ class Communicator:
         """Send *value* from rank *src* to rank *dst* (generator).
 
         Completes when the message is delivered into the destination's
-        mailbox (rendezvous is left to the receiver's ``recv``).
+        mailbox (rendezvous is left to the receiver's ``recv``).  The
+        transfer runs inside the sending rank's process, so it dies with
+        that rank.
         """
-        yield self.fabric.send(
-            self._ranks[src].node_id,
-            self._ranks[dst].node_id,
-            nbytes + self.ENVELOPE_BYTES,
+        yield from self.fabric.transfer(Message(
+            src=self._ranks[src].node_id,
+            dst=self._ranks[dst].node_id,
+            size=nbytes + self.ENVELOPE_BYTES,
             tag=f"p2p:{tag}",
             payload=value,
-        )
+        ))
         self.messages += 1
         self._mailbox(dst, src, tag).try_put(value)
 

@@ -9,8 +9,9 @@ Implements the two checkpoint access styles of §4:
   semantics get in the way") extracts its toll at the OSTs.
 
 Fragments move the way LWFS chunks do: through the LWFS client's
-:func:`~repro.sim.client.pipelined` window, with the OST pulling or
-pushing the bytes itself.
+:func:`~repro.sim.client.pipelined` window, each buffer posted by
+:func:`~repro.sim.client.posted`, with the OST pulling or pushing the
+bytes itself.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from ..machine.node import Node
 from ..network.portals import MemoryDescriptor, install_portals
 from ..network.rpc import RpcClient
 from ..storage.data import Piece, concat_pieces, piece_len, piece_slice
-from ..sim.client import pipelined
+from ..sim.client import pipelined, posted
 from ..sim.cluster import SimCluster
-from ..sim.servers import DATA_PORTAL, next_data_bits
 from .file import Inode, OpenFlags
 from .striping import StripeLayout
 
@@ -177,37 +177,24 @@ class SimPFSClient:
         piece = piece_slice(data, 0, first.length)
         yield from self._vfs()
         ost = fh.layout.osts[first.ost_index]
-        bits = next_data_bits()
-        md = MemoryDescriptor(length=first.length, payload=piece)
-        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-        try:
-            yield from self._ost(
-                ost, "write",
-                ino=fh.inode.ino, stripe_index=first.ost_index,
-                offset=first.object_offset, length=first.length,
-                data_node=self.node.node_id, data_bits=bits,
-                client_id=self.node.node_id, weight=weight, shared=False,
-            )
-        finally:
-            self.portals.detach(DATA_PORTAL, me)
+        yield from posted(
+            self.portals, MemoryDescriptor(length=first.length, payload=piece),
+            self._ost, ost, "write",
+            ino=fh.inode.ino, stripe_index=first.ost_index,
+            offset=first.object_offset, length=first.length,
+            client_id=self.node.node_id, weight=weight, shared=False,
+        )
 
         rest = piece_slice(data, first.length, total)
         length = total - first.length
         yield from self._vfs()
-        bits = next_data_bits()
-        md = MemoryDescriptor(length=length, payload=rest)
-        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-        try:
-            yield from self._ost(
-                ost, "write_stream",
-                ino=fh.inode.ino, stripe_index=first.ost_index,
-                offset=frags[1].object_offset, length=length,
-                n_chunks=len(frags) - 1,
-                data_node=self.node.node_id, data_bits=bits,
-                client_id=self.node.node_id, weight=weight,
-            )
-        finally:
-            self.portals.detach(DATA_PORTAL, me)
+        yield from posted(
+            self.portals, MemoryDescriptor(length=length, payload=rest),
+            self._ost, ost, "write_stream",
+            ino=fh.inode.ino, stripe_index=first.ost_index,
+            offset=frags[1].object_offset, length=length, n_chunks=len(frags) - 1,
+            client_id=self.node.node_id, weight=weight,
+        )
         end = offset + total
         if end > fh.inode.size:
             fh.inode.size = end
@@ -216,26 +203,13 @@ class SimPFSClient:
 
     def _write_fragment(self, fh, frag, piece, weight=1, shared=False):
         yield from self._vfs()
-        ost = fh.layout.osts[frag.ost_index]
-        bits = next_data_bits()
-        md = MemoryDescriptor(length=frag.length, payload=piece)
-        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-        try:
-            yield from self._ost(
-                ost,
-                "write",
-                ino=fh.inode.ino,
-                stripe_index=frag.ost_index,
-                offset=frag.object_offset,
-                length=frag.length,
-                data_node=self.node.node_id,
-                data_bits=bits,
-                client_id=self.node.node_id,
-                weight=weight,
-                shared=shared,
-            )
-        finally:
-            self.portals.detach(DATA_PORTAL, me)
+        yield from posted(
+            self.portals, MemoryDescriptor(length=frag.length, payload=piece),
+            self._ost, fh.layout.osts[frag.ost_index], "write",
+            ino=fh.inode.ino, stripe_index=frag.ost_index,
+            offset=frag.object_offset, length=frag.length,
+            client_id=self.node.node_id, weight=weight, shared=shared,
+        )
 
     def read(self, fh: PFSFileHandle, offset: int, length: int, weight: int = 1):
         """pread(2): gather fragments from the OSTs, pipelined.
@@ -252,25 +226,12 @@ class SimPFSClient:
 
     def _read_fragment(self, fh, frag, weight=1):
         yield from self._vfs()
-        ost = fh.layout.osts[frag.ost_index]
-        bits = next_data_bits()
-        md = MemoryDescriptor(length=frag.length)
-        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-        try:
-            yield from self._ost(
-                ost,
-                "read",
-                ino=fh.inode.ino,
-                stripe_index=frag.ost_index,
-                offset=frag.object_offset,
-                length=frag.length,
-                data_node=self.node.node_id,
-                data_bits=bits,
-                weight=weight,
-            )
-        finally:
-            self.portals.detach(DATA_PORTAL, me)
-        return md.payload
+        return (yield from posted(
+            self.portals, MemoryDescriptor(length=frag.length),
+            self._ost, fh.layout.osts[frag.ost_index], "read",
+            ino=fh.inode.ino, stripe_index=frag.ost_index,
+            offset=frag.object_offset, length=frag.length, weight=weight,
+        ))
 
     def fsync(self, fh: PFSFileHandle, weight: int = 1):
         """fsync(2): flush every OST the file stripes over.

@@ -6,7 +6,8 @@ chunk through a portals match entry and sends a *small* request; the
 server pulls when ready.  A configurable pipeline depth keeps a couple of
 chunks in flight so network and disk overlap; :func:`pipelined` runs that
 window for this client and for the Lustre-like client
-(:class:`repro.pfs.client.SimPFSClient`) alike.
+(:class:`repro.pfs.client.SimPFSClient`) alike, and both post every bulk
+buffer through :func:`posted`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..storage.data import Piece, concat_pieces, piece_len, piece_slice
 from .cluster import SimCluster
 from .servers import DATA_PORTAL, next_data_bits
 
-__all__ = ["SimLWFSClient", "pipelined"]
+__all__ = ["SimLWFSClient", "pipelined", "posted"]
 
 
 def pipelined(env, depth: int, jobs):
@@ -50,6 +51,31 @@ def pipelined(env, depth: int, jobs):
             raise proc.value
         values.append(proc.value)
     return values
+
+
+def posted(portals, md, call, *args, **kwargs):
+    """Make the RPC ``call(*args, **kwargs)`` with *md* posted (Fig. 6).
+
+    A generator: ``payload = yield from posted(portals, md, call, ...)``.
+    The buffer is attached on the bulk-data portal under fresh match
+    bits, the call carries its address as ``data_node``/``data_bits``
+    so the server can pull from it (writes) or push into it (reads),
+    and it is detached when the call returns or fails.  Without a fault
+    plan the entry is use-once; under one it stays matchable until the
+    call ends, so a retransmitted request can move the data again.
+    Returns ``md.payload``: for a read, what the server pushed.
+    """
+    bits = next_data_bits()
+    rpc = call(*args, data_node=portals.node.node_id, data_bits=bits, **kwargs)
+    # Every chunk in flight holds one of these frames (thousands at once
+    # on a collapsed restart), so it keeps only what it needs to detach.
+    del call, args, kwargs
+    me = portals.attach(DATA_PORTAL, bits, md, use_once=portals.env.faults is None)
+    try:
+        yield from rpc
+    finally:
+        portals.detach(DATA_PORTAL, me)
+    return md.payload
 
 
 def _windowed(job, window, req):
@@ -244,18 +270,12 @@ class SimLWFSClient:
         length = total - chunk
         n_chunks = (length + chunk - 1) // chunk
         node_id, svc = self._storage(oid.server_hint)
-        bits = next_data_bits()
-        md = MemoryDescriptor(length=length, payload=rest)
-        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-        try:
-            yield from self._call(
-                node_id, svc, "write_stream",
-                cap=cap, oid=oid, offset=offset + chunk, length=length,
-                n_chunks=n_chunks, data_node=self.node.node_id,
-                data_bits=bits, txnid=txnid, weight=weight, cap_weight=cap_weight,
-            )
-        finally:
-            self.portals.detach(DATA_PORTAL, me)
+        yield from posted(
+            self.portals, MemoryDescriptor(length=length, payload=rest),
+            self._call, node_id, svc, "write_stream",
+            cap=cap, oid=oid, offset=offset + chunk, length=length,
+            n_chunks=n_chunks, txnid=txnid, weight=weight, cap_weight=cap_weight,
+        )
         self.bytes_written += total
         return total
 
@@ -264,19 +284,13 @@ class SimLWFSClient:
         node_id, svc = self._storage(oid.server_hint)
         length = piece_len(piece)
         if self.deployment.server_directed:
-            bits = next_data_bits()
-            md = MemoryDescriptor(length=length, payload=piece)
-            me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
-            try:
-                result = yield from self._call(
-                    node_id, svc, "write",
-                    cap=cap, oid=oid, offset=offset, length=length,
-                    data_node=self.node.node_id, data_bits=bits, txnid=txnid,
-                    weight=weight, defer=defer, cap_weight=cap_weight,
-                )
-            finally:
-                self.portals.detach(DATA_PORTAL, me)
-            return result
+            yield from posted(
+                self.portals, MemoryDescriptor(length=length, payload=piece),
+                self._call, node_id, svc, "write",
+                cap=cap, oid=oid, offset=offset, length=length, txnid=txnid,
+                weight=weight, defer=defer, cap_weight=cap_weight,
+            )
+            return
         # Client-push ablation: ship data with the request; on buffer
         # exhaustion the server rejects and we must resend the bytes.
         backoff = 0.002
@@ -318,20 +332,14 @@ class SimLWFSClient:
         return concat_pieces(pieces)
 
     def _read_chunk(self, cap, oid, offset, n, weight=1, defer=False, cap_weight=None):
-        bits = next_data_bits()
-        md = MemoryDescriptor(length=n)
-        me = self.portals.attach(DATA_PORTAL, bits, md, use_once=self.env.faults is None)
+        """One chunk read: the :func:`posted` generator itself, so a chunk
+        in flight costs no frame of its own."""
         node_id, svc = self._storage(oid.server_hint)
-        try:
-            yield from self._call(
-                node_id, svc, "read",
-                cap=cap, oid=oid, offset=offset, length=n,
-                data_node=self.node.node_id, data_bits=bits,
-                weight=weight, defer=defer, cap_weight=cap_weight,
-            )
-        finally:
-            self.portals.detach(DATA_PORTAL, me)
-        return md.payload
+        return posted(
+            self.portals, MemoryDescriptor(length=n), self._call, node_id, svc, "read",
+            cap=cap, oid=oid, offset=offset, length=n,
+            weight=weight, defer=defer, cap_weight=cap_weight,
+        )
 
     # -- naming -----------------------------------------------------------------------
     def bind(self, path: str, oid: ObjectID, txnid: Optional[TxnID] = None):

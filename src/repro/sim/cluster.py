@@ -119,20 +119,5 @@ class SimCluster:
         """Jittered service cost (deterministic per seed)."""
         return self.rng.jitter(stream, mean, self.config.cost_jitter)
 
-    def parallel_app(self, n_ranks: int, collapse=None):
-        """A :class:`~repro.parallel.app.ParallelApp` on this cluster's
-        compute nodes, optionally with a symmetric-client collapse plan
-        (``[(representative_rank, multiplicity), ...]`` — see
-        :func:`repro.sim.collapse.collapse_plan`)."""
-        from ..parallel.app import ParallelApp
-
-        return ParallelApp(
-            self.env, self.fabric, self.compute_nodes, n_ranks=n_ranks, collapse=collapse
-        )
-
-    def kill_node(self, node: Node) -> None:
-        """Failure injection: the node drops off the fabric."""
-        node.kill()
-
     def run(self, until=None):
         return self.env.run(until)

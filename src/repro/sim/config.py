@@ -79,11 +79,6 @@ class PFSCosts:
     mds_close_cpu: float = 100 * USEC
     ost_request_cpu: float = 80 * USEC  # per bulk RPC at the OST
     client_vfs_cpu: float = 120 * USEC  # kernel VFS path per call
-    lock_rpc_cpu: float = 60 * USEC
-    #: Extent-lock ownership switch forces the previous holder's dirty
-    #: pages to be written back and the device to sync (seek+flush);
-    #: charged on the OST device at each conflicting handoff.
-    lock_switch_sync: bool = True
 
 
 @dataclass(frozen=True)
@@ -147,15 +142,9 @@ class RunOptions:
     #: :func:`repro.faults.load_plan`, and :meth:`describe` folds the
     #: plan's content signature into the trial-cache key.
     faults: Optional[object] = None
-    #: A :class:`repro.workload.WorkloadSpec` (or a JSON path, or ``None``
-    #: when the trial is not an open-loop traffic run).  Follows the
-    #: ``faults`` pattern through :func:`repro.workload.load_workload`.
-    workload: Optional[object] = None
     #: A :class:`repro.storage.buffer.TierSpec` (or a JSON path, or
     #: ``None`` for the direct-to-OST path).  Follows the ``faults``
-    #: pattern through :func:`repro.storage.buffer.load_tiers`.  A spec
-    #: with ``mode: passthrough`` is kept but never interposes — the
-    #: kill-switch state that is bit-identical to ``tiers=None``.
+    #: pattern through :func:`repro.storage.buffer.load_tiers`.
     tiers: Optional[object] = None
 
     def resolved(self) -> "RunOptions":
@@ -170,20 +159,16 @@ class RunOptions:
                 "metrics_period must be a positive, finite number of "
                 f"simulated seconds, got {period!r}"
             )
-        faults, workload, tiers = self.faults, self.workload, self.tiers
+        faults, tiers = self.faults, self.tiers
         if isinstance(faults, str):
             from ..faults.plan import load_plan
 
             faults = load_plan(faults)
-        if isinstance(workload, str):
-            from ..workload.spec import load_workload
-
-            workload = load_workload(workload)
         if isinstance(tiers, str):
             from ..storage.buffer.tier import load_tiers
 
             tiers = load_tiers(tiers)
-        return replace(self, faults=faults, workload=workload, tiers=tiers)
+        return replace(self, faults=faults, tiers=tiers)
 
     def describe(self) -> dict:
         """A JSON-stable identity of the *resolved* options.
@@ -196,7 +181,7 @@ class RunOptions:
         doc = {}
         for f in fields(opts):
             value = getattr(opts, f.name)
-            if f.name in ("faults", "workload", "tiers"):
+            if f.name in ("faults", "tiers"):
                 value = value.signature() if value is not None else ""
             doc[f.name] = value
         return doc

@@ -99,10 +99,6 @@ class LWFSDeployment:
     def storage_node_id(self, server_id: int) -> int:
         return self.storage[server_id].node_id
 
-    def server_for_rank(self, rank: int) -> int:
-        """Round-robin object placement used by object-per-process I/O."""
-        return rank % self.n_servers
-
     # -- clients -----------------------------------------------------------------
     def client(self, node: Node) -> SimLWFSClient:
         existing = self._clients.get(node.node_id)

@@ -1,7 +1,7 @@
 """Burst-buffer absorb-then-drain tier (ROADMAP item 2).
 
-Its contracts (spec round-trip, the passthrough kill switch, absorb
-speedup, drain-limited backpressure, crash recovery) are pinned by
+Its contracts (spec round-trip, absorb speedup, drain-limited
+backpressure, crash recovery) are pinned by
 ``tests/storage/test_buffer.py``, ``tests/bench/test_tiers.py`` and
 ``tests/faults/test_buffer_crash.py``.
 """

@@ -200,7 +200,7 @@ class BufferNode:
                 raise ServerCrashed(f"{self.name} crashed during absorb")
             try:
                 if src_node is not None and src_node is not self.node:
-                    yield from self.cluster.fabric.transfer_inline(Message(
+                    yield from self.cluster.fabric.transfer(Message(
                         src=src_node.node_id, dst=self.node.node_id,
                         size=reserve, tag="absorb",
                     ))
@@ -226,7 +226,7 @@ class BufferNode:
         ops = weight if self.shared else 1
         yield from self.device.read(charge, seek=False, ops=ops)
         if dst_node is not None and dst_node is not self.node:
-            yield from self.cluster.fabric.transfer_inline(Message(
+            yield from self.cluster.fabric.transfer(Message(
                 src=self.node.node_id, dst=dst_node.node_id,
                 size=charge, tag="absorb-read",
             ))
@@ -447,8 +447,6 @@ class BufferTierRuntime:
     """Per-trial buffer fleet: placement, rank→buffer map, drain barrier."""
 
     def __init__(self, cluster, deployment, tier: TierSpec, n_ranks: int) -> None:
-        if not tier.enabled:
-            raise ValueError("BufferTierRuntime needs mode != 'passthrough'")
         self.cluster = cluster
         self.deployment = deployment
         self.tier = tier

@@ -5,9 +5,8 @@ tier interposed between checkpointing clients and backing storage: where
 the buffer nodes sit (node-local NVRAM vs shared SSD appliances), how
 fast they absorb, how much they hold before backpressure, and how the
 background drainer flushes absorbed extents to LWFS objects / Lustre
-OSTs.  ``mode: passthrough`` is the kill switch — the tier machinery is
-bypassed entirely and the run is bit-identical to the direct-to-OST
-path.
+OSTs.  A run without a tier says ``tiers=None``; it takes the
+direct-to-OST path.
 
 Specs round-trip through JSON (``--tiers tiers.json`` on the CLI,
 ``RunOptions(tiers="tiers.json")`` in code) and hash stably via
@@ -28,9 +27,8 @@ __all__ = ["TIER_MODES", "TIER_PLACEMENTS", "TierSpec", "load_tiers", "save_tier
 
 #: Tier modes the runtime understands.
 TIER_MODES = (
-    "passthrough",  # no tier: bit-identical to the direct-to-OST path
-    "buffer",       # absorb into NVRAM extents, drain asynchronously
-    "hostlog",      # append-only host-side log, background reorder+flush
+    "buffer",   # absorb into NVRAM extents, drain asynchronously
+    "hostlog",  # append-only host-side log, background reorder+flush
 )
 
 #: Buffer placements.
@@ -54,7 +52,7 @@ class TierSpec:
     (node-local tiers put one buffer on every compute node).
     """
 
-    mode: str = "passthrough"
+    mode: str = "buffer"
     placement: str = "node-local"
     capacity_bytes: int = 2 * GiB
     absorb_bandwidth: float = 2 * GiB  # bytes/s (NVRAM-speed ingest)
@@ -77,11 +75,6 @@ class TierSpec:
             raise ValueError("drain_concurrency must be >= 1")
         if self.buffer_nodes < 1:
             raise ValueError("buffer_nodes must be >= 1")
-
-    @property
-    def enabled(self) -> bool:
-        """``True`` when the tier actually interposes (not passthrough)."""
-        return self.mode != "passthrough"
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:

@@ -10,10 +10,10 @@ interference measurable.
 
 Specs round-trip through JSON (:meth:`WorkloadSpec.to_doc` /
 :meth:`WorkloadSpec.from_doc`, :func:`load_workload`) and carry a
-content :meth:`~WorkloadSpec.signature` that
-:meth:`repro.sim.config.RunOptions.describe` folds into the bench
-trial-cache key — a cached clean-traffic outcome can never answer for a
-different mix.
+content :meth:`~WorkloadSpec.signature`.  The bench trial-cache key
+holds a spec's content, never the name of the file it came from
+(:func:`repro.bench.executor.workload_spec` loads paths first), so a
+cached outcome can never answer for a different mix.
 
 Arrival processes (all parameterized by the class-aggregate ``rate`` in
 arrivals/second):
@@ -41,6 +41,7 @@ __all__ = [
     "SIZE_DISTS",
     "TenantClass",
     "WorkloadSpec",
+    "as_workload",
     "diurnal_mixed",
     "load_workload",
     "save_workload",
@@ -235,6 +236,16 @@ def load_workload(path: str) -> WorkloadSpec:
     """Read a workload spec from a JSON file (see ``examples/workloads/``)."""
     with open(path, encoding="utf-8") as fh:
         return WorkloadSpec.from_doc(json.load(fh))
+
+
+def as_workload(workload) -> WorkloadSpec:
+    """*workload* as a :class:`WorkloadSpec`: a spec passes through, a
+    string is read as a JSON path and a dict is parsed as a document."""
+    if isinstance(workload, str):
+        return load_workload(workload)
+    if isinstance(workload, dict):
+        return WorkloadSpec.from_doc(workload)
+    return workload
 
 
 def save_workload(spec: WorkloadSpec, path: str) -> None:

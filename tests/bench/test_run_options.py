@@ -5,7 +5,7 @@ Contract under test:
 * a trial's configuration comes only from its ``RunOptions`` fields —
   the defaults are concrete and no environment variable changes them;
 * ``RunOptions`` is the only way to configure a trial: it has exactly
-  nine fields, and the old ``trace``/``collapse``/``flow``/``tiers``
+  eight fields, and the old ``trace``/``collapse``/``flow``/``tiers``
   harness kwargs are rejected;
 * the bench trial-cache key folds the resolved options in (a fault plan
   changes the key; fault-injected trials are never cached at all);
@@ -32,7 +32,7 @@ STATE = 8 * MiB
 #: Every field of RunOptions, in declaration order.
 FIELDS = [
     "collapse", "flow", "trace", "metrics", "tenant_collapse",
-    "metrics_period", "faults", "workload", "tiers",
+    "metrics_period", "faults", "tiers",
 ]
 
 
@@ -79,16 +79,9 @@ class TestResolutionOrder:
         assert set(doc) == set(FIELDS)
         assert doc["metrics_period"] is None  # "auto" is a real state
         assert doc["faults"] == ""
-        assert doc["workload"] == ""
         assert doc["tiers"] == ""
         plan = FaultPlan(seed=9)
         assert RunOptions(faults=plan).describe()["faults"] == plan.signature()
-
-    def test_describe_folds_in_the_workload_signature(self):
-        from repro.workload import diurnal_mixed
-
-        mix = diurnal_mixed(tenants=100, rate=5.0, horizon=2.0, quantum=0.5)
-        assert RunOptions(workload=mix).describe()["workload"] == mix.signature()
 
     def test_describe_folds_in_the_tier_signature(self):
         from repro.storage.buffer import TierSpec
@@ -114,7 +107,7 @@ class TestMetricsPeriodRejected:
 
 
 class TestOneConfigurationSurface:
-    def test_run_options_has_exactly_nine_fields(self):
+    def test_run_options_has_exactly_eight_fields(self):
         assert [f.name for f in dataclasses.fields(RunOptions)] == FIELDS
 
     @pytest.mark.parametrize("trial", [run_checkpoint_trial, run_create_trial])

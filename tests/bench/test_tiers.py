@@ -1,6 +1,4 @@
-"""Tier plumbing through RunOptions, the cache key, and the kill switch."""
-
-import contextlib
+"""Tier plumbing through RunOptions and the cache key."""
 
 import pytest
 
@@ -11,45 +9,16 @@ from repro.sim.config import RunOptions
 from repro.storage.buffer import TierSpec, save_tiers
 from repro.units import MiB
 
-from ..reference import reference_flows
-
 STATE = 4 * MiB
 
-#: Every figure of merit that must be bit-identical under the kill switch.
-FIELDS = ("max_elapsed", "mean_elapsed", "throughput_mb_s",
-          "create_max_elapsed")
 
-
-def _merits(trial):
-    return {k: getattr(trial, k) for k in FIELDS}
-
-
-def _run(tiers, impl="lwfs", **opts):
+def _run(tiers, impl="lwfs"):
     return run_checkpoint_trial(
-        impl, 8, 4, state_bytes=STATE, seed=13,
-        options=RunOptions(tiers=tiers, **opts),
+        impl, 8, 4, state_bytes=STATE, seed=13, options=RunOptions(tiers=tiers),
     )
 
 
 class TestKillSwitch:
-    @pytest.mark.parametrize("engines", [
-        {},
-        {"collapse": True},
-        {"flow": True},
-        {"collapse": True, "flow": True},
-        {"flow": True, "reference_flows": True},
-        {"collapse": True, "flow": True, "reference_flows": True},
-    ])
-    def test_passthrough_is_bit_identical_to_unset(self, engines):
-        opts = dict(engines)
-        oracle = opts.pop("reference_flows", False)
-        with reference_flows() if oracle else contextlib.nullcontext():
-            assert _merits(_run(None, **opts)) == \
-                _merits(_run(TierSpec(mode="passthrough"), **opts))
-
-    def test_passthrough_adds_no_buffer_stats(self):
-        assert "buffer_nodes" not in _run(TierSpec(mode="passthrough")).extra
-
     def test_string_is_loaded_as_a_path(self, tmp_path):
         spec = TierSpec(mode="hostlog")
         path = str(tmp_path / "tier.json")

@@ -19,7 +19,7 @@ import math
 
 import pytest
 
-from repro.metrics import SloConfig, evaluate_health
+from repro.metrics import evaluate_health
 from repro.metrics.health import _fault_windows
 from repro.units import KiB, MiB
 

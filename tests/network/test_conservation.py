@@ -7,6 +7,8 @@ from repro.machine import Node, dev_cluster
 from repro.network import Fabric
 from repro.simkernel import Environment
 
+from .helpers import send
+
 
 def build(n_nodes=4):
     spec = dev_cluster()
@@ -36,7 +38,7 @@ def test_byte_and_message_accounting(transfers):
     """Counters equal the sum of what was sent (with the header floor)."""
     env, fabric, nodes = build()
     events = [
-        fabric.send(src, dst, size, tag=f"t{i}", payload=("payload", i))
+        send(fabric, src, dst, size, tag=f"t{i}", payload=("payload", i))
         for i, (src, dst, size) in enumerate(transfers)
     ]
     env.run(env.all_of(events))
@@ -57,7 +59,7 @@ def test_shared_receiver_time_is_superadditive(sizes):
     env, fabric, nodes = build()
     bw = nodes[0].nic.rx.bandwidth
     bulk = [s for s in sizes if s > Fabric.CONTROL_LANE_MAX]
-    events = [fabric.send(1 + (i % 3), 0, s, tag=f"b{i}") for i, s in enumerate(sizes)]
+    events = [send(fabric, 1 + (i % 3), 0, s, tag=f"b{i}") for i, s in enumerate(sizes)]
     env.run(env.all_of(events))
     lower_bound = sum(b / bw for b in bulk)
     assert env.now >= lower_bound * 0.999

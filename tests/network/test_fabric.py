@@ -3,26 +3,28 @@
 import pytest
 
 from repro.errors import NodeFailure
-from repro.network import Fabric, Message
+from repro.network import Fabric
 from repro.units import MiB
+
+from .helpers import send
 
 
 def run_transfer(env, fabric, src, dst, size, tag="t"):
-    ev = fabric.send(src, dst, size, tag=tag)
+    ev = send(fabric, src, dst, size, tag=tag)
     env.run(ev)
     return env.now
 
 
 class TestDelivery:
     def test_payload_rides_through(self, env, fabric, nodes):
-        ev = fabric.send(2, 0, 128, payload={"op": "hello"})
+        ev = send(fabric, 2, 0, 128, payload={"op": "hello"})
         msg = env.run(ev)
         assert msg.payload == {"op": "hello"}
 
     def test_transfer_time_scales_with_size(self, env, fabric, nodes):
         t_small = run_transfer(env, fabric, 2, 0, 1 * MiB)
         env2_start = env.now
-        ev = fabric.send(2, 0, 8 * MiB)
+        ev = send(fabric, 2, 0, 8 * MiB)
         env.run(ev)
         t_big = env.now - env2_start
         # 8x the bytes ≈ 8x the serialization (latency/overhead constant).
@@ -40,7 +42,7 @@ class TestDelivery:
     def test_same_node_delivery_is_cheap(self, env, fabric, nodes):
         t_local = run_transfer(env, fabric, 2, 2, 1 * MiB)
         env2 = env.now
-        env.run(fabric.send(2, 0, 1 * MiB))
+        env.run(send(fabric, 2, 0, 1 * MiB))
         t_remote = env.now - env2
         assert t_local < t_remote
 
@@ -61,12 +63,12 @@ class TestContention:
     def test_receiver_serializes_bulk_senders(self, env, fabric, nodes):
         """Two senders into one receiver take ~2x one sender's time."""
         size = 8 * MiB
-        solo_ev = fabric.send(2, 0, size)
+        solo_ev = send(fabric, 2, 0, size)
         env.run(solo_ev)
         solo = env.now
 
         start = env.now
-        both = [fabric.send(2, 1, size), fabric.send(3, 1, size)]
+        both = [send(fabric, 2, 1, size), send(fabric, 3, 1, size)]
         env.run(env.all_of(both))
         contended = env.now - start
         assert contended > 1.8 * solo
@@ -74,19 +76,19 @@ class TestContention:
     def test_distinct_pairs_proceed_in_parallel(self, env, fabric, nodes):
         size = 8 * MiB
         start = env.now
-        env.run(fabric.send(2, 0, size))
+        env.run(send(fabric, 2, 0, size))
         solo = env.now - start
 
         start = env.now
-        pair = [fabric.send(2, 0, size), fabric.send(3, 1, size)]
+        pair = [send(fabric, 2, 0, size), send(fabric, 3, 1, size)]
         env.run(env.all_of(pair))
         parallel = env.now - start
         assert parallel < 1.2 * solo
 
     def test_control_messages_bypass_bulk_queue(self, env, fabric, nodes):
         """A small RPC must not wait behind a multi-MiB transfer."""
-        bulk = fabric.send(2, 0, 64 * MiB)
-        ctl = fabric.send(3, 0, 256, tag="rpc")
+        bulk = send(fabric, 2, 0, 64 * MiB)
+        ctl = send(fabric, 3, 0, 256, tag="rpc")
         env.run(ctl)
         ctl_done = env.now
         env.run(bulk)
@@ -97,8 +99,8 @@ class TestContention:
         virtual channel and never queues behind a saturating bulk
         transfer; one byte more shares the bulk pipes and must wait."""
         assert Fabric.CONTROL_LANE_MAX == 4096
-        bulk = fabric.send(2, 0, 64 * MiB, tag="bulk")
-        at_max = fabric.send(3, 0, 4096, tag="at-max")
+        bulk = send(fabric, 2, 0, 64 * MiB, tag="bulk")
+        at_max = send(fabric, 3, 0, 4096, tag="at-max")
         env.run(at_max)
         at_max_done = env.now
         env.run(bulk)
@@ -116,8 +118,8 @@ class TestContention:
             fabric2.attach(Node(env2, i, spec.io_spec))
         for i in range(2, 4):
             fabric2.attach(Node(env2, i, spec.compute_spec))
-        bulk = fabric2.send(2, 0, 64 * MiB, tag="bulk")
-        over = fabric2.send(3, 0, 4097, tag="over-max")
+        bulk = send(fabric2, 2, 0, 64 * MiB, tag="bulk")
+        over = send(fabric2, 3, 0, 4097, tag="over-max")
         env2.run(over)
         over_done = env2.now
         env2.run(bulk)
@@ -130,12 +132,12 @@ class TestContention:
 class TestFailures:
     def test_send_from_dead_node_fails(self, env, fabric, nodes):
         nodes[2].kill()
-        ev = fabric.send(2, 0, 128)
+        ev = send(fabric, 2, 0, 128)
         with pytest.raises(NodeFailure):
             env.run(ev)
 
     def test_send_to_node_that_dies_in_flight(self, env, fabric, nodes):
-        ev = fabric.send(2, 0, 64 * MiB)
+        ev = send(fabric, 2, 0, 64 * MiB)
 
         def killer(env):
             yield env.timeout(1e-4)

@@ -19,6 +19,7 @@ from repro.storage import RaidDevice
 from repro.units import KiB, MiB
 
 from ..reference import queued_holds
+from .helpers import send
 
 SIZES = (0, 2 * KiB, 64 * KiB, 1 * MiB, 8 * MiB)
 
@@ -72,14 +73,14 @@ class TestUncontended:
     @pytest.mark.parametrize("size", SIZES)
     def test_single_transfer_time(self, size):
         def workload(env, fabric):
-            env.run(fabric.send(2, 0, size, tag="solo"))
+            env.run(send(fabric, 2, 0, size, tag="solo"))
             return env.now
 
         assert_equivalent(run_both(workload))
 
     def test_pipe_accounting_matches(self):
         def workload(env, fabric):
-            env.run(fabric.send(2, 0, 4 * MiB))
+            env.run(send(fabric, 2, 0, 4 * MiB))
             return env.now
 
         results = run_both(workload)
@@ -95,7 +96,7 @@ class TestUncontended:
             done = []
 
             def xfer(src, dst):
-                yield fabric.send(src, dst, 2 * MiB)
+                yield send(fabric, src, dst, 2 * MiB)
                 done.append((src, dst, env.now))
 
             env.process(xfer(2, 0))
@@ -113,7 +114,7 @@ class TestUncontended:
 
             def stream():
                 for _ in range(5):
-                    yield fabric.send(2, 0, 1 * MiB)
+                    yield send(fabric, 2, 0, 1 * MiB)
                     times.append(env.now)
 
             env.process(stream())
@@ -131,7 +132,7 @@ class TestContended:
             done = []
 
             def xfer(src, size):
-                yield fabric.send(src, 0, size)
+                yield send(fabric, src, 0, size)
                 done.append((src, env.now))
 
             env.process(xfer(1, 4 * MiB))
@@ -147,7 +148,7 @@ class TestContended:
             done = []
 
             def xfer(dst):
-                yield fabric.send(2, dst, 4 * MiB)
+                yield send(fabric, 2, dst, 4 * MiB)
                 done.append((dst, env.now))
 
             for dst in (0, 1, 3):
@@ -165,7 +166,7 @@ class TestContended:
 
             def xfer(delay, tag):
                 yield env.timeout(delay)
-                yield fabric.send(2, 0, 4 * MiB, tag=tag)
+                yield send(fabric, 2, 0, 4 * MiB, tag=tag)
                 done.append((tag, env.now))
 
             env.process(xfer(0.0, "a"))
@@ -183,11 +184,11 @@ class TestContended:
             done = []
 
             def bulk():
-                yield fabric.send(2, 0, 32 * MiB, tag="bulk")
+                yield send(fabric, 2, 0, 32 * MiB, tag="bulk")
                 done.append(("bulk", env.now))
 
             def ctl():
-                yield fabric.send(2, 0, 256, tag="ctl")
+                yield send(fabric, 2, 0, 256, tag="ctl")
                 done.append(("ctl", env.now))
 
             env.process(bulk())
@@ -211,7 +212,7 @@ class TestFailureEquivalence:
         def workload(env, fabric):
             victim = fabric.node(2) if kill_src else fabric.node(0)
             victim.kill()
-            ev = fabric.send(2, 0, 4 * MiB, tag="doomed")
+            ev = send(fabric, 2, 0, 4 * MiB, tag="doomed")
             from repro.errors import NodeFailure
 
             with pytest.raises(NodeFailure):
@@ -241,7 +242,7 @@ class TestFailureEquivalence:
         def workload(env, fabric):
             from repro.errors import NodeFailure
 
-            ev = fabric.send(2, 0, 32 * MiB, tag="doomed")
+            ev = send(fabric, 2, 0, 32 * MiB, tag="doomed")
 
             def killer():
                 yield env.timeout(1e-4)
@@ -261,14 +262,14 @@ class TestFailureEquivalence:
         # sender's tx and the receiver's rx pipe, or every later transfer
         # between the pair waits forever.
         def workload(env, fabric):
-            doomed = fabric.send(2, 0, 32 * MiB, tag="doomed")
+            doomed = send(fabric, 2, 0, 32 * MiB, tag="doomed")
             doomed.defuse()
             done = []
 
             def crash_then_resend():
                 yield env.timeout(1e-3)
                 doomed.interrupt("crash")
-                yield fabric.send(2, 0, 1 * MiB, tag="after")
+                yield send(fabric, 2, 0, 1 * MiB, tag="after")
                 done.append(env.now)
 
             env.process(crash_then_resend())

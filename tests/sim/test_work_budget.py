@@ -53,12 +53,12 @@ def _tenant_traffic():
 
 #: Trial -> pinned (events, skipped-cancelled, peak queue, fast-forwarded).
 BUDGETS = {
-    "exact-checkpoint": (_exact_checkpoint, (4374, 128, 44, 0)),
+    "exact-checkpoint": (_exact_checkpoint, (4104, 128, 44, 0)),
     # The Lustre stack moves data through the same server movers; its
     # sole-writer and extent-lock paths each get their own budget.
-    "exact-lustre-fpp": (lambda: _exact_checkpoint("lustre-fpp"), (4077, 128, 43, 0)),
-    "exact-lustre-shared": (lambda: _exact_checkpoint("lustre-shared"), (5029, 128, 39, 0)),
-    "collapse-flow-checkpoint": (_collapse_flow_checkpoint, (2094, 65, 21, 18)),
+    "exact-lustre-fpp": (lambda: _exact_checkpoint("lustre-fpp"), (3867, 128, 43, 0)),
+    "exact-lustre-shared": (lambda: _exact_checkpoint("lustre-shared"), (4759, 128, 39, 0)),
+    "collapse-flow-checkpoint": (_collapse_flow_checkpoint, (1950, 65, 21, 18)),
     "tenant-traffic": (_tenant_traffic, (9855, 329, 97, 0)),
 }
 

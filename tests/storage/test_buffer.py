@@ -26,15 +26,8 @@ def _trial(tiers, seed=11, clients=8, servers=4, state=STATE, **opts):
 
 
 class TestTierSpec:
-    def test_defaults_are_passthrough(self):
-        spec = TierSpec()
-        assert spec.mode == "passthrough"
-        assert not spec.enabled
-
     def test_enabled_modes(self):
-        assert TierSpec(mode="buffer").enabled
-        assert TierSpec(mode="hostlog").enabled
-        assert set(TIER_MODES) == {"passthrough", "buffer", "hostlog"}
+        assert TIER_MODES == ("buffer", "hostlog")
         assert set(TIER_PLACEMENTS) == {"node-local", "shared"}
 
     @pytest.mark.parametrize("bad", [

@@ -5,19 +5,20 @@ Contract under test:
 * **parallel determinism** — a workload sweep fanned over worker
   processes is bit-identical to the serial run (trial statistics and
   the new tenant columns included);
-* **cache identity** — the trial key folds in the workload signature
-  and the resolved ``tenant_collapse``, so a cached clean-traffic
-  outcome can never answer for a different mix or mode;
+* **cache identity** — the trial key holds the workload's content (a
+  JSON path is loaded first) and the resolved ``tenant_collapse``, so a
+  cached clean-traffic outcome can never answer for a different mix or
+  mode, even one edited in place under the same file name;
 * **reporting** — the trial record carries ``tenants_simulated`` /
   ``max_class_multiplicity`` through cache round-trips.
 """
 
 import pytest
 
-from repro.bench import run_sweep, workload_spec
-from repro.bench.cache import trial_key
+from repro.bench import run_sweep, run_trials, workload_spec
+from repro.bench.cache import TrialCache, trial_key
 from repro.sim.config import RunOptions
-from repro.workload import TenantClass, WorkloadSpec
+from repro.workload import TenantClass, WorkloadSpec, save_workload
 
 SEED = 7
 
@@ -71,6 +72,20 @@ class TestCacheIdentity:
         base = trial_key(workload_spec(_mix(rate=150.0), 4, seed=SEED))
         other = trial_key(workload_spec(_mix(rate=151.0), 4, seed=SEED))
         assert base != other
+
+    def test_edited_file_is_simulated_afresh(self, tmp_path):
+        path = str(tmp_path / "mix.json")
+        store = TrialCache(str(tmp_path / "cache"))
+        save_workload(_mix(rate=50.0), path)
+        first = workload_spec(path, 4, seed=SEED)
+        [before] = run_trials([first], jobs=1, cache=store)
+        save_workload(_mix(rate=150.0), path)
+        second = workload_spec(path, 4, seed=SEED)
+        [after] = run_trials([second], jobs=1, cache=store)
+        assert first.n_clients == second.n_clients == 600
+        assert trial_key(second) != trial_key(first)
+        assert not before.cached and not after.cached
+        assert after.value > before.value
 
     def test_collapse_kill_switch_changes_key(self):
         base = trial_key(workload_spec(_mix(), 4, seed=SEED))
