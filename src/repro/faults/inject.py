@@ -17,8 +17,8 @@ With a plan installed the injector:
   thread slots, pinned buffers) unwind instead of finishing work on a
   dead machine,
 * keeps the per-trial fault log and the ``retries`` /
-  ``recovered_ops`` / ``rpc_dropped`` / ``rpc_duplicated`` /
-  ``degraded_seconds`` counters the harness reports.
+  ``rpc_timeouts`` / ``recovered_ops`` / ``rpc_dropped`` /
+  ``rpc_duplicated`` / ``degraded_seconds`` counters the harness reports.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ class FaultInjector:
         self.counters: Dict[str, int] = {
             "faults_injected": 0,
             "retries": 0,
+            "rpc_timeouts": 0,
             "recovered_ops": 0,
             "rpc_dropped": 0,
             "rpc_duplicated": 0,
@@ -185,6 +186,9 @@ class FaultInjector:
 
     def note_retry(self) -> None:
         self.counters["retries"] += 1
+
+    def note_timeout(self) -> None:
+        self.counters["rpc_timeouts"] += 1
 
     def note_recovered(self) -> None:
         self.counters["recovered_ops"] += 1

@@ -25,8 +25,8 @@ measured cost of crashing mid-drain.
 from __future__ import annotations
 
 from ..parallel.app import RankContext
-from ..storage.data import concat_pieces, piece_len
-from .checkpoint import CheckpointError, LWFSCheckpointer, _note_tenant_bytes
+from ..storage.data import concat_pieces
+from .checkpoint import CheckpointError, LWFSCheckpointer
 
 __all__ = ["BufferedLWFSCheckpointer", "HostLogLWFSCheckpointer"]
 
@@ -58,7 +58,6 @@ class BufferedLWFSCheckpointer(LWFSCheckpointer):
     # -- tier hooks -----------------------------------------------------------
     def _write_state(self, ctx: RankContext, client, sid: int, oid, state, txnid, mult: int):
         yield from self.runtime.absorb(ctx, self.cap, oid, sid, state)
-        _note_tenant_bytes(ctx, piece_len(state), mult)
 
     def _sync_state(self, ctx: RankContext, client, sid: int, mult: int):
         # NVRAM is durable on landing; the backing-store sync is charged

@@ -52,24 +52,6 @@ def _phase_end(ctx: RankContext, token) -> None:
         ctx.env.tracer.pop(*token)
 
 
-def _note_tenant_bytes(ctx: RankContext, nbytes: int, mult: int) -> None:
-    """Attribute checkpoint bytes to the rank's client group ("tenant").
-
-    Rank blocks stand in for multi-tenant traffic classes (ROADMAP item
-    1): per-group goodput series make noisy-neighbour effects visible in
-    the dashboard before real tenancy exists.  The multiplicity weight
-    keeps a collapsed representative accounting for its whole class, so
-    per-group totals match the exact run's.
-    """
-    m = ctx.env.metrics
-    if m is None:
-        return
-    from ..metrics import tenant_group
-
-    group = tenant_group(ctx.rank, ctx.total_size)
-    m.count(f"tenant.g{group}.bytes", float(nbytes), weight=float(mult))
-
-
 class CheckpointError(RuntimeError):
     """The collective checkpoint failed (on some rank) and was rolled back.
 
@@ -311,7 +293,6 @@ class LWFSCheckpointer(Checkpointer):
         absorb into the burst-buffer tier instead.
         """
         yield from client.write(self.cap, oid, state, txnid=txnid, weight=mult)
-        _note_tenant_bytes(ctx, piece_len(state), mult)
 
     def _sync_state(self, ctx: RankContext, client, sid: int, mult: int):
         """Force this rank's dump durable before the commit."""
@@ -478,7 +459,6 @@ class PFSCheckpointer(Checkpointer):
         offset = 0 if self.mode == "file-per-process" else ctx.rank * nbytes
         phase = _phase_begin(ctx, "write")
         yield from client.write(fh, offset, state, weight=mult, shared=shared)
-        _note_tenant_bytes(ctx, nbytes, mult)
         _phase_end(ctx, phase)
 
         phase = _phase_begin(ctx, "sync")

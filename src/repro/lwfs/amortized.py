@@ -101,10 +101,6 @@ class VerifyCostModel:
         """
         return self._breakdown("shared-key", 0)
 
-    def amortized_ratio(self) -> float:
-        """Caching overhead relative to total I/O time (→ 0 as A grows)."""
-        return self.caching().fraction_of_io_time
-
     def accesses_to_amortize(self, target_fraction: float = 0.01) -> int:
         """Total accesses needed before caching overhead ≤ *target_fraction*
         of I/O time."""

@@ -241,23 +241,6 @@ class AuthorizationService:
                     notified.append(server_id)
         return victims, notified
 
-    def revoke_serials(self, serials: List[int]) -> None:
-        """Low-level revocation by serial (used by credential revocation)."""
-        self._revoked_serials.update(serials)
-        by_cid: Dict[ContainerID, List[int]] = {}
-        for serial in serials:
-            cap = self._issued.get(serial)
-            if cap is not None:
-                by_cid.setdefault(cap.cid, []).append(serial)
-        for cid, victims in by_cid.items():
-            for server_id, cached in list(self._registrants.get(cid, {}).items()):
-                hit = [s for s in victims if s in cached]
-                if hit:
-                    cached.difference_update(hit)
-                    invalidate = self._invalidators.get(server_id)
-                    if invalidate is not None:
-                        invalidate(cid, hit)
-
     def export_shared_key(self, server_id: object, on_rotate=None) -> bytes:
         """Hand the signing key to a storage server (NASD/T10 mode, §3.1.2).
 

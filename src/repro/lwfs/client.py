@@ -97,9 +97,6 @@ class LWFSDomain:
             ids=ids,
         )
 
-    def add_user(self, name: str, password: str) -> None:
-        self.kerberos.add_principal(name, password)
-
     def server(self, server_id: int) -> StorageService:
         return self.servers[server_id]
 

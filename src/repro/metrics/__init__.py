@@ -1,10 +1,16 @@
 """Time-series metrics & health: sampled observability for one trial.
 
-The package mirrors :mod:`repro.trace`'s shape — ``env.metrics`` is
-``None`` by default (zero overhead when disabled), a registry of typed
-instruments when enabled, a simulated-time sampler snapshots them onto a
-canonical tick grid, and the result exports as one JSON document per
-trial that the health layer, CLI, cache, and dashboard all consume.
+``env.metrics`` is ``None`` by default and a registry of typed
+instruments on metered trials; a simulated-time sampler snapshots them
+onto a canonical tick grid, and the result exports as one JSON document
+per trial that the health layer, CLI, cache, and dashboard all consume.
+
+Metrics only observe: every instrument is a pull probe over state the
+simulator already keeps, registered by the harness
+(:func:`install_standard_instruments`) and by the workload engine, which
+exposes its per-class latency tally and byte count.  No model code
+writes to the registry; spans (:mod:`repro.trace`) are the model's only
+instrumentation hook.
 
 Quick use::
 
@@ -31,14 +37,13 @@ from .export import (
     metrics_summary,
     series_times,
     sparkline,
-    tenant_class_rows,
     validate_metrics_doc,
     write_csv,
     write_json,
 )
 from .health import GOODPUT_METRICS, HealthReport, evaluate_health, goodput_rates
-from .instruments import PER_SERVER_CAP, install_standard_instruments, tenant_group
-from .registry import Gauge, Histogram, LinearGauge, MCounter, MetricsRegistry, Series
+from .instruments import PER_SERVER_CAP, install_standard_instruments
+from .registry import Gauge, Histogram, LinearGauge, MetricsRegistry, Series
 from .sampler import MAX_STRIDE, MIN_PERIOD, TARGET_SAMPLES, Sampler, default_period
 
 __all__ = [
@@ -48,7 +53,6 @@ __all__ = [
     "Histogram",
     "LinearGauge",
     "MAX_STRIDE",
-    "MCounter",
     "METRICS_SCHEMA",
     "MIN_PERIOD",
     "MetricsRegistry",
@@ -65,8 +69,6 @@ __all__ = [
     "metrics_summary",
     "series_times",
     "sparkline",
-    "tenant_class_rows",
-    "tenant_group",
     "validate_metrics_doc",
     "write_csv",
     "write_json",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from typing import Dict, List, Optional
 
 from .registry import MetricsRegistry
@@ -26,7 +25,6 @@ __all__ = [
     "format_metrics",
     "metrics_summary",
     "sparkline",
-    "tenant_class_rows",
     "validate_metrics_doc",
     "write_csv",
     "write_json",
@@ -126,6 +124,7 @@ def validate_metrics_doc(doc) -> List[str]:
             errors.append(f"{where}: duplicate instrument {name!r}")
         else:
             seen.add(name)
+        # "counter" is no longer written, but older exports carry it.
         if inst.get("kind") not in ("counter", "gauge", "linear", "histogram"):
             errors.append(f"{where} ({name}): bad kind {inst.get('kind')!r}")
         if inst.get("scope") not in ("model", "kernel"):
@@ -152,57 +151,12 @@ def series_times(doc: dict, inst: dict) -> List[float]:
     return [t0 + i * period for i in inst["series"]["indices"]]
 
 
-_GROUP_SUFFIX = re.compile(r"\.g\d+$")
-
-
-def tenant_class_rows(doc: dict) -> Dict[str, Dict[str, float]]:
-    """Per-tenant-class latency/goodput rows from the ``tenant.*`` buckets.
-
-    Walks the existing tenant instruments — ``tenant.<class>.g<k>.bytes``
-    group counters (the ``tenant_group`` buckets checkpoint traffic
-    already feeds, optionally prefixed by a workload class) and
-    ``tenant.<class>.latency`` histograms — and folds them into one row
-    per class: operation count, p50/p99/mean latency, bytes moved, and
-    goodput over the sampled span.  No parallel accounting path: if an
-    instrument was never created, its row fields are simply absent.
-    """
-    span = max(float(doc["t_end"]) - float(doc["t0"]), 0.0)
-    rows: Dict[str, Dict[str, float]] = {}
-    for inst in doc["instruments"]:
-        name = inst["name"]
-        if not name.startswith("tenant."):
-            continue
-        base, _, field = name.rpartition(".")
-        label = base[len("tenant."):]
-        if not label:
-            continue
-        cls = _GROUP_SUFFIX.sub("", label) or label
-        if field == "bytes":
-            final = inst.get("final")
-            if isinstance(final, (int, float)) and not math.isnan(final):
-                row = rows.setdefault(cls, {})
-                row["bytes"] = row.get("bytes", 0.0) + float(final)
-        elif field == "latency":
-            tally = inst.get("tally")
-            if isinstance(tally, dict):
-                row = rows.setdefault(cls, {})
-                row["ops"] = row.get("ops", 0) + int(tally.get("count", 0))
-                row["latency_p50"] = tally.get("p50")
-                row["latency_p99"] = tally.get("p99")
-                row["latency_mean"] = tally.get("mean")
-    if span > 0:
-        for row in rows.values():
-            if "bytes" in row:
-                row["goodput_mb_s"] = row["bytes"] / span / (1024.0 * 1024.0)
-    return rows
-
-
 def metrics_summary(doc: dict) -> Dict[str, object]:
     """The compact slice for recorded sweep rows (``TrialResult.metrics_summary``).
 
-    Totals for model-scope counters plus the sampler's footprint, the
-    per-tenant-class rows, and the SLO verdict — small enough to embed
-    per trial without dragging the full series along.
+    Totals for model-scope instruments plus the sampler's footprint and
+    the SLO verdict — small enough to embed per trial without dragging
+    the full series along.
     """
     totals: Dict[str, float] = {}
     for inst in doc["instruments"]:
@@ -217,9 +171,6 @@ def metrics_summary(doc: dict) -> Dict[str, object]:
         "period": doc["period"],
         "totals": totals,
     }
-    tenants = tenant_class_rows(doc)
-    if tenants:
-        out["tenant_classes"] = tenants
     health = doc.get("health")
     if isinstance(health, dict):
         out["slo_verdict"] = health.get("verdict")

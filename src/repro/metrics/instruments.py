@@ -6,9 +6,7 @@ and fluid-flow byte movement, per-server disk/RPC/cache/journal
 activity, fault pressure — to a freshly installed
 :class:`~repro.metrics.registry.MetricsRegistry`.  Everything here is a
 pull probe over counters the subsystems already keep, so installing the
-pack adds zero per-event cost; the only push-style instruments (RPC
-retries/timeouts, per-tenant checkpoint bytes) live at their hot sites
-behind the usual ``env.metrics is not None`` guard.
+pack adds zero per-event cost.
 
 Per-server series are capped at :data:`PER_SERVER_CAP` servers (the
 aggregate series always cover all of them) so a 32-OST Red Storm slice
@@ -19,25 +17,10 @@ from __future__ import annotations
 
 from .registry import MetricsRegistry
 
-__all__ = ["PER_SERVER_CAP", "install_standard_instruments", "tenant_group"]
+__all__ = ["PER_SERVER_CAP", "install_standard_instruments"]
 
 #: Individually-instrumented server limit (aggregates are uncapped).
 PER_SERVER_CAP = 8
-
-#: Client-group ("tenant") buckets for per-group goodput: rank blocks
-#: stand in for the multi-tenant traffic classes of ROADMAP item 1.
-TENANT_GROUPS = 8
-
-
-def tenant_group(rank: int, n_ranks: int) -> int:
-    """The tenant bucket of *rank*: contiguous blocks, at most
-    :data:`TENANT_GROUPS` of them, degenerating to one per rank on small
-    runs.  Deterministic in (rank, n_ranks) only, so collapsed
-    representatives land in the same bucket as the class they stand for."""
-    groups = min(max(1, n_ranks), TENANT_GROUPS)
-    block = -(-n_ranks // groups)  # ceil
-    return rank // block
-
 
 def install_standard_instruments(registry: MetricsRegistry, cluster, deployment) -> None:
     env = cluster.env
@@ -210,6 +193,11 @@ def install_standard_instruments(registry: MetricsRegistry, cluster, deployment)
             "fault.retries",
             lambda i=injector: float(i.counters["retries"]),
             unit="retries",
+        )
+        registry.gauge(
+            "fault.rpc_timeouts",
+            lambda i=injector: float(i.counters["rpc_timeouts"]),
+            unit="timeouts",
         )
         registry.gauge(
             "fault.recovered_ops",

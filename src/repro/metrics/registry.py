@@ -1,17 +1,13 @@
 """Typed instruments and the per-environment metrics registry.
 
-``env.metrics`` follows the tracer's zero-overhead-when-disabled
-contract (:mod:`repro.trace.tracer`): it defaults to ``None``, every
-hook in the simulator is one attribute load plus a ``None`` check, and
-recording never schedules events — a metered run's simulated timeline is
-bit-identical to an unmetered one.
+``env.metrics`` defaults to ``None``; the harness installs a registry on
+metered trials.  Every instrument is a pull probe over state the
+simulator already keeps, and no model code writes to the registry: the
+sampler reads the probes on its own timer, so a metered run's simulated
+timeline is bit-identical to an unmetered one.
 
-Four instrument kinds cover the paper's time-resolved signals:
+Three instrument kinds cover the paper's time-resolved signals:
 
-* :class:`MCounter` — monotone cumulative total (bytes moved, retries).
-  ``add(value, weight)`` carries the symmetric-client multiplicity
-  weight, so a collapsed representative's samples account for its whole
-  equivalence class.
 * :class:`Gauge` — an instantaneous level read through a probe callable
   at sample time (queue depth, cumulative subsystem counters).  Probes
   are pull-based: zero cost between samples, no per-event hooks.
@@ -19,9 +15,9 @@ Four instrument kinds cover the paper's time-resolved signals:
   slope ``(value, dvalue/dt)``.  Within a steady stretch (no scheduled
   events) the value is exactly linear, so the sampler can synthesize
   analytically-exact samples for fast-forwarded epochs in closed form.
-* :class:`Histogram` — a :class:`~repro.simkernel.monitor.Tally` of
-  per-operation observations, snapshotted as (count, total) so rates
-  and means are recoverable per window.
+* :class:`Histogram` — a view of a :class:`~repro.simkernel.monitor.Tally`
+  its owner keeps, snapshotted as the cumulative observation count so
+  rates and means are recoverable per window.
 
 Every instrument carries a ``scope``:
 
@@ -37,7 +33,7 @@ Every instrument carries a ``scope``:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..simkernel.monitor import Tally
 
@@ -45,7 +41,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LinearGauge",
-    "MCounter",
     "MetricsRegistry",
     "Series",
 ]
@@ -130,24 +125,6 @@ class _Instrument:
         return f"<{type(self).__name__} {self.name!r} n={len(self.series)}>"
 
 
-class MCounter(_Instrument):
-    """Monotone cumulative counter with multiplicity-weighted updates."""
-
-    kind = "counter"
-
-    __slots__ = ("value",)
-
-    def __init__(self, name: str, unit: str = "", scope: str = "model") -> None:
-        super().__init__(name, unit, scope)
-        self.value = 0.0
-
-    def add(self, value: float = 1.0, weight: float = 1.0) -> None:
-        self.value += value * weight
-
-    def sample(self) -> float:
-        return self.value
-
-
 class Gauge(_Instrument):
     """Pull-based level: the probe is called only at sample time."""
 
@@ -199,24 +176,21 @@ class LinearGauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """Tally-backed distribution; sampled as a cumulative (count, total).
+    """View of a :class:`Tally` its owner keeps; sampled as the cumulative count.
 
-    ``observe`` feeds the underlying :class:`Tally` (streaming moments +
-    retained samples for :meth:`Tally.percentile`); the sampled series
-    carries the cumulative observation count so per-window operation
-    rates fall out of first differences like any counter.
+    The owner observes into the tally; the sampled series carries the
+    cumulative observation count so per-window operation rates fall out
+    of first differences, and the export summarizes the tally's
+    percentiles at the end of the run.
     """
 
     kind = "histogram"
 
     __slots__ = ("tally",)
 
-    def __init__(self, name: str, unit: str = "", scope: str = "model") -> None:
+    def __init__(self, name: str, tally: Tally, unit: str = "", scope: str = "model") -> None:
         super().__init__(name, unit, scope)
-        self.tally = Tally(name, keep_samples=True)
-
-    def observe(self, value: float, weight: int = 1) -> None:
-        self.tally.observe(value, weight)
+        self.tally = tally
 
     def sample(self) -> float:
         return float(self.tally.count)
@@ -228,12 +202,11 @@ class MetricsRegistry:
     Create with :meth:`install`, mirroring ``Tracer.install``::
 
         registry = MetricsRegistry.install(env)
-        bytes_in = registry.counter("app.bytes", unit="B")
+        registry.gauge("fabric.bytes", lambda: float(fabric.counters["bytes"]), unit="B")
 
-    Instrument creation is get-or-create by name, so hot sites may call
-    :meth:`count` without pre-registering.  Iteration order is insertion
-    order — exports, merges, and float sums over instruments are
-    reproducible run-over-run.
+    Instrument creation is get-or-create by name.  Iteration order is
+    insertion order — exports, merges, and float sums over instruments
+    are reproducible run-over-run.
     """
 
     def __init__(self, env) -> None:
@@ -241,8 +214,8 @@ class MetricsRegistry:
         self.instruments: Dict[str, _Instrument] = {}
         self.sampler = None  # attached by Sampler.start()
         #: Bumped on every instrument creation; the sampler invalidates
-        #: its bound-method cache against this (instruments may appear
-        #: mid-run via :meth:`count` / :meth:`observe`).
+        #: its bound-method cache against this (the workload engine
+        #: registers its per-class views after the sampler starts).
         self.version = 0
 
     @classmethod
@@ -265,9 +238,6 @@ class MetricsRegistry:
         self.version += 1
         return inst
 
-    def counter(self, name: str, unit: str = "", scope: str = "model") -> MCounter:
-        return self._get(name, MCounter, unit, scope)
-
     def gauge(
         self, name: str, probe: Callable[[], float], unit: str = "", scope: str = "model"
     ) -> Gauge:
@@ -282,34 +252,7 @@ class MetricsRegistry:
     ) -> LinearGauge:
         return self._get(name, LinearGauge, probe, unit, scope)
 
-    def histogram(self, name: str, unit: str = "", scope: str = "model") -> Histogram:
-        return self._get(name, Histogram, unit, scope)
-
-    # -- hot-path update -----------------------------------------------------
-    def count(self, name: str, value: float = 1.0, weight: float = 1.0) -> None:
-        """Bump a counter by name (created on first use).
-
-        The intended call shape at an instrumented site is::
-
-            m = env.metrics
-            if m is not None:
-                m.count("rpc.retries")
-
-        so disabled runs pay one attribute load and nothing else.
-        """
-        inst = self.instruments.get(name)
-        if inst is None:
-            inst = self.counter(name)
-        inst.add(value, weight)
-
-    def observe(self, name: str, value: float, weight: int = 1) -> None:
-        """Feed a histogram observation by name (created on first use).
-
-        ``weight`` stands for that many identical observations — collapsed
-        tenant representatives observe once per class with the class
-        multiplicity, keeping per-tenant percentiles honest.
-        """
-        inst = self.instruments.get(name)
-        if inst is None:
-            inst = self.histogram(name)
-        inst.observe(value, weight)
+    def histogram(
+        self, name: str, tally: Tally, unit: str = "", scope: str = "model"
+    ) -> Histogram:
+        return self._get(name, Histogram, tally, unit, scope)

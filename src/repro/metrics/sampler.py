@@ -19,7 +19,7 @@ without one running — so the sampler sleeps ``k`` periods in one timeout
 and, on waking, synthesizes the ``k - 1`` skipped boundary samples in
 closed form:
 
-* counters, gauges and histograms hold their value (nothing ran, nothing
+* gauges and histograms hold their value (nothing ran, nothing
   changed — the synthesized sample is *exact*, not interpolated);
 * :class:`~repro.metrics.registry.LinearGauge` instruments (fluid flow
   byte totals) drain at a constant rate within the stretch (rates change

@@ -18,13 +18,14 @@ which is how failure-injection experiments observe lost servers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..errors import LinkDown, NetworkError, NodeFailure
 from ..machine.node import Node
 from ..machine.topology import Topology, make_topology
-from ..simkernel import Counter, Environment
+from ..simkernel import Environment
 
 __all__ = ["Message", "Fabric"]
 
@@ -226,8 +227,8 @@ class Fabric:
         # for a whole equivalence class; the sender stamps the class size
         # in msg.meta["mult"] so message counts stay truthful (bytes scale
         # through the weighted size already).
-        self.counters.incr("messages", mult)
-        self.counters.incr("bytes", wire_bytes)
+        self.counters["messages"] += mult
+        self.counters["bytes"] += wire_bytes
         if tracer is not None:
             # Strip hex match-bits from portals tags: those come from
             # process-global counters, and keeping them would make traces

@@ -396,8 +396,8 @@ class PortalsEndpoint:
             tx_pipe.busy_time += nbytes / tx_pipe.bandwidth
             rx_pipe.bytes_moved += wire_weight * nbytes
             rx_pipe.busy_time += wire_weight * nbytes / rx_pipe.bandwidth
-            self.fabric.counters.incr("messages", wire_weight * n_msgs)
-            self.fabric.counters.incr("bytes", wire_weight * nbytes)
+            self.fabric.counters["messages"] += wire_weight * n_msgs
+            self.fabric.counters["bytes"] += wire_weight * nbytes
 
             md.payload = me.md.payload
             if md.eq is not None:

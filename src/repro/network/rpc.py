@@ -350,9 +350,6 @@ class RpcClient:
                         f"{attempt} attempts: {exc}"
                     ) from exc
                 faults.note_retry()
-                m = self.env.metrics
-                if m is not None:
-                    m.count("rpc.retries")
                 tracer = self.env.tracer
                 t0 = self.env._now if tracer is not None else 0.0
                 yield self.env.timeout(min(delay, policy.max_delay) * faults.backoff_scale())
@@ -406,9 +403,7 @@ class RpcClient:
                 # full timeout waiting for a reply that never comes.
                 yield self.env.timeout(timeout)
                 self.endpoint.detach(REPLY_PORTAL, me)
-                m = self.env.metrics
-                if m is not None:
-                    m.count("rpc.timeouts")
+                faults.note_timeout()
                 raise RPCTimeout(
                     f"{service}.{op} request to node {target_node} dropped (fault injection)"
                 )
@@ -431,9 +426,8 @@ class RpcClient:
                 yield self.env.any_of([get_ev, timer])
                 if not get_ev.triggered:
                     self.endpoint.detach(REPLY_PORTAL, me)
-                    m = self.env.metrics
-                    if m is not None:
-                        m.count("rpc.timeouts")
+                    if faults is not None:
+                        faults.note_timeout()
                     raise RPCTimeout(
                         f"{service}.{op} on node {target_node} timed out after {timeout}s"
                     )

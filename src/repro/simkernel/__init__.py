@@ -21,7 +21,7 @@ Quick tour::
 
 from .core import EmptySchedule, Environment, StopSimulation
 from .events import NORMAL, PENDING, URGENT, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .monitor import Counter, Tally
+from .monitor import Tally
 from .process import Interrupt, InterruptException, Process
 from .rand import RandomStreams
 from .resources import Container, Request, Resource, Store
@@ -44,7 +44,6 @@ __all__ = [
     "Store",
     "Container",
     "Tally",
-    "Counter",
     "RandomStreams",
     "PENDING",
     "URGENT",

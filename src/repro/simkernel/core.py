@@ -83,10 +83,10 @@ class Environment:
         #: ``tracer`` — ``None`` keeps every fault hook to one attribute
         #: check, so fault-free timelines are bit-identical.
         self.faults = None
-        #: Optional :class:`repro.metrics.MetricsRegistry`; same contract
-        #: again — ``None`` keeps every metric hook to one attribute
-        #: check, and the sampler only *reads* state, so a metered
-        #: workload's timeline is bit-identical to an unmetered one.
+        #: Optional :class:`repro.metrics.MetricsRegistry`.  No model code
+        #: writes to it: its instruments are pull probes the sampler
+        #: reads on its own timer, so a metered workload's timeline is
+        #: bit-identical to an unmetered one.
         self.metrics = None
 
     # -- introspection -----------------------------------------------------

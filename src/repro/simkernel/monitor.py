@@ -1,17 +1,16 @@
 """Lightweight instrumentation for simulation runs.
 
 A :class:`Tally` accumulates per-operation samples (latencies) and computes
-summary statistics without retaining huge sample arrays unless asked to;
-a :class:`Counter` keeps named event counts.
+summary statistics without retaining huge sample arrays unless asked to.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-__all__ = ["Tally", "Counter"]
+__all__ = ["Tally"]
 
 
 class Tally:
@@ -155,25 +154,3 @@ class Tally:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Tally {self.name!r} n={self.count} mean={self.mean:.6g}>"
-
-
-class Counter:
-    """Named event counters (messages sent, cache hits, verifies, ...)."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def incr(self, key: str, amount: int = 1) -> None:
-        self._counts[key] = self._counts.get(key, 0) + amount
-
-    def __getitem__(self, key: str) -> int:
-        return self._counts.get(key, 0)
-
-    def items(self) -> List[Tuple[str, int]]:
-        return sorted(self._counts.items())
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def clear(self) -> None:
-        self._counts.clear()

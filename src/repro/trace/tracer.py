@@ -11,9 +11,9 @@ simulation the un-traced run executes (bit-identical clocks).
 
 Zero overhead when disabled
 ---------------------------
-``Environment.tracer`` is ``None`` by default.  Every instrumentation
-site follows the same guard pattern as ``env.faults`` and
-``env.metrics``::
+``Environment.tracer`` is ``None`` by default, and the tracer is the
+model's only instrumentation hook.  Every instrumentation site follows
+the same guard pattern as ``env.faults``::
 
     tracer = env.tracer
     if tracer is not None:

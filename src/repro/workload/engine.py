@@ -201,6 +201,17 @@ class WorkloadEngine:
             )
             self.classes.append(state)
 
+        metrics = self.env.metrics
+        if metrics is not None:
+            # Views of the tally and byte count class_rows() reads: the
+            # sampler pulls them, the engine never writes a metric.
+            for state in self.classes:
+                name = state.cls.name
+                metrics.histogram(f"tenant.{name}.latency", state.latency, unit="s")
+                metrics.gauge(
+                    f"tenant.{name}.bytes", lambda s=state: s.bytes_moved, unit="B"
+                )
+
     # -- session lifecycle -----------------------------------------------------
     def _home_server(self, state: _ClassState, tid: int) -> int:
         return (state.server_offset + tid) % self.n_servers
@@ -344,16 +355,6 @@ class WorkloadEngine:
                 state.latency.observe(value, w)
             if length:
                 state.bytes_moved += float(weight * length)
-        m = env.metrics
-        if m is not None and measured:
-            for value, w in lat_points:
-                m.observe(f"tenant.{state.cls.name}.latency", value, w)
-            if length:
-                group = sess.block % 8
-                m.count(
-                    f"tenant.{state.cls.name}.g{group}.bytes",
-                    float(length), weight=float(weight),
-                )
 
     def _op(self, sess: _Session, op: str, server: int, weight: int, length: int):
         client = sess.client

@@ -34,7 +34,8 @@ from repro.simkernel import Environment
 def doc():
     env = Environment()
     registry = MetricsRegistry.install(env)
-    counter = registry.counter("app.bytes", unit="B")
+    moved = [0.0]
+    registry.gauge("app.bytes", lambda: moved[0], unit="B")
     registry.gauge("queue.depth", lambda: float(env._qlen()), scope="kernel")
     registry.linear("flow.bytes", lambda: (env.now * 4.0, 4.0), unit="B")
     sampler = Sampler(registry, period=0.5).start()
@@ -42,7 +43,7 @@ def doc():
     def work():
         for _ in range(10):
             yield env.timeout(0.7)
-            counter.add(1024.0)
+            moved[0] += 1024.0
 
     env.process(work())
     env.run()
@@ -71,6 +72,14 @@ class TestSchema:
     def test_nonpositive_period_reported(self, doc):
         bad = dict(doc, period=0.0)
         assert any("period" in e for e in validate_metrics_doc(bad))
+
+    def test_counter_kind_of_older_exports_still_validates(self, doc):
+        # Exports written while push counters existed carry kind "counter".
+        old = json.loads(json.dumps(doc))
+        inst = next(i for i in old["instruments"] if i["name"] == "app.bytes")
+        inst["kind"] = "counter"
+        assert validate_metrics_doc(old) == []
+        assert "app.bytes" in format_metrics(old)
 
     def test_non_dict_rejected(self):
         assert validate_metrics_doc([1, 2]) == ["document is not an object"]

@@ -7,15 +7,21 @@ Contract under test:
   loud, and the registry version bumps so the sampler's bound-method
   cache invalidates;
 * the series ring drops oldest-first and reports how many went missing;
-* counter weights carry collapse multiplicity.
+* every instrument is a pull probe: a histogram is a view of a tally its
+  owner keeps;
+* metrics only observe: outside ``repro.metrics`` the registry is named
+  only by the workload engine, which registers views of its own tallies.
 """
 
 import math
+import os
 
 import pytest
 
-from repro.metrics import MCounter, MetricsRegistry, Series
-from repro.simkernel import Environment
+from repro.metrics import Gauge, MetricsRegistry, Series
+from repro.simkernel import Environment, Tally
+
+from ..bench.test_run_options import _package_sources
 
 
 def _registry():
@@ -60,47 +66,32 @@ class TestSeriesRing:
 class TestFactories:
     def test_get_or_create_returns_same_instrument(self):
         r = _registry()
-        a = r.counter("app.bytes", unit="B")
-        b = r.counter("app.bytes")
+        a = r.gauge("app.bytes", lambda: 0.0, unit="B")
+        b = r.gauge("app.bytes", lambda: 1.0)
         assert a is b
 
     def test_kind_mismatch_raises(self):
         r = _registry()
-        r.counter("x")
+        r.gauge("x", lambda: 0.0)
         with pytest.raises(ValueError, match="already registered"):
-            r.gauge("x", lambda: 0.0)
+            r.histogram("x", Tally(keep_samples=True))
 
     def test_scope_validated(self):
         with pytest.raises(ValueError, match="scope"):
-            MCounter("bad", scope="cosmic")
+            Gauge("bad", lambda: 0.0, scope="cosmic")
 
     def test_version_bumps_only_on_creation(self):
         r = _registry()
         v0 = r.version
-        r.counter("a")
+        r.gauge("a", lambda: 0.0)
         assert r.version == v0 + 1
-        r.counter("a")  # get, not create
+        r.gauge("a", lambda: 0.0)  # get, not create
         assert r.version == v0 + 1
-        r.histogram("b")
+        r.histogram("b", Tally(keep_samples=True))
         assert r.version == v0 + 2
 
 
 class TestInstruments:
-    def test_counter_weight_carries_multiplicity(self):
-        r = _registry()
-        c = r.counter("tenant.bytes", unit="B")
-        c.add(100.0, weight=8.0)
-        assert c.sample() == 800.0
-        r.count("tenant.bytes", 50.0, weight=2.0)
-        assert c.sample() == 900.0
-
-    def test_count_and_observe_autocreate(self):
-        r = _registry()
-        r.count("rpc.retries")
-        r.observe("rpc.latency", 0.25)
-        assert r.instruments["rpc.retries"].sample() == 1.0
-        assert r.instruments["rpc.latency"].tally.count == 1
-
     def test_gauge_pull_probe(self):
         r = _registry()
         level = {"v": 3.0}
@@ -117,8 +108,26 @@ class TestInstruments:
 
     def test_histogram_samples_cumulative_count(self):
         r = _registry()
-        h = r.histogram("op.latency", unit="s")
+        tally = Tally("op.latency", keep_samples=True)
+        h = r.histogram("op.latency", tally, unit="s")
         for v in (0.1, 0.2, 0.3):
-            h.observe(v)
+            tally.observe(v)
+        assert h.tally is tally
         assert h.sample() == 3.0
         assert h.tally.mean == pytest.approx(0.2)
+
+
+class TestMetricsOnlyObserve:
+    #: The one model module that names the registry: the workload
+    #: engine's constructor registers views of its per-class tally and
+    #: byte count.  The harness installs the registry from repro.metrics.
+    WHITELIST = {os.path.join("workload", "engine.py")}
+
+    def test_no_model_module_names_the_registry(self):
+        offenders = [
+            rel for rel, source in _package_sources()
+            if "env.metrics" in source
+            and not rel.startswith("metrics" + os.sep)
+            and rel not in self.WHITELIST
+        ]
+        assert not offenders, f"modules outside repro.metrics name env.metrics: {offenders}"

@@ -45,12 +45,13 @@ class TestDefaultPeriod:
 class TestGrid:
     def test_contiguous_indices_and_grid_times(self):
         env, registry, sampler = _metered_env(period=0.5)
-        counter = registry.counter("work.items")
+        done = [0.0]
+        counter = registry.gauge("work.items", lambda: done[0])
 
         def ticker():
             for _ in range(20):
                 yield env.timeout(0.3)
-                counter.add(1.0)
+                done[0] += 1.0
 
         env.process(ticker())
         env.run()
@@ -65,7 +66,7 @@ class TestGrid:
 
     def test_sampler_stops_with_schedule(self):
         env, registry, sampler = _metered_env(period=0.25)
-        registry.counter("noop")
+        registry.gauge("noop", lambda: 0.0)
 
         def one_shot():
             yield env.timeout(1.0)
@@ -126,13 +127,15 @@ class TestStrideSynthesis:
 
     def test_midrun_instrument_is_picked_up(self):
         env, registry, sampler = _metered_env(period=0.5)
-        registry.counter("early")
+        registry.gauge("early", lambda: 0.0)
+        retries = [0.0]
 
         def late_registration():
             yield env.timeout(2.2)
-            registry.count("late.retries")
+            retries[0] += 1.0
+            registry.gauge("late.retries", lambda: retries[0])
             yield env.timeout(2.0)
-            registry.count("late.retries")
+            retries[0] += 1.0
             yield env.timeout(0.1)
 
         env.process(late_registration())

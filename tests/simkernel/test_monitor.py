@@ -1,10 +1,10 @@
-"""Tally and Counter instrumentation."""
+"""Tally instrumentation."""
 
 import math
 
 import pytest
 
-from repro.simkernel import Counter, Tally
+from repro.simkernel import Tally
 
 
 class TestTally:
@@ -99,25 +99,18 @@ class TestTally:
             t.observe(float(v))
         assert t.summary()["p999"] == pytest.approx(99.901)
 
-
-class TestCounter:
-    def test_incr_and_lookup(self):
-        c = Counter()
-        c.incr("messages")
-        c.incr("messages", 4)
-        c.incr("bytes", 100)
-        assert c["messages"] == 5
-        assert c["bytes"] == 100
-        assert c["missing"] == 0
-
-    def test_items_sorted(self):
-        c = Counter()
-        c.incr("z")
-        c.incr("a")
-        assert [k for k, _ in c.items()] == ["a", "z"]
-
-    def test_clear(self):
-        c = Counter()
-        c.incr("x")
-        c.clear()
-        assert c["x"] == 0
+    def test_weighted_observation_equals_expanded_stream(self):
+        # A collapsed representative observes once with its class size;
+        # the statistics must equal observing every copy.
+        weighted = Tally(keep_samples=True)
+        expanded = Tally(keep_samples=True)
+        for value, weight in ((1.0, 3), (4.0, 1), (2.0, 5)):
+            weighted.observe(value, weight)
+            for _ in range(weight):
+                expanded.observe(value)
+        assert weighted.count == expanded.count == 9
+        assert weighted.total == pytest.approx(expanded.total)
+        assert weighted.mean == pytest.approx(expanded.mean)
+        assert weighted.variance == pytest.approx(expanded.variance)
+        qs = (0.0, 0.25, 0.5, 0.99, 1.0)
+        assert weighted.percentiles(qs) == pytest.approx(expanded.percentiles(qs))

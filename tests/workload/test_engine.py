@@ -259,26 +259,24 @@ class TestBatchLatencies:
         assert sum(w for _, w in points) == 100
 
 
-class TestMetricsSummaryRows:
-    def test_per_class_rows_ride_the_tenant_buckets(self):
-        from repro.metrics import metrics_summary
-
+class TestMetricsViewTheClassTally:
+    def test_export_reads_the_tally_class_rows_reads(self):
         spec = _small_spec(tenants=64, reps=8)
         opts = RunOptions(tenant_collapse=True, metrics=True, trace=False)
         trial = run_workload_trial(workload=spec, n_servers=4, seed=SEED,
                                    options=opts)
         assert trial.metrics is not None
-        summary = metrics_summary(trial.metrics)
-        rows = summary["tenant_classes"]
-        assert set(rows) >= {"meta", "writers"}
+        by_name = {inst["name"]: inst for inst in trial.metrics["instruments"]}
+        e = trial.extra
         for name in ("meta", "writers"):
-            assert rows[name]["ops"] > 0
-            assert rows[name]["latency_p99"] >= rows[name]["latency_p50"] > 0
-        # Data-moving classes also report goodput from the byte buckets.
-        assert rows["writers"]["goodput_mb_s"] > 0
-        # Collapsed representatives weight their samples: the summary ops
-        # count the tenants' operations, not the batched RPCs.
-        assert rows["meta"]["ops"] == trial.extra["wl.meta.ops"]
+            tally = by_name[f"tenant.{name}.latency"]["tally"]
+            # Collapsed representatives weight their samples: the count
+            # is the tenants' operations, not the batched RPCs.
+            assert tally["count"] == e[f"wl.{name}.ops"] > 0
+            assert tally["p50"] == e[f"wl.{name}.latency_p50"]
+            assert tally["p99"] == e[f"wl.{name}.latency_p99"]
+            assert by_name[f"tenant.{name}.bytes"]["final"] == e[f"wl.{name}.bytes"]
+        assert e["wl.writers.bytes"] > 0
 
 
 class TestRevocationStormUnderLoad:
