@@ -77,9 +77,6 @@ def test_trace_overhead(benchmark):
         f"traced {stats['wall_traced_s']:.3f}s "
         f"({stats['overhead_ratio']:.2f}x, {stats['spans']} spans)"
     )
-    from repro.bench import save_json
-
-    save_json("trace_overhead", stats)
     # Tracing observes the simulation; it must not perturb it.
     assert stats["events_plain"] == stats["events_traced"]
     assert stats["sim_seconds_plain"] == pytest.approx(

@@ -4,13 +4,18 @@ The hierarchy mirrors the error classes a real LWFS deployment would
 surface: security failures (authentication, authorization, revocation),
 storage failures (missing objects, out-of-space), naming failures,
 transaction failures, and simulated-infrastructure failures.
+:func:`from_fields` loads a JSON spec into its dataclass and raises
+:class:`ConfigError` for a key the spec does not define.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 __all__ = [
     "ReproError",
     "ConfigError",
+    "from_fields",
     "SecurityError",
     "AuthenticationError",
     "CredentialExpired",
@@ -56,6 +61,18 @@ class ConfigError(ReproError, ValueError):
     Raised before anything is built, so a bad combination fails at
     construction instead of silently falling back.
     """
+
+
+def from_fields(cls, doc: dict):
+    """``cls(**doc)`` for the dataclass *cls*, loaded from a JSON spec.
+
+    A key that names no field of *cls* raises :class:`ConfigError`
+    naming it, so a typo cannot silently leave a field at its default.
+    """
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    return cls(**doc)
 
 
 # -- security -----------------------------------------------------------------

@@ -21,6 +21,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
 
+from ..errors import from_fields
+
 __all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "RetryPolicy", "load_plan"]
 
 #: Fault kinds the injector understands.
@@ -121,20 +123,16 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultPlan":
-        events = tuple(
-            FaultEvent(**{**ev, "targets": tuple(ev.get("targets", ()))})
-            for ev in doc.get("events", ())
-        )
-        retry = doc.get("retry")
-        if isinstance(retry, dict):
-            retry = RetryPolicy(**retry)
-        return cls(
-            events=events,
-            rpc_drop_rate=doc.get("rpc_drop_rate", 0.0),
-            rpc_dup_rate=doc.get("rpc_dup_rate", 0.0),
-            retry=retry,
-            seed=doc.get("seed", 0),
-        )
+        """Load a plan document.  An absent key takes its dataclass
+        default, so a plan without ``retry`` gets :class:`RetryPolicy()`
+        and only an explicit ``"retry": null`` turns retries off.  A key
+        that names no field, in the plan, an event or ``retry``, raises
+        :class:`~repro.errors.ConfigError`."""
+        plan = dict(doc)
+        plan["events"] = tuple(from_fields(FaultEvent, ev) for ev in doc.get("events", ()))
+        if isinstance(doc.get("retry"), dict):
+            plan["retry"] = from_fields(RetryPolicy, doc["retry"])
+        return from_fields(cls, plan)
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

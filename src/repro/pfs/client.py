@@ -16,7 +16,7 @@ bytes itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..machine.node import Node
@@ -138,77 +138,54 @@ class SimPFSClient:
         (file-per-process — sole-writer fast path).
         """
         total = piece_len(data)
-        if self.config.flow and not shared:
+        frags = fh.layout.map_extent(offset, total)
+        if (
+            self.config.flow and not shared
+            and len(frags) > 2 and len({f.ost_index for f in frags}) == 1
+        ):
             # Flow-level path for sole-writer single-OST (file-per-process)
-            # writes: exact first fragment, one fluid stream for the rest.
-            frags = list(fh.layout.map_extent(offset, total))
-            if len(frags) > 2 and len({f.ost_index for f in frags}) == 1:
-                return (yield from self._write_flow(fh, offset, data, weight, total, frags))
-        # A representative keeps the whole class's fragments in flight
-        # (the class collectively had weight * depth outstanding), so the
-        # OSTs its classmates would have kept busy stay busy.
-        yield from pipelined(
-            self.env, weight * self.config.pipeline_depth,
-            (
-                self._write_fragment(
-                    fh, frag,
-                    piece_slice(data, frag.file_offset - offset,
-                                frag.file_offset - offset + frag.length),
-                    weight, shared,
-                )
-                for frag in fh.layout.map_extent(offset, total)
-            ),
-        )
+            # writes: the first fragment exact (VFS call, OST RPC,
+            # extent-lock claim, per-fragment disk write), then every other
+            # fragment in ONE writev-style write whose pull rides a fluid
+            # flow at the OST.
+            first = frags[0]
+            yield from self._write_fragment(
+                fh, first, piece_slice(data, 0, first.length), weight
+            )
+            yield from self._write_fragment(
+                fh, replace(frags[1], length=total - first.length),
+                piece_slice(data, first.length, total), weight, n_chunks=len(frags) - 1,
+            )
+        else:
+            # A representative keeps the whole class's fragments in flight
+            # (the class collectively had weight * depth outstanding), so
+            # the OSTs its classmates would have kept busy stay busy.
+            yield from pipelined(
+                self.env, weight * self.config.pipeline_depth,
+                (
+                    self._write_fragment(
+                        fh, frag,
+                        piece_slice(data, frag.file_offset - offset,
+                                    frag.file_offset - offset + frag.length),
+                        weight, shared,
+                    )
+                    for frag in frags
+                ),
+            )
         end = offset + total
         if end > fh.inode.size:
             fh.inode.size = end
         self.bytes_written += total
         return total
 
-    def _write_flow(self, fh, offset, data, weight, total, frags):
-        """Flow-level file-per-process write.
-
-        The first fragment pays the exact chunked path (VFS call, OST
-        RPC, extent-lock claim, per-fragment disk write); the remaining
-        fragments go through one ``write_stream`` RPC — a single writev-
-        style call whose bulk pull rides a fluid flow at the OST.
-        """
-        first = frags[0]
-        piece = piece_slice(data, 0, first.length)
-        yield from self._vfs()
-        ost = fh.layout.osts[first.ost_index]
-        yield from posted(
-            self.portals, MemoryDescriptor(length=first.length, payload=piece),
-            self._ost, ost, "write",
-            ino=fh.inode.ino, stripe_index=first.ost_index,
-            offset=first.object_offset, length=first.length,
-            client_id=self.node.node_id, weight=weight, shared=False,
-        )
-
-        rest = piece_slice(data, first.length, total)
-        length = total - first.length
-        yield from self._vfs()
-        yield from posted(
-            self.portals, MemoryDescriptor(length=length, payload=rest),
-            self._ost, ost, "write_stream",
-            ino=fh.inode.ino, stripe_index=first.ost_index,
-            offset=frags[1].object_offset, length=length, n_chunks=len(frags) - 1,
-            client_id=self.node.node_id, weight=weight,
-        )
-        end = offset + total
-        if end > fh.inode.size:
-            fh.inode.size = end
-        self.bytes_written += total
-        return total
-
-    def _write_fragment(self, fh, frag, piece, weight=1, shared=False):
+    def _write_fragment(self, fh, frag, piece, weight=1, shared=False, n_chunks=1):
         yield from self._vfs()
         yield from posted(
             self.portals, MemoryDescriptor(length=frag.length, payload=piece),
             self._ost, fh.layout.osts[frag.ost_index], "write",
             ino=fh.inode.ino, stripe_index=frag.ost_index,
             offset=frag.object_offset, length=frag.length,
-            client_id=self.node.node_id, weight=weight, shared=shared,
+            client_id=self.node.node_id, weight=weight, shared=shared, n_chunks=n_chunks,
         )
 
     def read(self, fh: PFSFileHandle, offset: int, length: int, weight: int = 1):

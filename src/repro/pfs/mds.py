@@ -112,17 +112,12 @@ class SimMDS(_SimServerBase):
                 yield from self.device.meta_op()
                 return self.namespace.unlink(path)
 
-        def list_dir(ctx, path):
-            yield from self.cpu("lookup", costs.mds_lookup)
-            return self.namespace.list_dir(path)
-
         reg("create", create)
         reg("open", open_)
         reg("close", close)
         reg("set_size", set_size)
         reg("stat", stat)
         reg("unlink", unlink)
-        reg("list_dir", list_dir)
 
     def _create_tail(self, n_units: int):
         """The rest of a collapsed class's creates, one MDS unit each."""

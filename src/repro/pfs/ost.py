@@ -87,17 +87,29 @@ class SimOST(_DataServer):
         reg = self.rpc.register
 
         def write(ctx, ino, stripe_index, offset, length, data_node, data_bits, client_id,
-                  weight=1, shared=False):
+                  weight=1, shared=False, n_chunks=1):
             """``weight`` > 1 (symmetric-client collapsing): this request
             stands for *weight* clients' equivalent fragments.  ``shared``
             says whether those clients write the *same* object (shared
             file: the class members contend on the extent lock among
             themselves, so the write is forced onto the contended path
             with *weight* ownership switches) or each their own object
-            (file-per-process: sole-writer streaming, scaled bytes)."""
-            yield from self.cpu("req", weight * costs.ost_request_cpu)
+            (file-per-process: sole-writer streaming, scaled bytes).
+
+            ``n_chunks`` > 1 (flow-level data path): the request carries
+            the steady-state middle of a sole-writer write, *n_chunks*
+            fragments' worth, pulled as ONE fluid flow.  The PFS client
+            sends one only for unshared single-OST layouts, so a contended
+            object here means the gating broke; fail loudly rather than
+            mis-model it."""
+            yield from self.cpu("req", weight * n_chunks * costs.ost_request_cpu)
             key = (ino, stripe_index)
             sole = self._sole_writer(key, client_id)
+            if n_chunks > 1 and not sole:
+                raise NetworkError(
+                    f"{n_chunks}-chunk write on contended object {key} "
+                    f"(owner {self._owners.get(key)})"
+                )
             if sole and not (shared and weight > 1):
                 # Sole-writer fast path: the LWFS discipline.
                 self._owners[key] = client_id
@@ -105,7 +117,10 @@ class SimOST(_DataServer):
                 with self.threads.request() as thread:
                     yield thread
                     self._waited(t_wait, "threads")
-                    data = yield from self._pull(length, data_node, data_bits, weight)
+                    data = yield from (
+                        self._pull(length, data_node, data_bits, weight) if n_chunks == 1
+                        else self._pull_stream(length, n_chunks, data_node, data_bits, weight)
+                    )
                     self.store.write(key, offset, data)
                 return {"status": "ok", "written": length}
 
@@ -144,30 +159,6 @@ class SimOST(_DataServer):
                 self.store.write(key, offset, data)
             return {"status": "ok", "written": length}
 
-        def write_stream(ctx, ino, stripe_index, offset, length, n_chunks, data_node,
-                         data_bits, client_id, weight=1):
-            """The steady-state middle of a sole-writer (file-per-process)
-            write as ONE fluid flow — the PFS mirror of the LWFS server's
-            ``write_stream``.  The PFS client only takes this path for
-            unshared single-OST layouts, so a contended object here means
-            the gating broke; fail loudly rather than mis-model it."""
-            yield from self.cpu("req", weight * n_chunks * costs.ost_request_cpu)
-            key = (ino, stripe_index)
-            if not self._sole_writer(key, client_id):
-                raise NetworkError(
-                    f"write_stream on contended object {key} (owner {self._owners.get(key)})"
-                )
-            self._owners[key] = client_id
-            t_wait = self.env._now
-            with self.threads.request() as thread:
-                yield thread
-                self._waited(t_wait, "threads")
-                data = yield from self._pull_stream(
-                    length, n_chunks, data_node, data_bits, weight
-                )
-                self.store.write(key, offset, data)
-            return {"status": "ok", "written": length}
-
         def read(ctx, ino, stripe_index, offset, length, data_node, data_bits, weight=1):
             """``weight`` > 1 (collapsing): the read stands for *weight*
             clients' identical fragments — seeks, disk bytes, CPU, and
@@ -188,14 +179,6 @@ class SimOST(_DataServer):
             yield from self.device.sync(ops=weight)
             return True
 
-        def truncate(ctx, ino, stripe_index, length):
-            yield from self.cpu("req", costs.ost_request_cpu)
-            key = (ino, stripe_index)
-            if self.store.exists(key):
-                yield from self.device.meta_op()
-                self.store.truncate(key, length)
-            return True
-
         def destroy(ctx, ino, stripe_index):
             yield from self.cpu("req", costs.ost_request_cpu)
             key = (ino, stripe_index)
@@ -207,8 +190,6 @@ class SimOST(_DataServer):
             return True
 
         reg("write", write)
-        reg("write_stream", write_stream)
         reg("read", read)
         reg("sync", sync)
-        reg("truncate", truncate)
         reg("destroy", destroy)

@@ -229,58 +229,36 @@ class SimLWFSClient:
             and self.deployment.server_directed
             and total > 2 * chunk
         ):
-            # Flow-level path: first chunk exact (RPC round, capability
-            # verify, portals pull, per-chunk disk write), steady-state
-            # remainder as one fluid stream.  Syncs/commits stay exact.
-            return (
-                yield from self._write_flow(
-                    cap, oid, data, offset, txnid, weight, total, chunk, cap_weight
-                )
+            # Flow-level path: the first chunk exact (RPC round, capability
+            # verify, portals pull, per-chunk disk write), then every other
+            # chunk in ONE write whose pull rides a fluid flow at the
+            # server.  Syncs/commits stay exact.
+            yield from self._write_chunk(
+                cap, oid, offset, piece_slice(data, 0, chunk), txnid, weight,
+                cap_weight=cap_weight,
             )
-        # A representative keeps the whole class's chunks in flight: the
-        # class collectively had weight * depth outstanding requests.
-        yield from pipelined(
-            self.env, weight * self.config.pipeline_depth,
-            (
-                self._write_chunk(
-                    cap, oid, offset + pos, piece_slice(data, pos, min(pos + chunk, total)),
-                    txnid, weight, defer, cap_weight,
-                )
-                for pos in range(0, total, chunk)
-            ),
-        )
-        self.bytes_written += total
-        return total
-
-    def _write_flow(self, cap, oid, data, offset, txnid, weight, total, chunk, cap_weight=None):
-        """Write via the flow engine: exact first chunk + one bulk stream.
-
-        The first chunk pays the full chunked path (so the verify-cache
-        miss, match-entry setup, and first controller hold land exactly
-        where they would have); the remaining ``total - chunk`` bytes go
-        through a single ``write_stream`` RPC whose bulk pull rides a
-        fluid flow at the server.
-        """
-        first = piece_slice(data, 0, chunk)
-        yield from self._write_chunk(
-            cap, oid, offset, first, txnid, weight, cap_weight=cap_weight
-        )
-
-        rest = piece_slice(data, chunk, total)
-        length = total - chunk
-        n_chunks = (length + chunk - 1) // chunk
-        node_id, svc = self._storage(oid.server_hint)
-        yield from posted(
-            self.portals, MemoryDescriptor(length=length, payload=rest),
-            self._call, node_id, svc, "write_stream",
-            cap=cap, oid=oid, offset=offset + chunk, length=length,
-            n_chunks=n_chunks, txnid=txnid, weight=weight, cap_weight=cap_weight,
-        )
+            yield from self._write_chunk(
+                cap, oid, offset + chunk, piece_slice(data, chunk, total), txnid, weight,
+                cap_weight=cap_weight, n_chunks=(total - 1) // chunk,
+            )
+        else:
+            # A representative keeps the whole class's chunks in flight: the
+            # class collectively had weight * depth outstanding requests.
+            yield from pipelined(
+                self.env, weight * self.config.pipeline_depth,
+                (
+                    self._write_chunk(
+                        cap, oid, offset + pos, piece_slice(data, pos, min(pos + chunk, total)),
+                        txnid, weight, defer, cap_weight,
+                    )
+                    for pos in range(0, total, chunk)
+                ),
+            )
         self.bytes_written += total
         return total
 
     def _write_chunk(self, cap, oid, offset, piece, txnid, weight=1, defer=False,
-                     cap_weight=None):
+                     cap_weight=None, n_chunks=1):
         node_id, svc = self._storage(oid.server_hint)
         length = piece_len(piece)
         if self.deployment.server_directed:
@@ -288,7 +266,7 @@ class SimLWFSClient:
                 self.portals, MemoryDescriptor(length=length, payload=piece),
                 self._call, node_id, svc, "write",
                 cap=cap, oid=oid, offset=offset, length=length, txnid=txnid,
-                weight=weight, defer=defer, cap_weight=cap_weight,
+                weight=weight, defer=defer, cap_weight=cap_weight, n_chunks=n_chunks,
             )
             return
         # Client-push ablation: ship data with the request; on buffer

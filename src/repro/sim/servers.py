@@ -562,11 +562,17 @@ class SimStorageServer(_DataServer):
             return True
 
         def write(ctx, cap, oid, offset, length, data_node=None, data_bits=None, data=None,
-                  txnid=None, weight=1, defer=False, cap_weight=None):
+                  txnid=None, weight=1, defer=False, cap_weight=None, n_chunks=1):
             """One bulk write.  Server-directed: ``data`` is None and the
             server pulls from the client's (data_node, data_bits) match
             entry when resources allow.  Client-push ablation: ``data``
             rode along with the request.
+
+            ``n_chunks`` > 1 (flow-level data path): the request carries
+            the steady-state middle of a bulk write, *n_chunks* chunks'
+            worth; request CPU is charged for every chunk up front, one
+            thread covers them all and the pull is ONE fluid flow
+            (:meth:`_DataServer._pull_stream`).
 
             ``weight`` > 1 (collapsing): the request stands for *weight*
             clients' identical chunks — the pull serializes weight*length
@@ -587,7 +593,7 @@ class SimStorageServer(_DataServer):
                     self._data_residual("write", weight - 1, length), name="write-residual"
                 )
                 weight = 1
-            yield from self.cpu("write_req", weight * costs.request_cpu)
+            yield from self.cpu("write_req", weight * n_chunks * costs.request_cpu)
 
             if data is None and not self.server_directed:
                 raise NetworkError("push-mode server got no inline data")
@@ -597,7 +603,10 @@ class SimStorageServer(_DataServer):
                 yield thread
                 self._waited(t_wait, "threads")
                 if self.server_directed:
-                    data = yield from self._pull(length, data_node, data_bits, weight)
+                    data = yield from (
+                        self._pull(length, data_node, data_bits, weight) if n_chunks == 1
+                        else self._pull_stream(length, n_chunks, data_node, data_bits, weight)
+                    )
                 else:
                     # Push mode: the data already burned wire + buffer space.
                     if not _try_reserve(self.buffers, length):
@@ -606,30 +615,6 @@ class SimStorageServer(_DataServer):
                         return {"status": "again"}
                     yield from self.device.write(weight * length)
                     self.buffers.put(length)
-                self.svc.write(cap, oid, offset, data, txnid=txnid)
-            return {"status": "ok", "written": length}
-
-        def write_stream(ctx, cap, oid, offset, length, n_chunks, data_node, data_bits,
-                         txnid=None, weight=1, cap_weight=None):
-            """The steady-state middle of a bulk write as ONE fluid flow
-            (flow-level data path; see :meth:`_DataServer._pull_stream`).
-            Request CPU for all ``n_chunks`` is charged up front and one
-            thread covers the stream.  ``weight`` mirrors :func:`write`
-            (collapsed equivalence class)."""
-            if not self.server_directed:
-                raise NetworkError("write_stream requires server-directed mode")
-            yield from self._authorize(
-                cap, OpMask.WRITE, self._cid_of(oid), weight=weight, cap_weight=cap_weight
-            )
-            yield from self.cpu("write_req", weight * n_chunks * costs.request_cpu)
-
-            t_wait = self.env._now
-            with self.threads.request() as thread:
-                yield thread
-                self._waited(t_wait, "threads")
-                data = yield from self._pull_stream(
-                    length, n_chunks, data_node, data_bits, weight
-                )
                 self.svc.write(cap, oid, offset, data, txnid=txnid)
             return {"status": "ok", "written": length}
 
@@ -746,7 +731,6 @@ class SimStorageServer(_DataServer):
         reg("create", create)
         reg("remove", remove)
         reg("write", write)
-        reg("write_stream", write_stream)
         reg("read", read)
         reg("sync", sync)
         reg("filter", filter_object)
@@ -788,15 +772,6 @@ class SimNamingServer(_SimServerBase):
             yield from self.cpu("name", costs.name_op_cpu)
             return self.svc.lookup(path)
 
-        def list_dir(ctx, path):
-            yield from self.cpu("name", costs.name_op_cpu)
-            return self.svc.list_dir(path)
-
-        def remove_name(ctx, path):
-            yield from self.cpu("name", costs.name_op_cpu)
-            self.svc.remove_name(path)
-            return True
-
         def txn_begin(ctx, txnid):
             yield from self.cpu("txn", costs.txn_op_cpu)
             self.svc.txn_begin(txnid)
@@ -818,8 +793,6 @@ class SimNamingServer(_SimServerBase):
 
         reg("create_name", create_name)
         reg("lookup", lookup)
-        reg("list_dir", list_dir)
-        reg("remove_name", remove_name)
         reg("txn_begin", txn_begin)
         reg("txn_prepare", txn_prepare)
         reg("txn_commit", txn_commit)

@@ -21,6 +21,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+from ...errors import from_fields
 from ...units import GiB, KiB, MiB
 
 __all__ = ["TIER_MODES", "TIER_PLACEMENTS", "TierSpec", "load_tiers", "save_tiers"]
@@ -82,11 +83,7 @@ class TierSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TierSpec":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown TierSpec fields: {sorted(unknown)}")
-        return cls(**doc)
+        return from_fields(cls, doc)
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -9,13 +9,18 @@ Contract under test:
 * flow trials advertise themselves (``flows_active``,
   ``rate_recomputes``) so downstream tooling can tell approximation from
   measurement;
-* the weighted stream path composes with symmetric-client collapsing.
+* the weighted stream path composes with symmetric-client collapsing;
+* a flow-mode dump is one operation: the exact first chunk and then ONE
+  ``write`` that carries the other chunks' count.
 """
+
+from collections import defaultdict
 
 import pytest
 
 from repro.bench import run_checkpoint_trial
 from repro.machine import red_storm
+from repro.network.rpc import RpcClient, RpcService
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
@@ -99,3 +104,38 @@ class TestFlowApproximation:
         )
         assert flow.max_elapsed == exact.max_elapsed
         assert flow.extra["events_processed"] == exact.extra["events_processed"]
+
+
+class TestOneWriteForm:
+    @pytest.mark.parametrize("impl", FLOW_IMPLS)
+    def test_each_rank_dumps_in_two_writes(self, impl, monkeypatch):
+        """Each rank's 8-chunk dump reaches its server as two ``write``
+        requests, of 1 and 7 chunks; no service has a second write form."""
+        writes = defaultdict(list)  # (rank node, service, object) -> ops
+        services = []
+        call, start = RpcClient.call, RpcService.start
+
+        def spy_call(self, target_node, service, op, *args, **kwargs):
+            if "write" in op:
+                key = (self.node.node_id, service, kwargs.get("oid", kwargs.get("ino")))
+                writes[key].append((op, kwargs.get("n_chunks", 1), kwargs["length"]))
+            return call(self, target_node, service, op, *args, **kwargs)
+
+        def spy_start(self):
+            services.append(self)
+            return start(self)
+
+        monkeypatch.setattr(RpcClient, "call", spy_call)
+        monkeypatch.setattr(RpcService, "start", spy_start)
+        run_checkpoint_trial(impl, 8, 4, seed=3, state_bytes=STATE,
+                             options=RunOptions(flow=True))
+
+        # A rank's dump is the object its writes fill with STATE bytes
+        # (LWFS also writes the checkpoint's small metadata object).
+        dumps = {key: ops for key, ops in writes.items()
+                 if sum(length for _, _, length in ops) == STATE}
+        assert len({node for node, _, _ in dumps}) == len(dumps) == 8
+        for ops in dumps.values():
+            assert [(op, n_chunks) for op, n_chunks, _ in ops] == [("write", 1), ("write", 7)]
+        assert services
+        assert not [svc.name for svc in services if "write_stream" in svc.handlers]

@@ -1,9 +1,11 @@
 """FaultPlan schedules: validation, JSON round-trip, stable hashing."""
 
 import json
+import re
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.faults import FAULT_KINDS, FaultEvent, FaultPlan, RetryPolicy, load_plan
 
 
@@ -88,8 +90,21 @@ class TestRoundTrip:
                                    "target": "stor0"}]}, fh)
         plan = load_plan(path)
         assert plan.rpc_drop_rate == 0.0
-        assert plan.retry is None
+        assert plan.retry == RetryPolicy()
         assert plan.events[0].duration == 0.0  # permanent crash
+
+    def test_explicit_null_retry_turns_retries_off(self):
+        assert FaultPlan.from_dict({"retry": None}).retry is None
+
+    @pytest.mark.parametrize("doc,names", [
+        ({"retries": {"attempts": 3}}, "FaultPlan fields: ['retries']"),
+        ({"events": [{"kind": "server_crash", "at": 0.1, "tagret": "stor0"}]},
+         "FaultEvent fields: ['tagret']"),
+        ({"retry": {"attempt": 3}}, "RetryPolicy fields: ['attempt']"),
+    ])
+    def test_unknown_keys_are_named(self, doc, names):
+        with pytest.raises(ConfigError, match=re.escape(names)):
+            FaultPlan.from_dict(doc)
 
 
 class TestSignature:

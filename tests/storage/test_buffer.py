@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import run_checkpoint_trial
 from repro.bench.executor import BUFFER_MIN_SPEEDUP, _buffer_grid, run_trials
+from repro.errors import ConfigError
 from repro.sim.config import RunOptions
 from repro.storage.buffer import TIER_MODES, TIER_PLACEMENTS, TierSpec, load_tiers, save_tiers
 from repro.units import KiB, MiB, GiB
@@ -52,7 +53,7 @@ class TestTierSpec:
         assert spec.signature() != TierSpec(mode="hostlog").signature()
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(ConfigError, match=r"unknown TierSpec fields: \['nodes'\]"):
             TierSpec.from_dict({"mode": "buffer", "nodes": 4})
 
     def test_file_roundtrip(self, tmp_path):
