@@ -98,11 +98,11 @@ def create_spec(impl: str, n_clients: int, n_servers: int, seed: int, **params) 
 def workload_spec(workload, n_servers: int, seed: int, **params) -> TrialSpec:
     """An open-loop multi-tenant traffic trial (figure of merit: ops/s).
 
-    ``workload`` is a :class:`~repro.workload.WorkloadSpec`, a JSON path,
-    or a spec document.  A path or a document is loaded here, so the
-    trial-cache key holds the mix's content, never a file name, and a
-    cached outcome never answers for a different mix.  ``n_clients``
-    records the simulated tenant population, not a session count.
+    ``workload`` is a :class:`~repro.workload.WorkloadSpec` or a JSON
+    path.  A path is loaded here, so the trial-cache key holds the mix's
+    content, never a file name, and a cached outcome never answers for a
+    different mix.  ``n_clients`` records the simulated tenant
+    population, not a session count.
     """
     from ..workload.spec import as_workload
 

@@ -535,15 +535,15 @@ def run_workload_trial(
 ) -> TrialResult:
     """One open-loop traffic trial (:mod:`repro.workload`, ``impl="lwfs"``).
 
-    ``workload`` is a :class:`~repro.workload.WorkloadSpec`, a JSON path,
-    or a plain spec document (dict).  ``options.tenant_collapse``
-    selects the collapsed or the uncollapsed reference population; the
-    figure of merit is completed operations/second over the measured
-    window.  The other options behave as in :func:`run_checkpoint_trial`,
-    except two that raise :class:`~repro.errors.ConfigError` before
-    anything is built: ``collapse`` (workload trials collapse tenants
-    through ``tenant_collapse``) and a ``tiers`` spec (the buffer tier
-    fronts checkpoint dumps).
+    ``workload`` is a :class:`~repro.workload.WorkloadSpec` or a JSON
+    path.  ``options.tenant_collapse`` selects the collapsed or the
+    uncollapsed reference population; the figure of merit is completed
+    operations/second over the measured window.  The other options
+    behave as in :func:`run_checkpoint_trial`, except two that raise
+    :class:`~repro.errors.ConfigError` before anything is built:
+    ``collapse`` (workload trials collapse tenants through
+    ``tenant_collapse``) and a ``tiers`` spec (the buffer tier fronts
+    checkpoint dumps).
     """
     # Imported here: repro.workload re-exports this function from this module.
     from ..workload.engine import WorkloadEngine, auto_representatives

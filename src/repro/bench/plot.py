@@ -7,7 +7,7 @@ the thing the reproduction is about — is visible at a glance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .harness import SweepPoint
 

@@ -13,7 +13,7 @@ See :mod:`repro.faults.plan` for the schedule format and
 """
 
 from .inject import FaultInjector
-from .plan import FAULT_KINDS, FaultEvent, FaultPlan, RetryPolicy, load_plan
+from .plan import FAULT_KINDS, FaultEvent, FaultPlan, RetryPolicy
 
 __all__ = [
     "FAULT_KINDS",
@@ -21,5 +21,4 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "RetryPolicy",
-    "load_plan",
 ]

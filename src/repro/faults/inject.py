@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..errors import ServerCrashed
+from ..errors import ConfigError, ServerCrashed
 from .plan import FaultPlan
 
 __all__ = ["FaultInjector"]
@@ -66,7 +66,14 @@ class FaultInjector:
 
     # -- installation --------------------------------------------------------
     def install(self) -> "FaultInjector":
-        """Attach to the environment and launch the scheduled events."""
+        """Attach to the environment and launch the scheduled events.
+
+        Every event's target is checked against the deployment first, so
+        a plan that names a server or node the run lacks raises
+        :class:`~repro.errors.ConfigError` before anything is scheduled.
+        """
+        for i, ev in enumerate(self.plan.events):
+            self._check_targets(i, ev)
         self.env.faults = self
         runners = {
             "server_crash": self._crash_proc,
@@ -96,19 +103,28 @@ class FaultInjector:
             servers[f"buf{i}"] = srv
         return servers
 
-    def _resolve(self, target: str):
-        try:
-            return self._servers[target]
-        except KeyError:
-            raise ValueError(
-                f"fault target {target!r} not in this deployment "
-                f"(known: {sorted(self._servers)})"
-            ) from None
+    def _check_targets(self, i: int, ev) -> None:
+        """Raise :class:`ConfigError` unless every target of *ev* is in
+        this run.  A revocation storm always storms the authorization
+        service (or records a skip), so its target goes unchecked."""
+        if ev.kind == "revoke_storm":
+            return
+        links = ev.kind in ("link_degrade", "partition")
+        servers = sorted(name for name, srv in self._servers.items()
+                         if ev.kind != "disk_stall" or hasattr(srv, "device"))
+        for target in ev.targets if ev.kind == "partition" else (ev.target,):
+            nid = target[5:] if links and target.startswith("node:") else ""
+            if target in servers or (nid.isdecimal() and int(nid) < self.cluster.n_nodes):
+                continue
+            nodes = f"node:<id> below {self.cluster.n_nodes} or " if links else ""
+            disk = " with a RAID device" if ev.kind == "disk_stall" else ""
+            raise ConfigError(f"fault plan event {i} ({ev.kind} at {ev.at} s): "
+                              f"target {target!r} is not a {nodes}server{disk} in {servers}")
 
     def _node_id_of(self, target: str) -> int:
         if target.startswith("node:"):
             return int(target[5:])
-        return self._resolve(target).node.node_id
+        return self._servers[target].node.node_id
 
     # -- bookkeeping ---------------------------------------------------------
     def _record(self, kind: str, target: str, action: str, **detail) -> None:
@@ -211,7 +227,7 @@ class FaultInjector:
     # -- scheduled fault processes -------------------------------------------
     def _crash_proc(self, ev):
         yield self.env.timeout(ev.at)
-        node = self._resolve(ev.target).node
+        node = self._servers[ev.target].node
         # A node may host several servers (two OSTs per I/O node on the
         # dev cluster): the crash takes them all down, and the restart
         # must bring them all back.
@@ -245,7 +261,7 @@ class FaultInjector:
 
     def _stall_proc(self, ev):
         yield self.env.timeout(ev.at)
-        device = self._resolve(ev.target).device
+        device = self._servers[ev.target].device
         self._record("disk_stall", ev.target, "inject", duration=ev.duration)
         self._fault_begin()
         # Occupy the RAID controller: queued ops (and new stream

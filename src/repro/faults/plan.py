@@ -8,22 +8,21 @@ whose decisions are drawn from dedicated RNG substreams.  Two runs of the
 same spec with the same plan therefore produce identical fault logs and
 identical timelines — faults are part of the experiment, not noise.
 
-Plans round-trip through JSON (``--faults plan.json`` on the CLI,
-``RunOptions(faults="plan.json")`` in code) and hash stably via
+Plans are :class:`~repro.jsonspec.JsonSpec` documents
+(``--faults plan.json`` on the CLI, ``RunOptions(faults="plan.json")``
+or ``FaultPlan.load(path)`` in code) and hash stably via
 :meth:`FaultPlan.signature`, which the bench trial cache folds into its
 key so a fault-free cached outcome can never answer for a faulted spec.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..errors import from_fields
+from ..jsonspec import JsonSpec
 
-__all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "RetryPolicy", "load_plan"]
+__all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "RetryPolicy"]
 
 #: Fault kinds the injector understands.
 FAULT_KINDS = (
@@ -36,7 +35,7 @@ FAULT_KINDS = (
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(JsonSpec):
     """Client-side RPC retry: exponential backoff with jitter.
 
     Active only while a fault plan is installed; the fault-free path never
@@ -58,10 +57,12 @@ class RetryPolicy:
             raise ValueError("need 0 <= base_delay <= max_delay")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
+        if self.timeout is not None and not self.timeout > 0:
+            raise ValueError("retry timeout must be > 0 (None keeps the per-call timeout)")
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(JsonSpec):
     """One scheduled fault.
 
     ``target`` names a server the way clients address it: ``stor0``,
@@ -91,16 +92,17 @@ class FaultEvent:
             raise ValueError("link_degrade factor must be in (0, 1]")
         if self.kind == "partition" and not self.targets:
             raise ValueError("partition needs a non-empty targets group")
-        object.__setattr__(self, "targets", tuple(self.targets))
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(JsonSpec):
     """A full fault schedule for one trial.
 
     ``rpc_drop_rate`` / ``rpc_dup_rate`` are per-request probabilities;
     each decision draws from a substream salted with ``seed``, so the
-    stochastic faults are as reproducible as the scheduled ones.
+    stochastic faults are as reproducible as the scheduled ones.  A
+    document without ``retry`` gets :class:`RetryPolicy()`; only an
+    explicit ``"retry": null`` turns retries off.
     """
 
     events: Tuple[FaultEvent, ...] = ()
@@ -114,38 +116,3 @@ class FaultPlan:
         for rate, name in ((self.rpc_drop_rate, "rpc_drop_rate"), (self.rpc_dup_rate, "rpc_dup_rate")):
             if not 0 <= rate < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
-
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["events"] = [asdict(ev) for ev in self.events]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FaultPlan":
-        """Load a plan document.  An absent key takes its dataclass
-        default, so a plan without ``retry`` gets :class:`RetryPolicy()`
-        and only an explicit ``"retry": null`` turns retries off.  A key
-        that names no field, in the plan, an event or ``retry``, raises
-        :class:`~repro.errors.ConfigError`."""
-        plan = dict(doc)
-        plan["events"] = tuple(from_fields(FaultEvent, ev) for ev in doc.get("events", ()))
-        if isinstance(doc.get("retry"), dict):
-            plan["retry"] = from_fields(RetryPolicy, doc["retry"])
-        return from_fields(cls, plan)
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def signature(self) -> str:
-        """Stable content hash: part of the trial cache key."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def load_plan(path: str) -> FaultPlan:
-    """Read a :class:`FaultPlan` from a JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        return FaultPlan.from_dict(json.load(fh))

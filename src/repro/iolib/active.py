@@ -20,9 +20,8 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from ..errors import StorageError
-from ..lwfs.capabilities import OpMask
 from ..lwfs.storage_svc import StorageService
-from ..storage.data import piece_bytes, piece_len
+from ..storage.data import piece_bytes
 
 __all__ = ["FILTER_REGISTRY", "register_filter", "run_filter", "attach_filter_support"]
 

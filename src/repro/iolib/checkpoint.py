@@ -21,8 +21,8 @@ plot (the application reports the max over ranks).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..lwfs.capabilities import OpMask
 from ..lwfs.ids import ObjectID

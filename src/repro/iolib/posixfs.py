@@ -24,8 +24,8 @@ file's lock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..errors import NameExists, NamingError, NoSuchFile, PFSError
 from ..lwfs.capabilities import OpMask

@@ -17,7 +17,6 @@ clock and tests can use a manual clock.
 from __future__ import annotations
 
 import hmac
-import secrets
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 

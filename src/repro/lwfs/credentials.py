@@ -11,7 +11,7 @@ entity able to verify it.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ids import UserID
 

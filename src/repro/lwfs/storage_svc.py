@@ -23,7 +23,7 @@ from ..errors import (
     TransactionError,
 )
 from ..storage.data import Piece, piece_len
-from ..storage.obd import ObjectStore, StorageObject
+from ..storage.obd import ObjectStore
 from .authz import VerifiedCap
 from .capabilities import Capability, OpMask
 from .ids import ContainerID, ObjectID, TxnID
@@ -163,9 +163,9 @@ class StorageService:
         self.clock = clock
         self.cache = VerifyCache(enabled=cache_enabled)
         #: serials verified out-of-band by an embedding that does its own
-        #: wire verification (the simulated server with caching disabled
-        #: re-verifies remotely on *every* request; this set only hands the
-        #: structural-enforcement result back in).
+        #: wire verification and cache lookup (the simulated server, which
+        #: with caching disabled re-verifies remotely on *every* request);
+        #: :meth:`authorize` answers them without a second lookup.
         self._preauthorized: set = set()
         self.enforce = enforce
         self._oid_counter = itertools.count(1)
@@ -178,6 +178,9 @@ class StorageService:
 
         Checks, in order: structural grant, container match, verify cache,
         then (on a miss) the verifier.  The sequence matches Figure 4b.
+        Without a verifier, a serial the embedding already verified
+        (``_preauthorized``) passes before the cache: the embedding made
+        the request's one counted lookup.
         """
         if not self.enforce:
             return
@@ -192,12 +195,12 @@ class StorageService:
         if self.shared_secret is not None:
             self._verify_shared_key(cap)
             return
+        if self.verifier is None and cap.serial in self._preauthorized:
+            return
         now = self.clock() if self.clock is not None else None
         if self.cache.lookup(cap, now) is not None:
             return
         if self.verifier is None:
-            if cap.serial in self._preauthorized:
-                return
             raise AuthorizationError(
                 f"server {self.server_id}: capability not cached and no verifier wired"
             )

@@ -6,7 +6,6 @@ Only latency depends on hop count in our model (per Table 2: "MPI Latency
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 __all__ = ["Topology", "Crossbar", "Mesh3D", "make_topology"]

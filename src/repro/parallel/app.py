@@ -8,7 +8,7 @@ nodes host multiple client processes") and runs one generator per rank.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..machine.node import Node
 from ..simkernel import Environment

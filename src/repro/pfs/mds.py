@@ -8,13 +8,13 @@ centralized metadata server are inherently unscalable".
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from ..errors import FileExists, PFSError
+from ..errors import PFSError
 from ..machine.node import Node
 from ..simkernel import Resource
 from ..storage.device import RaidDevice
-from .file import Inode, OpenFlags, PFSNamespace
+from .file import OpenFlags, PFSNamespace
 from .striping import StripeLayout
 
 __all__ = ["SimMDS"]

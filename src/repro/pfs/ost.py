@@ -19,7 +19,7 @@ any of this.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
 from ..errors import NetworkError
 from ..lwfs.ids import ContainerID

@@ -138,13 +138,13 @@ class RunOptions:
     #: :meth:`resolved` raise :class:`ConfigError`.
     metrics_period: Optional[float] = None
     #: A :class:`repro.faults.FaultPlan` (or a JSON path, or ``None`` for
-    #: a clean run).  A string resolves through
-    #: :func:`repro.faults.load_plan`, and :meth:`describe` folds the
-    #: plan's content signature into the trial-cache key.
+    #: a clean run).  A string resolves through ``FaultPlan.load``, and
+    #: :meth:`describe` folds the plan's content signature into the
+    #: trial-cache key.
     faults: Optional[object] = None
     #: A :class:`repro.storage.buffer.TierSpec` (or a JSON path, or
     #: ``None`` for the direct-to-OST path).  Follows the ``faults``
-    #: pattern through :func:`repro.storage.buffer.load_tiers`.
+    #: pattern through ``TierSpec.load``.
     tiers: Optional[object] = None
 
     def resolved(self) -> "RunOptions":
@@ -161,13 +161,13 @@ class RunOptions:
             )
         faults, tiers = self.faults, self.tiers
         if isinstance(faults, str):
-            from ..faults.plan import load_plan
+            from ..faults.plan import FaultPlan
 
-            faults = load_plan(faults)
+            faults = FaultPlan.load(faults)
         if isinstance(tiers, str):
-            from ..storage.buffer.tier import load_tiers
+            from ..storage.buffer.tier import TierSpec
 
-            tiers = load_tiers(tiers)
+            tiers = TierSpec.load(tiers)
         return replace(self, faults=faults, tiers=tiers)
 
     def describe(self) -> dict:

@@ -7,14 +7,12 @@ backpressure, crash recovery) are pinned by
 """
 
 from .node import BufferNode, BufferTierRuntime, Extent
-from .tier import TIER_MODES, TIER_PLACEMENTS, TierSpec, load_tiers, save_tiers
+from .tier import TIER_MODES, TIER_PLACEMENTS, TierSpec
 
 __all__ = [
     "TIER_MODES",
     "TIER_PLACEMENTS",
     "TierSpec",
-    "load_tiers",
-    "save_tiers",
     "BufferNode",
     "BufferTierRuntime",
     "Extent",

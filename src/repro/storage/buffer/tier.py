@@ -8,23 +8,22 @@ background drainer flushes absorbed extents to LWFS objects / Lustre
 OSTs.  A run without a tier says ``tiers=None``; it takes the
 direct-to-OST path.
 
-Specs round-trip through JSON (``--tiers tiers.json`` on the CLI,
-``RunOptions(tiers="tiers.json")`` in code) and hash stably via
-:meth:`TierSpec.signature`, which the bench trial cache folds into its
-key so a direct-path cached outcome can never answer for a buffered
-spec.  The schema mirrors :class:`repro.faults.FaultPlan`.
+Specs are :class:`~repro.jsonspec.JsonSpec` documents, like
+:class:`repro.faults.FaultPlan` (``--tiers tiers.json`` on the CLI,
+``RunOptions(tiers="tiers.json")`` or ``TierSpec.load(path)`` in code),
+and hash stably via :meth:`TierSpec.signature`, which the bench trial
+cache folds into its key so a direct-path cached outcome can never
+answer for a buffered spec.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from ...errors import from_fields
+from ...jsonspec import JsonSpec
 from ...units import GiB, KiB, MiB
 
-__all__ = ["TIER_MODES", "TIER_PLACEMENTS", "TierSpec", "load_tiers", "save_tiers"]
+__all__ = ["TIER_MODES", "TIER_PLACEMENTS", "TierSpec"]
 
 #: Tier modes the runtime understands.
 TIER_MODES = (
@@ -40,7 +39,7 @@ TIER_PLACEMENTS = (
 
 
 @dataclass(frozen=True)
-class TierSpec:
+class TierSpec(JsonSpec):
     """One absorb-then-drain tier.
 
     ``capacity_bytes`` bounds each buffer node; an absorb that would
@@ -76,31 +75,3 @@ class TierSpec:
             raise ValueError("drain_concurrency must be >= 1")
         if self.buffer_nodes < 1:
             raise ValueError("buffer_nodes must be >= 1")
-
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TierSpec":
-        return from_fields(cls, doc)
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def signature(self) -> str:
-        """Stable content hash: part of the trial cache key."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def load_tiers(path: str) -> TierSpec:
-    """Read a :class:`TierSpec` from a JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        return TierSpec.from_dict(json.load(fh))
-
-
-def save_tiers(spec: TierSpec, path: str) -> None:
-    spec.dump(path)

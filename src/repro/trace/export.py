@@ -10,7 +10,7 @@ lane on that node becomes a ``tid``, named via ``"M"`` metadata events.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .tracer import Span, Tracer
 

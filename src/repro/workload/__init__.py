@@ -33,8 +33,6 @@ from .spec import (
     TenantClass,
     WorkloadSpec,
     diurnal_mixed,
-    load_workload,
-    save_workload,
 )
 
 __all__ = [
@@ -46,7 +44,5 @@ __all__ = [
     "WorkloadSpec",
     "auto_representatives",
     "diurnal_mixed",
-    "load_workload",
     "run_workload_trial",
-    "save_workload",
 ]

@@ -47,7 +47,7 @@ from ..sim.deployment import LWFSDeployment
 from ..simkernel.monitor import Tally
 from ..storage.data import SyntheticData
 from ..units import MiB
-from .spec import OPS, TenantClass, WorkloadSpec
+from .spec import TenantClass, WorkloadSpec
 
 __all__ = ["WorkloadEngine", "auto_representatives"]
 

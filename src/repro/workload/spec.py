@@ -8,8 +8,9 @@ do not wait for completions — the offered load is a property of the
 spec, not of the system's response, which is what makes saturation and
 interference measurable.
 
-Specs round-trip through JSON (:meth:`WorkloadSpec.to_doc` /
-:meth:`WorkloadSpec.from_doc`, :func:`load_workload`) and carry a
+Specs are :class:`~repro.jsonspec.JsonSpec` documents
+(``WorkloadSpec.load(path)`` / ``spec.save(path)``; a class's
+``op_mix`` is an object of op weights, ``{"create": 3.0}``) and carry a
 content :meth:`~WorkloadSpec.signature`.  The bench trial-cache key
 holds a spec's content, never the name of the file it came from
 (:func:`repro.bench.executor.workload_spec` loads paths first), so a
@@ -28,11 +29,11 @@ arrivals/second):
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Tuple
 
+from ..errors import ConfigError
+from ..jsonspec import JsonSpec
 from ..units import KiB
 
 __all__ = [
@@ -43,8 +44,6 @@ __all__ = [
     "WorkloadSpec",
     "as_workload",
     "diurnal_mixed",
-    "load_workload",
-    "save_workload",
 ]
 
 #: Supported arrival processes.
@@ -58,7 +57,7 @@ SIZE_DISTS = ("fixed", "uniform", "lognormal")
 
 
 @dataclass(frozen=True)
-class TenantClass:
+class TenantClass(JsonSpec):
     """One homogeneous tenant population.
 
     ``rate`` is the aggregate arrival rate of the *whole class* in
@@ -136,43 +135,27 @@ class TenantClass:
         total = sum(share for _, share in self.op_mix)
         return tuple((op, share / total) for op, share in self.op_mix)
 
-    def to_doc(self) -> dict:
-        doc = {
-            "name": self.name,
-            "tenants": self.tenants,
-            "rate": self.rate,
-            "arrival": self.arrival,
-            "op_mix": {op: share for op, share in self.op_mix},
-            "size_dist": self.size_dist,
-            "size_bytes": self.size_bytes,
-        }
-        if self.arrival == "pareto":
-            doc["pareto_alpha"] = self.pareto_alpha
-        if self.arrival == "diurnal":
-            doc["diurnal_profile"] = list(self.diurnal_profile)
-        if self.representatives:
-            doc["representatives"] = self.representatives
+    def to_dict(self) -> dict:
+        doc = super().to_dict()
+        doc["op_mix"] = dict(self.op_mix)
         return doc
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "TenantClass":
-        mix = doc.get("op_mix", {"create": 1.0})
-        return cls(
-            name=doc["name"],
-            tenants=int(doc["tenants"]),
-            rate=float(doc["rate"]),
-            arrival=doc.get("arrival", "poisson"),
-            op_mix=tuple(sorted((str(op), float(share)) for op, share in mix.items())),
-            size_dist=doc.get("size_dist", "fixed"),
-            size_bytes=int(doc.get("size_bytes", 64 * KiB)),
-            pareto_alpha=float(doc.get("pareto_alpha", 1.5)),
-            diurnal_profile=tuple(float(v) for v in doc.get("diurnal_profile", ())),
-            representatives=int(doc.get("representatives", 0)),
-        )
+    def from_dict(cls, doc) -> "TenantClass":
+        """As :meth:`JsonSpec.from_dict`; ``op_mix`` is an object of op
+        weights, ``{"create": 3.0, "getattr": 2.0}``."""
+        if isinstance(doc, dict) and "op_mix" in doc:
+            mix = doc["op_mix"]
+            if not isinstance(mix, dict):
+                raise ConfigError(
+                    f"TenantClass.op_mix: expected an object of op weights, got {mix!r}"
+                )
+            doc = {**doc, "op_mix": list(mix.items())}
+        return super().from_dict(doc)
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(JsonSpec):
     """A complete open-loop traffic description for one trial.
 
     ``quantum`` is the arrival-batching granularity in simulated
@@ -209,50 +192,17 @@ class WorkloadSpec:
     def total_tenants(self) -> int:
         return sum(c.tenants for c in self.classes)
 
-    def to_doc(self) -> dict:
-        return {
-            "classes": [c.to_doc() for c in self.classes],
-            "horizon": self.horizon,
-            "quantum": self.quantum,
-            "warmup": self.warmup,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "WorkloadSpec":
-        return cls(
-            classes=tuple(TenantClass.from_doc(c) for c in doc["classes"]),
-            horizon=float(doc.get("horizon", 1.0)),
-            quantum=float(doc.get("quantum", 0.01)),
-            warmup=float(doc.get("warmup", 0.0)),
-        )
-
-    def signature(self) -> str:
-        """Stable content hash — the trial-cache identity of this mix."""
-        canonical = json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def load_workload(path: str) -> WorkloadSpec:
-    """Read a workload spec from a JSON file (see ``examples/workloads/``)."""
-    with open(path, encoding="utf-8") as fh:
-        return WorkloadSpec.from_doc(json.load(fh))
-
 
 def as_workload(workload) -> WorkloadSpec:
-    """*workload* as a :class:`WorkloadSpec`: a spec passes through, a
-    string is read as a JSON path and a dict is parsed as a document."""
+    """*workload* as a :class:`WorkloadSpec`: a spec passes through and a
+    string is read as a JSON path."""
     if isinstance(workload, str):
-        return load_workload(workload)
-    if isinstance(workload, dict):
-        return WorkloadSpec.from_doc(workload)
+        return WorkloadSpec.load(workload)
+    if not isinstance(workload, WorkloadSpec):
+        raise TypeError(
+            f"workload must be a WorkloadSpec or a JSON path, got {type(workload).__name__}"
+        )
     return workload
-
-
-def save_workload(spec: WorkloadSpec, path: str) -> None:
-    """Write *spec* as JSON, the inverse of :func:`load_workload`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_doc(), fh, indent=1)
-        fh.write("\n")
 
 
 def diurnal_mixed(

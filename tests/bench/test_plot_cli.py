@@ -9,7 +9,7 @@ from repro.bench.harness import SweepPoint
 from repro.bench.plot import ascii_chart, chart_sweep
 from repro.cli import build_parser, main
 from repro.trace import validate_chrome_trace
-from repro.workload import TenantClass, WorkloadSpec, save_workload
+from repro.workload import TenantClass, WorkloadSpec
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 SMALL_DUMP = ["--clients", "8", "--servers", "4", "--state-mb", "8"]
@@ -98,6 +98,24 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--metrics-period" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, doc, named", [
+        (["checkpoint", *SMALL_DUMP], "--faults", {"rpc_drop_rate": "high"},
+         "FaultPlan.rpc_drop_rate"),
+        (["checkpoint", *SMALL_DUMP], "--faults",
+         {"events": [{"kind": "server_crash", "at": 0.05, "target": "stro0"}]},
+         "target 'stro0'"),
+        (["traffic", "--servers", "2"], "--workload",
+         {"classes": [{"name": "c", "tenants": 10, "rate": 5.0}], "horizen": 30},
+         "unknown WorkloadSpec fields: ['horizen']"),
+    ], ids=["plan-value", "plan-target", "workload-key"])
+    def test_bad_spec_exits_2_naming_it(self, capsys, tmp_path, command, flag, doc, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, str(path)])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_checkpoint_flow_fast_forwards_under_faults(self, capsys, monkeypatch):
         # A fault plan runs the same flow engine as a clean trial: the
         # dump (above 2 x chunk_bytes, so clients open flows) retires
@@ -126,7 +144,7 @@ class TestCLI:
             horizon=1.0, quantum=0.05, warmup=0.1,
         )
         path = str(tmp_path / "mix.json")
-        save_workload(spec, path)
+        spec.save(path)
         assert main(["traffic", "--workload", path, "--servers", "2"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("40 tenants over 2 servers")

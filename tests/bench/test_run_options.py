@@ -71,7 +71,7 @@ class TestResolutionOrder:
     def test_faults_string_is_loaded_as_a_path(self, tmp_path):
         plan = FaultPlan(seed=4, rpc_drop_rate=0.01)
         path = str(tmp_path / "plan.json")
-        plan.dump(path)
+        plan.save(path)
         assert RunOptions(faults=path).resolved().faults == plan
 
     def test_describe_is_json_stable(self):

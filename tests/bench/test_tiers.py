@@ -6,7 +6,7 @@ from repro.bench import run_checkpoint_trial
 from repro.bench.cache import TrialCache, trial_key
 from repro.bench.executor import checkpoint_spec
 from repro.sim.config import RunOptions
-from repro.storage.buffer import TierSpec, save_tiers
+from repro.storage.buffer import TierSpec
 from repro.units import MiB
 
 STATE = 4 * MiB
@@ -22,7 +22,7 @@ class TestKillSwitch:
     def test_string_is_loaded_as_a_path(self, tmp_path):
         spec = TierSpec(mode="hostlog")
         path = str(tmp_path / "tier.json")
-        save_tiers(spec, path)
+        spec.save(path)
         assert RunOptions(tiers=path).resolved().tiers == spec
 
 

@@ -20,7 +20,8 @@ import pytest
 
 from repro.bench import run_checkpoint_trial
 from repro.bench.harness import CKPT_ATTEMPTS, _build, checkpoint_main
-from repro.faults import FaultEvent, FaultPlan, RetryPolicy, load_plan
+from repro.errors import ConfigError
+from repro.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.sim.config import RunOptions
 from repro.units import MiB
 
@@ -269,7 +270,7 @@ class TestNothingHeldAfterACrash:
     def test_early_crash_matches_queued_holds(self):
         # At 5 ms stor0 is still pulling its first chunks: the crash
         # interrupts transfers in the middle of their pipe holds.
-        plan = load_plan(CRASH_PLAN)
+        plan = FaultPlan.load(CRASH_PLAN)
         plan = replace(plan, events=(replace(plan.events[0], at=0.005),))
 
         def throughput():
@@ -302,3 +303,28 @@ class TestNothingHeldAfterACrash:
                 if slot.count:
                     held.append((server.rpc.name, name))
         assert held == []
+
+
+class TestTargetsCheckedAtInstall:
+    """A target the deployment lacks fails when the injector installs,
+    before anything is scheduled, not when its fault fires."""
+
+    @pytest.mark.parametrize("event, match", [
+        (FaultEvent(kind="server_crash", at=0.05, target="stro0", duration=0.05),
+         "target 'stro0' is not a server in"),
+        (FaultEvent(kind="link_degrade", at=0.05, target="node:x", factor=0.5),
+         "target 'node:x' is not a node:<id> below 13 or server in"),
+        (FaultEvent(kind="disk_stall", at=0.05, target="authz", duration=0.05),
+         "target 'authz' is not a server with a RAID device in ['stor0', 'stor1']"),
+        (FaultEvent(kind="link_degrade", at=0.05, target="node:999", factor=0.5),
+         "target 'node:999' is not a node:<id> below 13"),
+        (FaultEvent(kind="partition", at=0.05, targets=("stor0", "stor9")),
+         "target 'stor9' is not"),
+    ], ids=["crash-typo", "node-not-a-number", "stall-without-raid",
+            "node-out-of-range", "partition-member"])
+    def test_bad_target_raises_before_the_run(self, event, match):
+        plan = FaultPlan(events=(FaultEvent(kind="revoke_storm", at=0.0, target="none"), event))
+        with pytest.raises(ConfigError, match=f"event 1 \\({event.kind} ") as exc:
+            run_checkpoint_trial("lwfs", 4, 2, state_bytes=4 * MiB, seed=SEED,
+                                 options=RunOptions(faults=plan))
+        assert match in str(exc.value)

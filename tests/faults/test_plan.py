@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults import FAULT_KINDS, FaultEvent, FaultPlan, RetryPolicy, load_plan
+from repro.faults import FAULT_KINDS, FaultEvent, FaultPlan, RetryPolicy
 
 
 def _full_plan():
@@ -62,6 +62,9 @@ class TestValidation:
             RetryPolicy(jitter=1.0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=0.5, max_delay=0.1)
+        for timeout in (0.0, -1.0):
+            with pytest.raises(ValueError, match="retry timeout"):
+                RetryPolicy(timeout=timeout)
 
 
 class TestRoundTrip:
@@ -72,12 +75,12 @@ class TestRoundTrip:
     def test_json_file_round_trip(self, tmp_path):
         plan = _full_plan()
         path = str(tmp_path / "plan.json")
-        plan.dump(path)
-        assert load_plan(path) == plan
+        plan.save(path)
+        assert FaultPlan.load(path) == plan
 
     def test_json_is_plain_data(self, tmp_path):
         path = str(tmp_path / "plan.json")
-        _full_plan().dump(path)
+        _full_plan().save(path)
         with open(path) as fh:
             doc = json.load(fh)
         assert doc["seed"] == 99
@@ -88,7 +91,7 @@ class TestRoundTrip:
         with open(path, "w") as fh:
             json.dump({"events": [{"kind": "server_crash", "at": 0.1,
                                    "target": "stor0"}]}, fh)
-        plan = load_plan(path)
+        plan = FaultPlan.load(path)
         assert plan.rpc_drop_rate == 0.0
         assert plan.retry == RetryPolicy()
         assert plan.events[0].duration == 0.0  # permanent crash
@@ -111,8 +114,8 @@ class TestSignature:
     def test_stable_across_round_trip(self, tmp_path):
         plan = _full_plan()
         path = str(tmp_path / "plan.json")
-        plan.dump(path)
-        assert load_plan(path).signature() == plan.signature()
+        plan.save(path)
+        assert FaultPlan.load(path).signature() == plan.signature()
 
     def test_any_field_changes_the_hash(self):
         base = _full_plan().signature()

@@ -42,6 +42,20 @@ class TestSecurityProtocol:
 
         verify_rpcs = drive(cluster, creates())
         assert verify_rpcs == 1  # one wire verify, four cache hits
+        cache = deployment.storage[0].svc.cache
+        assert (cache.hits, cache.misses) == (4, 1)  # one lookup per request
+
+    def test_weighted_request_counts_its_weight_once(self, cluster, deployment):
+        client, cred, cid, cap = bootstrap(cluster, deployment, cluster.compute_nodes[0])
+        cache = deployment.storage[0].svc.cache
+
+        def flow():
+            oid = yield from client.create_object(cap, 0)
+            hits = cache.hits
+            yield from client.get_attrs(cap, oid, weight=5, defer=True, cap_weight=5)
+            return cache.hits - hits
+
+        assert drive(cluster, flow()) == 5
 
     def test_each_server_verifies_independently(self, cluster, deployment):
         client, cred, cid, cap = bootstrap(cluster, deployment, cluster.compute_nodes[0])

@@ -8,7 +8,7 @@ from repro.bench import run_checkpoint_trial
 from repro.bench.executor import BUFFER_MIN_SPEEDUP, _buffer_grid, run_trials
 from repro.errors import ConfigError
 from repro.sim.config import RunOptions
-from repro.storage.buffer import TIER_MODES, TIER_PLACEMENTS, TierSpec, load_tiers, save_tiers
+from repro.storage.buffer import TIER_MODES, TIER_PLACEMENTS, TierSpec
 from repro.units import KiB, MiB, GiB
 
 STATE = 2 * MiB
@@ -59,8 +59,8 @@ class TestTierSpec:
     def test_file_roundtrip(self, tmp_path):
         spec = TierSpec(mode="hostlog", capacity_bytes=256 * MiB)
         path = str(tmp_path / "tier.json")
-        save_tiers(spec, path)
-        assert load_tiers(path) == spec
+        spec.save(path)
+        assert TierSpec.load(path) == spec
 
 
 class TestAbsorbDrain:

@@ -18,7 +18,7 @@ import pytest
 from repro.bench import run_sweep, run_trials, workload_spec
 from repro.bench.cache import TrialCache, trial_key
 from repro.sim.config import RunOptions
-from repro.workload import TenantClass, WorkloadSpec, save_workload
+from repro.workload import TenantClass, WorkloadSpec
 
 SEED = 7
 
@@ -76,10 +76,10 @@ class TestCacheIdentity:
     def test_edited_file_is_simulated_afresh(self, tmp_path):
         path = str(tmp_path / "mix.json")
         store = TrialCache(str(tmp_path / "cache"))
-        save_workload(_mix(rate=50.0), path)
+        _mix(rate=50.0).save(path)
         first = workload_spec(path, 4, seed=SEED)
         [before] = run_trials([first], jobs=1, cache=store)
-        save_workload(_mix(rate=150.0), path)
+        _mix(rate=150.0).save(path)
         second = workload_spec(path, 4, seed=SEED)
         [after] = run_trials([second], jobs=1, cache=store)
         assert first.n_clients == second.n_clients == 600

@@ -1,7 +1,7 @@
 """WorkloadSpec contracts: validation, JSON round-trip, cache identity.
 
 The spec is the trial-cache key for every traffic run, so the
-serialization must be exact (``to_doc -> json -> from_doc`` equality,
+serialization must be exact (``to_dict -> json -> from_dict`` equality,
 stable ``signature()``) and the validation must reject every malformed
 mix before an engine is built around it.
 """
@@ -15,8 +15,6 @@ from repro.workload import (
     TenantClass,
     WorkloadSpec,
     diurnal_mixed,
-    load_workload,
-    save_workload,
 )
 
 
@@ -78,15 +76,15 @@ class TestValidation:
 class TestRoundTrip:
     def test_doc_round_trip_exact(self):
         spec = diurnal_mixed(tenants=12_345, rate=77.0, horizon=30.0, quantum=0.5)
-        back = WorkloadSpec.from_doc(json.loads(json.dumps(spec.to_doc())))
+        back = WorkloadSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert back == spec
         assert back.signature() == spec.signature()
 
     def test_file_round_trip(self, tmp_path):
         spec = diurnal_mixed(tenants=1000, rate=10.0, horizon=5.0, quantum=0.1)
         path = tmp_path / "mix.json"
-        save_workload(spec, str(path))
-        assert load_workload(str(path)) == spec
+        spec.save(str(path))
+        assert WorkloadSpec.load(str(path)) == spec
 
     def test_example_workload_loads(self):
         import os
@@ -94,7 +92,7 @@ class TestRoundTrip:
         here = os.path.dirname(os.path.abspath(__file__))
         path = os.path.join(here, "..", "..", "examples", "workloads",
                             "diurnal_mixed.json")
-        spec = load_workload(path)
+        spec = WorkloadSpec.load(path)
         assert spec.total_tenants == 1_000_000
         assert {c.arrival for c in spec.classes} == {"diurnal", "pareto"}
 
