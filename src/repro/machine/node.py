@@ -32,6 +32,9 @@ class Node:
     cpu: Resource
     #: The network interface (:class:`~repro.network.nic.NIC`).
     nic: "NIC"
+    #: When ``alive`` last changed (see :meth:`alive_at`); a class default
+    #: until the first change, so a never-failed node stores nothing.
+    _changed_at = float("-inf")
 
     def __init__(self, env: Environment, node_id: int, spec: NodeSpec, name: str = "") -> None:
         self.env = env
@@ -68,14 +71,27 @@ class Node:
         if not self.alive:
             raise NodeFailure(f"node {self.name} is down")
 
+    def alive_at(self, t: float) -> bool:
+        """Whether the node was up at time *t*, not later than now.
+
+        Exact when the node changed state at most once since *t*: the
+        fabric asks about the start of a message's receive overhead,
+        microseconds ago, and a crash or reboot lasts far longer.
+        """
+        return self.alive if self._changed_at <= t else not self.alive
+
     def kill(self) -> None:
         """Fail the node (failure injection): traffic drops immediately."""
-        self.alive = False
+        if self.alive:
+            self.alive = False
+            self._changed_at = self.env.now
 
     def revive(self) -> None:
         """Bring the node back (reboot).  In-memory runtime state is the
         caller's responsibility to recover (see SimStorageServer.reboot)."""
-        self.alive = True
+        if not self.alive:
+            self.alive = True
+            self._changed_at = self.env.now
 
     def compute(self, duration: float):
         """Occupy one CPU core for *duration* seconds.

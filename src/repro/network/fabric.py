@@ -8,6 +8,9 @@ A transfer from node A to node B:
 3. experiences wire latency (base + per-hop for mesh topologies),
 4. pays B's per-message host overhead, then delivers.
 
+Steps 3 and 4 are one absolute-time wait ending at ``(t + latency) +
+recv``: the instant two chained timeouts would reach, for one event.
+
 The pipe hold is one :meth:`~repro.simkernel.Resource.hold`: free pipes
 are claimed at once, busy ones are queued for, and an interrupted
 transfer gives both back.
@@ -19,7 +22,7 @@ which is how failure-injection experiments observe lost servers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..errors import LinkDown, NetworkError, NodeFailure
@@ -32,14 +35,23 @@ __all__ = ["Message", "Fabric"]
 
 @dataclass(slots=True)
 class Message:
-    """An in-flight message.  ``payload`` rides by reference (simulation)."""
+    """An in-flight message.  ``payload`` rides by reference (simulation).
+
+    Under symmetric-client collapsing one message may stand in for a
+    whole equivalence class: ``mult`` is the class size, so message
+    counts stay truthful (bytes scale through the weighted size already).
+    ``fanout`` flips the weighted-transfer asymmetry: one sender serving
+    a whole collapsed class (server-push reads) instead of a whole class
+    converging on one receiver (pulled writes).
+    """
 
     src: int
     dst: int
     size: int
     tag: str = ""
     payload: Any = None
-    meta: Dict[str, Any] = field(default_factory=dict)
+    mult: int = 1
+    fanout: bool = False
 
 
 class Fabric:
@@ -133,11 +145,8 @@ class Fabric:
         t0 = env._now if tracer is not None else 0.0
 
         wire_bytes = max(int(msg.size), self.MIN_WIRE_BYTES)
-        mult = msg.meta.get("mult", 1)
-        # ``fanout`` flips the weighted-transfer asymmetry: one sender
-        # serving a whole collapsed class (server-push reads) instead of
-        # a whole class converging on one receiver (pulled writes).
-        fanout = mult > 1 and msg.meta.get("fanout", False)
+        mult = msg.mult
+        fanout = mult > 1 and msg.fanout
 
         # Sender host overhead (header build, matching; copies if no RDMA).
         # A collapsed representative only builds/copies its own share; its
@@ -149,6 +158,14 @@ class Fabric:
             send_cost = src.msg_overhead_time() + src.copy_overhead_time(
                 wire_bytes // mult if mult > 1 else wire_bytes
             )
+        if mult == 1 or msg.src == msg.dst:
+            recv_cost = dst.msg_overhead_time() + dst.copy_overhead_time(wire_bytes)
+        elif fanout:
+            # The representative receives only its own message.
+            recv_cost = dst.msg_overhead_time() + dst.copy_overhead_time(wire_bytes // mult)
+        else:
+            # The receiver handled all ``mult`` incoming messages.
+            recv_cost = mult * dst.msg_overhead_time() + dst.copy_overhead_time(wire_bytes)
         if send_cost > 0:
             yield env.timeout(send_cost)
 
@@ -200,33 +217,19 @@ class Fabric:
                     pipe.bytes_moved += wire_bytes
                     pipe.busy_time += env.now - start
 
-            yield env.timeout(self.wire_latency(msg.src, msg.dst))
+            # The message is lost only if the destination was down when it
+            # arrived: one that dies while receiving still gets it.
+            arrival = env._now + self.wire_latency(msg.src, msg.dst)
+            yield env.timeout_at(arrival + recv_cost)
+            if not dst.alive_at(arrival):
+                raise NodeFailure(f"node {dst.name} died before delivery of {msg.tag!r}")
         else:
             yield env.timeout(wire_bytes / (4 * src.nic.tx.bandwidth))
+            if not dst.alive:
+                raise NodeFailure(f"node {dst.name} died before delivery of {msg.tag!r}")
+            if recv_cost > 0:
+                yield env.timeout(recv_cost)
 
-        if not dst.alive:
-            raise NodeFailure(f"node {dst.name} died before delivery of {msg.tag!r}")
-
-        if mult > 1 and msg.src != msg.dst:
-            if fanout:
-                # The representative receives only its own message.
-                recv_cost = dst.msg_overhead_time() + dst.copy_overhead_time(
-                    wire_bytes // mult
-                )
-            else:
-                # The receiver handled all ``mult`` incoming messages.
-                recv_cost = mult * dst.msg_overhead_time() + dst.copy_overhead_time(
-                    wire_bytes
-                )
-        else:
-            recv_cost = dst.msg_overhead_time() + dst.copy_overhead_time(wire_bytes)
-        if recv_cost > 0:
-            yield env.timeout(recv_cost)
-
-        # Under symmetric-client collapsing a single transfer may stand in
-        # for a whole equivalence class; the sender stamps the class size
-        # in msg.meta["mult"] so message counts stay truthful (bytes scale
-        # through the weighted size already).
         self.counters["messages"] += mult
         self.counters["bytes"] += wire_bytes
         if tracer is not None:

@@ -68,12 +68,16 @@ class MemoryDescriptor:
 
     ``payload`` is the Python object standing in for the buffer contents
     (bytes, numpy array, or any picklable value).  ``length`` is the size in
-    bytes charged on the wire.
+    bytes charged on the wire.  ``eq`` is the event queue that receives
+    this region's :class:`PtlEvent` entries: a :class:`Store`, or any
+    object with a ``try_put(event)`` method, which the operation calls
+    the moment it posts the event (an RPC service is its own request
+    portal's queue and starts the request's handler there).
     """
 
     length: int
     payload: Any = None
-    eq: Optional[Store] = None
+    eq: Any = None
 
     def __post_init__(self) -> None:
         if self.length < 0:
@@ -215,10 +219,9 @@ class PortalsEndpoint:
                 size=wire_weight * md.length + self.HEADER_BYTES,
                 tag=f"ptl_put:{pt_index}:{match_bits:#x}",
                 payload=md.payload,
+                mult=wire_weight,
+                fanout=True,  # one pusher serves the whole class
             )
-            if wire_weight != 1:
-                msg.meta["mult"] = wire_weight
-                msg.meta["fanout"] = True  # one pusher serves the whole class
             yield from self.fabric.transfer(msg)
             me = _endpoint_of(self.fabric.node(target_nid)).tables[pt_index].match(match_bits)
             if me is None:
@@ -283,9 +286,8 @@ class PortalsEndpoint:
                 size=wire_weight * nbytes + self.HEADER_BYTES,
                 tag=f"ptl_get_reply:{pt_index}:{match_bits:#x}",
                 payload=me.md.payload,
+                mult=wire_weight,
             )
-            if wire_weight != 1:
-                reply.meta["mult"] = wire_weight
             yield from self.fabric.transfer(reply)
             md.payload = me.md.payload
             if md.eq is not None:

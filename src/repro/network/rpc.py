@@ -29,10 +29,10 @@ from ..errors import (
     ServerCrashed,
 )
 from ..machine.node import Node
-from ..simkernel import Environment, Store
+from ..simkernel import NORMAL, Environment, Process, Store
 from ..simkernel.process import Interrupt
 from .fabric import Fabric
-from .portals import MemoryDescriptor, PortalsEndpoint, install_portals
+from .portals import MemoryDescriptor, PortalsEndpoint, PtlEvent, install_portals
 
 __all__ = ["RpcRequest", "RpcReply", "RpcContext", "RpcService", "RpcClient", "service_key"]
 
@@ -89,7 +89,13 @@ class RpcContext:
 
 
 class RpcService:
-    """A named service listening on a node's request portal."""
+    """A named service listening on a node's request portal.
+
+    It serves from construction: the request portal's event queue is the
+    service itself (:meth:`try_put`), so a delivered request starts its
+    handler process in the delivering event's turn, with no dispatcher
+    process or inbox in between.
+    """
 
     def __init__(self, env: Environment, fabric: Fabric, node: Node, name: str) -> None:
         self.env = env
@@ -98,13 +104,11 @@ class RpcService:
         self.name = name
         self.endpoint: PortalsEndpoint = install_portals(env, fabric, node)
         self.handlers: Dict[str, Callable[..., Generator]] = {}
-        self.inbox: Store = self.endpoint.new_eq()
         self._me = self.endpoint.attach(
             REQUEST_PORTAL,
             service_key(name),
-            MemoryDescriptor(length=REQUEST_BYTES, eq=self.inbox),
+            MemoryDescriptor(length=REQUEST_BYTES, eq=self),
         )
-        self._dispatcher = None
         self.requests_served = 0
         #: Handler processes in flight; tracked only while a fault
         #: injector is installed, so it can crash-interrupt them.  A dict
@@ -128,44 +132,32 @@ class RpcService:
             raise ValueError(f"handler for {op!r} already registered on {self.name!r}")
         self.handlers[op] = handler
 
-    def start(self) -> None:
-        """Begin dispatching requests (idempotent; restarts after reboot)."""
-        if self._dispatcher is None or not self._dispatcher.is_alive:
-            self._dispatcher = self.env.process(self._dispatch_loop(), name=f"svc:{self.name}")
+    def try_put(self, event: PtlEvent) -> None:
+        """The request portal's event queue: serve the delivered request.
 
-    def _dispatch_loop(self):
-        while True:
-            if not self.node.alive:
-                return
-            event = yield self.inbox.get()
-            request: RpcRequest = event.payload
-            faults = self.env.faults
-            if faults is None:
-                self.env.process(
-                    self._handle(request), name=f"svc:{self.name}:{request.op}:{request.req_id}"
-                )
-                continue
-            key = (request.reply_node, request.req_id)
-            if key in self._replied:
-                self.env.process(
-                    self._resend_reply(request),
-                    name=f"svc:{self.name}:{request.op}:{request.req_id}:resend",
-                )
-                continue
-            if key in self._executing:
-                self.env.process(
-                    self._absorb_duplicate(request),
-                    name=f"svc:{self.name}:{request.op}:{request.req_id}:dup",
-                )
-                continue
-            proc = self.env.process(
-                self._handle(request), name=f"svc:{self.name}:{request.op}:{request.req_id}"
-            )
-            self._track(key, proc)
+        Every process started here takes its first step at ``NORMAL``
+        priority, in FIFO order with the other events of this instant:
+        the slot where a dispatcher process woken by the delivery would
+        have run and, with its ``URGENT`` spawn, started the handler.
+        """
+        request: RpcRequest = event.payload
+        env = self.env
+        name = f"svc:{self.name}:{request.op}:{request.req_id}"
+        faults = env.faults
+        if faults is None:
+            Process(env, self._handle(request), name, NORMAL)
+            return
+        key = (request.reply_node, request.req_id)
+        if key in self._replied:
+            Process(env, self._resend_reply(request), f"{name}:resend", NORMAL)
+        elif key in self._executing:
+            Process(env, self._absorb_duplicate(request), f"{name}:dup", NORMAL)
+        else:
+            self._track(key, Process(env, self._handle(request), name, NORMAL))
             if faults.duplicate_request(self.name, request.op):
-                self.env.process(
-                    self._absorb_duplicate(request),
-                    name=f"svc:{self.name}:{request.op}:dup",
+                Process(
+                    env, self._absorb_duplicate(request),
+                    f"svc:{self.name}:{request.op}:dup", NORMAL,
                 )
 
     def _track(self, key, proc) -> None:
@@ -422,16 +414,24 @@ class RpcClient:
             if timeout is None:
                 event = yield get_ev
             else:
+                # The caller waits on the reply alone; at the deadline the
+                # timer fails that wait, unless the reply came first or an
+                # interrupt took the caller away.
+                def expire(_timer):
+                    if not get_ev.triggered and get_ev.callbacks:
+                        get_ev.fail(RPCTimeout(
+                            f"{service}.{op} on node {target_node} timed out after {timeout}s"
+                        ))
+
                 timer = self.env.timeout(timeout)
-                yield self.env.any_of([get_ev, timer])
-                if not get_ev.triggered:
+                timer.callbacks.append(expire)
+                try:
+                    event = yield get_ev
+                except RPCTimeout:
                     self.endpoint.detach(REPLY_PORTAL, me)
                     if faults is not None:
                         faults.note_timeout()
-                    raise RPCTimeout(
-                        f"{service}.{op} on node {target_node} timed out after {timeout}s"
-                    )
-                event = get_ev.value
+                    raise
                 # The reply won the race: retire the losing timer so it
                 # doesn't sit in the heap for the next `timeout` simulated
                 # seconds.  At scale these stale 30 s timers dominate the

@@ -42,9 +42,6 @@ class PFSDeployment:
             node = cluster.io_nodes[ost_id % len(cluster.io_nodes)]
             self.osts.append(SimOST(cluster, node, ost_id=ost_id))
 
-        for server in (self.mds, *self.osts):
-            server.start()
-
         self._clients: Dict[int, SimPFSClient] = {}
 
     @property

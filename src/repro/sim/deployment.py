@@ -70,9 +70,6 @@ class LWFSDeployment:
                 )
             )
 
-        for server in (self.auth, self.authz, self.naming, self.locks, *self.storage):
-            server.start()
-
         self._clients: Dict[int, SimLWFSClient] = {}
 
     # -- addressing ------------------------------------------------------------

@@ -72,11 +72,8 @@ class _SimServerBase:
         self.config = cluster.config
         self.rpc = RpcService(cluster.env, cluster.fabric, node, self.service_name)
 
-    def start(self) -> None:
-        self.rpc.start()
-
     def reboot(self) -> None:
-        """Restart after a crash: revive the node and resume dispatch.
+        """Restart after a crash: revive the node, and requests land again.
 
         Durable state (namespaces, policies, lock tables) is assumed
         journaled and recovered as part of the restart pause; servers
@@ -84,7 +81,6 @@ class _SimServerBase:
         (:meth:`SimStorageServer.reboot`).
         """
         self.node.revive()
-        self.rpc.start()
 
     @property
     def node_id(self) -> int:
@@ -401,7 +397,6 @@ class SimStorageServer(_DataServer):
         self.svc.cache.invalidate(list(self.svc.cache._entries))
         self.svc._preauthorized.clear()
         self.node.revive()
-        self.rpc.start()
 
     # -- enforcement -----------------------------------------------------------
     def _authorize(self, cap, needed: OpMask, cid=None, weight=1, cap_weight=None):

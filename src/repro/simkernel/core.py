@@ -140,7 +140,18 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` seconds from now.
+        """Create an event that fires ``delay`` seconds from now."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        return self.timeout_at(self._now + delay, value)
+
+    def timeout_at(self, at: float, value: Any = None) -> Timeout:
+        """Create an event that fires at the absolute simulated time *at*.
+
+        One wait that must end where two chained timeouts would gives its
+        end here as ``(now + d1) + d2``: the same float additions, where a
+        relative delay would be rounded once more (``now + (at - now)``
+        is not always ``at``).
 
         Timeouts dominate the event mix of a simulation, so this is a
         slots-only fast constructor: it fills the :class:`Timeout` fields
@@ -149,8 +160,9 @@ class Environment:
         object may come off the environment's free list of cancelled
         timeouts rather than a fresh allocation.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        now = self._now
+        if at < now:
+            raise ValueError(f"time {at!r} lies in the past (now={now!r})")
         pool = self._timeout_pool
         if pool:
             event = pool.pop()
@@ -166,10 +178,10 @@ class Environment:
             event._cancelled = False
         event._value = value
         event._ok = True
-        event.delay = delay
-        event.at = at = self._now + delay
+        event.delay = at - now
+        event.at = at
         self._seq = seq = self._seq + 1
-        if delay == 0.0:
+        if at == now:
             self._imm_normal.append((at, NORMAL, seq, event))
         else:
             heapq.heappush(self._queue, (at, NORMAL, seq, event))

@@ -45,6 +45,7 @@ class Process(Event):
         env: "Environment",  # noqa: F821
         generator: Generator,
         name: Optional[str] = None,
+        priority: int = URGENT,
     ) -> None:
         if not isinstance(generator, GeneratorType):
             raise TypeError(f"{generator!r} is not a generator")
@@ -57,12 +58,14 @@ class Process(Event):
         spawner = env._active_process
         self.span = spawner.span if spawner is not None else None
 
-        # Kick off the process at the current simulation time.
+        # Kick off the process at the current simulation time: by default
+        # ahead of every NORMAL event of this instant, or at ``NORMAL``
+        # priority in FIFO order with them.
         init = Event(env)
         init.callbacks.append(self._resume)
         init._ok = True
         init._value = None
-        env._schedule(init, priority=URGENT)
+        env._schedule(init, priority=priority)
 
     @property
     def target(self) -> Optional[Event]:

@@ -67,7 +67,9 @@ class Request(Event):
 class Resource:
     """A resource with *capacity* slots granted FIFO.
 
-    The wait queue is a deque built when the first request has to wait.
+    A slot is held either by a granted :class:`Request` or by a
+    :meth:`hold` that found it free and claimed it by count.  The wait
+    queue is a deque built when the first request has to wait.
     """
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
@@ -76,12 +78,14 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self._users: set = set()
+        #: Slots held by :meth:`hold` claims (no :class:`Request` each).
+        self._claims = 0
         self._waiting = _UNUSED
 
     @property
     def count(self) -> int:
         """Number of slots currently held."""
-        return len(self._users)
+        return len(self._users) + self._claims
 
     @property
     def queue_len(self) -> int:
@@ -92,36 +96,15 @@ class Resource:
         """Claim a slot; the returned event fires when granted."""
         return Request(self)
 
-    def try_acquire(self) -> Optional[Request]:
-        """Synchronously claim a slot if one is free and nobody waits.
-
-        Returns an already-granted :class:`Request` (pair with
-        :meth:`release`) without putting any event on the queue, or
-        ``None`` if the claim would have to wait.  This is the claim step
-        of :meth:`hold`.
-        """
-        if len(self._users) >= self.capacity or self._waiting:
-            return None
-        request = Request.__new__(Request)
-        request.env = self.env
-        request.callbacks = None  # already processed: nothing waits on it
-        request._value = None
-        request._ok = True
-        request._defused = False
-        request._cancelled = False
-        request.resource = self
-        self._users.add(request)
-        return request
-
     def hold(self, duration: float, also: Optional["Resource"] = None):
         """Hold a slot (and one slot of *also*) for *duration* seconds.
 
         Usage inside a process: ``start = yield from resource.hold(d)``;
         the value is the time the hold began.  When the slots are free
-        and nobody waits, they are claimed at once and the hold costs one
-        timeout; otherwise it queues for this slot, then *also*'s, as
-        nested ``with r.request() as req: yield req`` blocks do.  The
-        slots go back, *also*'s first, in a ``finally``, so an
+        and nobody waits, they are claimed at once by count and the hold
+        costs one timeout; otherwise it queues for this slot, then
+        *also*'s, as nested ``with r.request() as req: yield req`` blocks
+        do.  The slots go back, *also*'s first, in a ``finally``, so an
         interrupted holder never keeps them.
 
         Only a holder that does nothing but wait may skip the grant's
@@ -129,22 +112,27 @@ class Resource:
         lock) keeps :meth:`request`, or it would overtake work scheduled
         for the same instant.
         """
-        mine = self.try_acquire()
-        theirs = None
-        if mine is not None and also is not None:
-            theirs = also.try_acquire()
-            if theirs is None:
-                self.release(mine)
-                mine = None
-        try:
-            if mine is None:
-                mine = Request(self)
-                yield mine
+        env = self.env
+        if self._claim(also):
+            try:
+                start = env._now
+                yield env.timeout(duration)
+                return start
+            finally:
                 if also is not None:
-                    theirs = Request(also)
-                    yield theirs
-            start = self.env._now
-            yield self.env.timeout(duration)
+                    also._claims -= 1
+                    also._grant_next()
+                self._claims -= 1
+                self._grant_next()
+        mine = Request(self)
+        theirs = None
+        try:
+            yield mine
+            if also is not None:
+                theirs = Request(also)
+                yield theirs
+            start = env._now
+            yield env.timeout(duration)
             return start
         finally:
             if theirs is not None:
@@ -159,8 +147,20 @@ class Resource:
         self._grant_next()
 
     # -- internals ----------------------------------------------------------
+    def _claim(self, also: Optional["Resource"]) -> bool:
+        """Claim a slot here and one on *also* by count, if both are free
+        and nobody waits for either; claim nothing otherwise."""
+        if len(self._users) + self._claims >= self.capacity or self._waiting:
+            return False
+        if also is not None:
+            if len(also._users) + also._claims >= also.capacity or also._waiting:
+                return False
+            also._claims += 1
+        self._claims += 1
+        return True
+
     def _do_request(self, request: Request) -> None:
-        if len(self._users) < self.capacity:
+        if len(self._users) + self._claims < self.capacity:
             self._users.add(request)
             request.succeed()
         else:
@@ -177,7 +177,7 @@ class Resource:
             pass
 
     def _grant_next(self) -> None:
-        while self._waiting and len(self._users) < self.capacity:
+        while self._waiting and len(self._users) + self._claims < self.capacity:
             nxt = self._waiting.popleft()
             if nxt.triggered:  # cancelled/failed while queued
                 continue

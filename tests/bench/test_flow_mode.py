@@ -113,7 +113,7 @@ class TestOneWriteForm:
         requests, of 1 and 7 chunks; no service has a second write form."""
         writes = defaultdict(list)  # (rank node, service, object) -> ops
         services = []
-        call, start = RpcClient.call, RpcService.start
+        call, init = RpcClient.call, RpcService.__init__
 
         def spy_call(self, target_node, service, op, *args, **kwargs):
             if "write" in op:
@@ -121,12 +121,12 @@ class TestOneWriteForm:
                 writes[key].append((op, kwargs.get("n_chunks", 1), kwargs["length"]))
             return call(self, target_node, service, op, *args, **kwargs)
 
-        def spy_start(self):
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             services.append(self)
-            return start(self)
 
         monkeypatch.setattr(RpcClient, "call", spy_call)
-        monkeypatch.setattr(RpcService, "start", spy_start)
+        monkeypatch.setattr(RpcService, "__init__", spy_init)
         run_checkpoint_trial(impl, 8, 4, seed=3, state_bytes=STATE,
                              options=RunOptions(flow=True))
 

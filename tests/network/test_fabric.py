@@ -147,6 +147,38 @@ class TestFailures:
         with pytest.raises(NodeFailure):
             env.run(ev)
 
+    def _doomed_delivery(self, env, fabric, nodes, kill_after):
+        """Time a quiet 256 B delivery from node 2 to node 0, send it again
+        and kill node 0 *kill_after* seconds after the second message's
+        wire latency began.  Returns that transfer and its due instant."""
+        env.run(send(fabric, 2, 0, 256))
+        took = env.now
+        latency, recv = fabric.wire_latency(2, 0), nodes[0].msg_overhead_time()
+        assert recv > 0
+        ev = send(fabric, 2, 0, 256)
+
+        def killer(env):
+            yield env.timeout(took - recv - latency + kill_after)
+            nodes[0].kill()
+
+        env.process(killer(env))
+        return ev, 2 * took
+
+    def test_destination_down_on_arrival_loses_the_message(self, env, fabric, nodes):
+        # Killed halfway through the wire latency: down when it arrives.
+        # The loss surfaces once the receive overhead would have ended.
+        latency = fabric.wire_latency(2, 0)
+        ev, due = self._doomed_delivery(env, fabric, nodes, latency / 2)
+        with pytest.raises(NodeFailure):
+            env.run(ev)
+        assert env.now == pytest.approx(due)
+
+    def test_destination_dying_while_receiving_still_gets_it(self, env, fabric, nodes):
+        latency, recv = fabric.wire_latency(2, 0), nodes[0].msg_overhead_time()
+        ev, due = self._doomed_delivery(env, fabric, nodes, latency + recv / 2)
+        assert env.run(ev).size == 256
+        assert env.now == pytest.approx(due) and not nodes[0].alive
+
 
 class TestLatencyModel:
     def test_mesh_hop_latency(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NetworkError, NodeFailure, RPCTimeout
 from repro.network import RpcClient, RpcService
+from repro.network.rpc import REPLY_PORTAL
 
 
 @pytest.fixture
@@ -25,7 +26,6 @@ def service(env, fabric, nodes):
     svc.register("echo", echo)
     svc.register("slow", slow)
     svc.register("boom", boom)
-    svc.start()
     return svc
 
 
@@ -67,7 +67,6 @@ class TestBasics:
             return x * 2
 
         svc.register("double", double)
-        svc.start()
         assert call(env, client, 1, "second", "double", x=21) == 42
 
     def test_requests_served_counter(self, env, service, client):
@@ -111,6 +110,23 @@ class TestTimeouts:
     def test_timeout_raises(self, env, service, client):
         with pytest.raises(RPCTimeout):
             call(env, client, 0, "test-svc", "slow", duration=10.0, timeout=0.5)
+
+    def test_expired_timer_raises_at_deadline_and_late_reply_drops(self, env, service, client):
+        delivered = []
+
+        def late(ctx):
+            delivered.append(ctx.env.now)
+            yield ctx.env.timeout(1.0)
+            return "late"
+
+        service.register("late", late)
+        with pytest.raises(RPCTimeout, match="timed out after 0.5s"):
+            call(env, client, 0, "test-svc", "late", timeout=0.5)
+        assert env.now == delivered[0] + 0.5
+        # The reply finds no match entry at the caller and is dropped.
+        env.run()
+        assert service.requests_served == 1
+        assert client.endpoint.tables[REPLY_PORTAL].entries == []
 
     def test_fast_call_beats_timeout(self, env, service, client):
         assert call(env, client, 0, "test-svc", "echo", text="ok", timeout=5.0) == "OK"

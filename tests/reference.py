@@ -24,7 +24,7 @@ import heapq
 import pytest
 
 from repro.network.flow import _DONE_TOL, FlowNetwork
-from repro.simkernel import NORMAL, Environment, Resource, Timeout
+from repro.simkernel import NORMAL, Environment, Event, Resource, Timeout
 
 __all__ = [
     "HeapEnvironment", "ReferenceFlowNetwork", "queued_holds", "reference_flows",
@@ -34,8 +34,20 @@ __all__ = [
 class HeapEnvironment(Environment):
     """The kernel without zero-delay deques, Timeout free list or compaction."""
 
-    def timeout(self, delay, value=None):
-        return Timeout(self, delay, value)
+    def timeout_at(self, at, value=None):
+        # A fresh Timeout, pushed on the heap at *at* itself: its
+        # constructor takes a delay, and now + (at - now) need not be at.
+        event = Timeout.__new__(Timeout)
+        Event.__init__(event, self)
+        event._value = value
+        event.delay = at - self._now
+        event.at = at
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (at, NORMAL, seq, event))
+        self._live = live = self._live + 1
+        if live > self._peak_queue:
+            self._peak_queue = live
+        return event
 
     def _schedule(self, event, priority=NORMAL, delay=0.0):
         self._seq = seq = self._seq + 1
@@ -53,12 +65,12 @@ class HeapEnvironment(Environment):
 def queued_holds():
     """Force every :meth:`Resource.hold` onto its queued path.
 
-    :meth:`Resource.hold` is the only caller of
-    :meth:`Resource.try_acquire`, so a refused claim there makes every
+    :meth:`Resource.hold` claims free slots by count through
+    :meth:`Resource._claim`, so a claim that always refuses makes every
     hold queue for its slots as nested ``with r.request()`` blocks do.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Resource, "try_acquire", lambda self: None)
+        mp.setattr(Resource, "_claim", lambda self, also: False)
         yield
 
 

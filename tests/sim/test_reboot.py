@@ -90,13 +90,13 @@ def test_reboot_clears_verify_cache(cluster, deployment, fast_timeout):
     assert drive(cluster, flow()) == 1
 
 
-def test_rpc_service_dispatcher_restarts(cluster, deployment, fast_timeout):
+def test_rpc_service_serves_after_reboot(cluster, deployment, fast_timeout):
     client, cid, cap = bootstrap(cluster, deployment)
     server = deployment.storage[1]
 
     def flow():
-        # Kill, then poke the dead server so the dispatcher loop (if it
-        # wakes at all) sees the dead node; then reboot and use it again.
+        # Kill, then poke the dead server (the request is lost on the
+        # wire); then reboot and use it again.
         server.node.kill()
         try:
             yield from client.create_object(cap, 1)

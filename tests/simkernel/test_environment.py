@@ -97,3 +97,39 @@ def test_active_process_visible_inside_process(env):
     env.run()
     assert observed == [proc]
     assert env.active_process is None
+
+
+def test_timeout_at_ends_where_chained_timeouts_do(env):
+    t, a, b = 0.1, 0.2, 0.3
+    assert t + (a + b) != (t + a) + b  # one relative delay would not do
+    ends = []
+
+    def chained(env):
+        yield env.timeout(a)
+        yield env.timeout(b)
+        ends.append(env.now)
+
+    def fused(env):
+        yield env.timeout_at((env.now + a) + b)
+        ends.append(env.now)
+
+    env.run(env.timeout(t))
+    env.process(chained(env))
+    env.process(fused(env))
+    env.run()
+    assert ends == [(t + a) + b] * 2
+
+
+def test_timeout_at_now_is_fifo_with_zero_delays(env):
+    log = []
+    env.timeout(0).callbacks.append(lambda e: log.append("first"))
+    env.timeout_at(env.now).callbacks.append(lambda e: log.append("at now"))
+    env.timeout(0).callbacks.append(lambda e: log.append("last"))
+    env.run()
+    assert log == ["first", "at now", "last"]
+
+
+def test_timeout_at_in_the_past_rejected(env):
+    env.run(env.timeout(1.0))
+    with pytest.raises(ValueError, match="past"):
+        env.timeout_at(0.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Environment, Interrupt
+from repro.simkernel import NORMAL, Environment, Interrupt, Process
 
 
 @pytest.fixture
@@ -101,6 +101,26 @@ class TestLifecycle:
             ("a", 3.0),
             ("b", 4.5),
         ]
+
+    def test_normal_first_step_runs_fifo_in_its_instant(self, env):
+        log = []
+
+        def step(env, name):
+            log.append(name)
+            yield env.timeout(0)
+
+        def spawner(env):
+            yield env.timeout(1.0)
+            env.timeout(0).callbacks.append(lambda _: log.append("timeout"))
+            Process(env, step(env, "normal"), priority=NORMAL)
+            env.timeout(0).callbacks.append(lambda _: log.append("later timeout"))
+            env.process(step(env, "urgent"))
+
+        env.process(spawner(env))
+        env.run()
+        # The default URGENT first step overtakes the instant's NORMAL
+        # events; a NORMAL one waits its turn among them, in FIFO order.
+        assert log == ["urgent", "timeout", "normal", "later timeout"]
 
 
 class TestInterrupt:

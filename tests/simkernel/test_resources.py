@@ -26,13 +26,10 @@ class TestResource:
         # cycle per grant; like SimPy, a grant carries no value.
         res = Resource(env, capacity=1)
         first, queued = res.request(), res.request()
-        taken = res.try_acquire()
         res.release(first)
         env.run()
         assert first.value is None and queued.value is None
-        assert taken is None
         res.release(queued)
-        assert res.try_acquire().value is None
 
     def test_excess_requests_queue_fifo(self, env):
         res = Resource(env, capacity=1)
@@ -113,6 +110,21 @@ class TestHold:
         env.run()
         assert starts == {"a": 0.0, "b": 1.0, "c": 2.0}
         assert res.count == 0
+
+    def test_interrupt_during_free_hold_gives_back_both(self, env):
+        res, other = Resource(env), Resource(env)
+
+        def holder(env):
+            yield from res.hold(1.0, other)
+
+        proc = env.process(holder(env))
+        env.run(until=0.25)
+        assert (res.count, other.count) == (1, 1)
+        waiter = other.request()  # queues behind the claim
+        proc.interrupt("crash")
+        with pytest.raises(Interrupt):
+            env.run(until=0.5)
+        assert res.count == 0 and other.count == 1 and waiter.triggered
 
     def test_interrupt_while_queued_for_also_gives_back_both(self, env):
         res, other = Resource(env), Resource(env)
